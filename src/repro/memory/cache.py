@@ -65,6 +65,33 @@ class CacheStats:
         reset_fields(self)
 
 
+def cache_state(ways: list[int], tags: list[int], dirty: list[bool],
+                payloads: list | None, stats: CacheStats) -> dict:
+    """The checkpoint layout of one cache: flat per-cache lists.
+
+    Set ``s`` holds ``ways[s]`` lines, stored consecutively (set 0 first)
+    and most-recently-used first, at the same positions of ``tags``,
+    ``dirty`` and ``payloads``.  ``payloads`` is ``None`` when no line
+    carries one (every timing-layer cache); otherwise each entry is
+    ``bytes`` or ``None``.  A few flat lists instead of one dict per line
+    keep a checkpoint of a full 1 MB L2 cheap to encode.
+
+    :meth:`Cache.state_dict` and the batched engine's ``LeanCache`` both
+    emit their state through here, so the layout lives in this one place.
+    """
+    return {
+        "ways": ways,
+        "tags": tags,
+        "dirty": dirty,
+        "payloads": payloads,
+        "stats": {
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "writebacks": stats.writebacks,
+        },
+    }
+
+
 class Cache:
     """Set-associative write-back cache with true-LRU replacement.
 
@@ -216,45 +243,39 @@ class Cache:
     # -- checkpoint support ------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Serializable state: per-set lines in MRU order, plus stats.
+        """Serializable state in the flat layout of :func:`cache_state`.
 
-        Payloads are carried as bytes (``None`` for payload-less lines);
-        :meth:`load_state` restores them as fresh ``bytearray`` buffers —
-        payload identity is not preserved, only content and order.
+        Payloads are carried as bytes; :meth:`load_state` restores them as
+        fresh ``bytearray`` buffers — payload identity is not preserved,
+        only content and order.
         """
-        return {
-            "sets": [
-                [
-                    {
-                        "tag": line.tag,
-                        "dirty": line.dirty,
-                        "payload": (bytes(line.payload)
-                                    if line.payload is not None else None),
-                    }
-                    for line in lines
-                ]
-                for lines in self._sets
-            ],
-            "stats": {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "writebacks": self.stats.writebacks,
-            },
-        }
+        lines = [line for per_set in self._sets for line in per_set]
+        payloads = [bytes(line.payload) if line.payload is not None
+                    else None for line in lines]
+        return cache_state(
+            [len(per_set) for per_set in self._sets],
+            [line.tag for line in lines],
+            [line.dirty for line in lines],
+            payloads if any(p is not None for p in payloads) else None,
+            self.stats)
 
     def load_state(self, state: dict) -> None:
-        self._sets = [
-            [
-                CacheLine(
-                    tag=entry["tag"],
-                    dirty=entry["dirty"],
-                    payload=(bytearray(entry["payload"])
-                             if entry["payload"] is not None else None),
-                )
-                for entry in lines
-            ]
-            for lines in state["sets"]
-        ]
+        tags = state["tags"]
+        dirty = state["dirty"]
+        payloads = state["payloads"] or [None] * len(tags)
+        sets: list[list[CacheLine]] = []
+        start = 0
+        for ways in state["ways"]:
+            stop = start + ways
+            sets.append([
+                CacheLine(tag=tag, dirty=bit,
+                          payload=(bytearray(payload)
+                                   if payload is not None else None))
+                for tag, bit, payload in zip(tags[start:stop],
+                                             dirty[start:stop],
+                                             payloads[start:stop])])
+            start = stop
+        self._sets = sets
         st = state["stats"]
         self.stats.hits = st["hits"]
         self.stats.misses = st["misses"]

@@ -4,14 +4,17 @@ A checkpoint is a small binary container::
 
     magic (8 B) | payload length (8 B, big-endian) | sha256 (32 B) | zlib JSON
 
-The JSON body is ``{"kind": ..., "version": 1, "state": ...}`` where
+The JSON body is ``{"kind": ..., "version": 2, "state": ...}`` where
 ``state`` is a *tagged* encoding of the component ``state_dict()`` trees:
 bytes/bytearray become hex strings, tuples/sets/non-string-keyed dicts get
 explicit ``"__tuple"``/``"__set"``/``"__dict"`` wrappers, and everything
 else must already be JSON-native.  The encoding is deliberately canonical —
-sets are sorted, dict insertion order is preserved through a round-trip —
-so ``save → load → save`` reproduces the identical byte stream, which the
-checkpoint property tests assert for every preset.
+sets are sorted (integer sets numerically, others by encoded JSON), dict
+insertion order is preserved through a round-trip — so ``save → load →
+save`` reproduces the identical byte stream, which the checkpoint
+property tests assert for every preset.  Caches are stored as a few flat
+lists each (:func:`repro.memory.cache.cache_state`), not one dict per
+line, which keeps a mid-run snapshot of a full L2 cheap to encode.
 
 ``loads`` verifies the magic, the declared length, and the SHA-256 of the
 compressed payload before touching the JSON, so a truncated or bit-flipped
@@ -47,7 +50,10 @@ from repro.core.config import (
 )
 
 CHECKPOINT_MAGIC = b"RPRCKPT1"
-_VERSION = 1
+#: container body version; 2 introduced the flat per-cache layout of
+#: :func:`repro.memory.cache.cache_state` (and the array-based
+#: :func:`trace_digest`).  Other versions are rejected, not migrated.
+_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -62,6 +68,9 @@ class CheckpointError(ValueError):
 
 # -- tagged JSON codec --------------------------------------------------------
 
+#: element types a list may hold and still be emitted as-is (JSON-native)
+_JSON_SCALARS = (type(None), bool, int, float, str)
+
 
 def _encode(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str, float)):
@@ -73,6 +82,8 @@ def _encode(value: Any) -> Any:
     if isinstance(value, tuple):
         return {"__tuple": [_encode(item) for item in value]}
     if isinstance(value, (set, frozenset)):
+        if all(type(item) is int for item in value):
+            return {"__set": sorted(value)}
         # canonical order even for unorderable encodings (e.g. tuples)
         return {"__set": sorted(
             (_encode(item) for item in value),
@@ -85,6 +96,10 @@ def _encode(value: Any) -> Any:
         return {"__dict": [[_encode(key), _encode(item)]
                            for key, item in value.items()]}
     if isinstance(value, list):
+        # flat scalar lists (cache tags, dirty bits) are most of a
+        # snapshot; skip the per-element walk for them
+        if all(type(item) in _JSON_SCALARS for item in value):
+            return value
         return [_encode(item) for item in value]
     raise CheckpointError(
         f"cannot checkpoint value of type {type(value).__name__}")
@@ -105,6 +120,8 @@ def _decode(value: Any) -> Any:
                     for key, item in value["__dict"]}
         return {key: _decode(item) for key, item in value.items()}
     if isinstance(value, list):
+        if all(type(item) in _JSON_SCALARS for item in value):
+            return value
         return [_decode(item) for item in value]
     return value
 
@@ -115,7 +132,9 @@ def dumps(payload: Any, kind: str) -> bytes:
         {"kind": kind, "version": _VERSION, "state": _encode(payload)},
         separators=(",", ":"), allow_nan=True,
     ).encode("utf-8")
-    compressed = zlib.compress(body, 6)
+    # level 1: a mid-cell snapshot is written every few thousand refs,
+    # and level 6 took ~4x longer for ~20% fewer bytes
+    compressed = zlib.compress(body, 1)
     digest = hashlib.sha256(compressed).digest()
     return (CHECKPOINT_MAGIC
             + len(compressed).to_bytes(8, "big")
@@ -143,7 +162,8 @@ def loads(blob: bytes, kind: str | None = None) -> Any:
         raise CheckpointError(f"corrupt checkpoint payload: {exc}") from exc
     if body.get("version") != _VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version {body.get('version')!r}")
+            f"unsupported checkpoint version {body.get('version')!r} "
+            f"(this build reads version {_VERSION})")
     if kind is not None and body.get("kind") != kind:
         raise CheckpointError(
             f"checkpoint kind {body.get('kind')!r} != expected {kind!r}")
@@ -303,13 +323,13 @@ def restore_system(system, blob: bytes) -> None:
 
 
 def trace_digest(trace) -> str:
-    """SHA-256 fingerprint of a workload trace (resume-compatibility check)."""
-    digest = hashlib.sha256()
-    digest.update(trace.name.encode("utf-8"))
-    digest.update(b"\x00")
-    for gap, write, addr in zip(trace.gaps, trace.writes, trace.addrs):
-        digest.update(f"{gap},{1 if write else 0},{addr};".encode("ascii"))
-    return digest.hexdigest()
+    """SHA-256 fingerprint of a workload trace (resume-compatibility check).
+
+    Hashes the name and the packed ``TRACE_DTYPE`` records of
+    :meth:`~repro.workloads.trace.Trace.arrays` in one call.
+    """
+    return hashlib.sha256(trace.name.encode("utf-8") + b"\x00"
+                          + trace.arrays().tobytes()).hexdigest()
 
 
 def checkpoint_simulation(processor, loop, meta: dict | None = None) -> bytes:

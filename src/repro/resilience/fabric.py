@@ -45,7 +45,11 @@ section 17):
 The coordinator (:func:`run_fabric`) spawns the local worker pool,
 streams completed cells into the report as they land, restarts crashed
 workers up to a budget, and aggregates the event journal into
-``fabric.*`` metrics through :class:`repro.obs.MetricsRegistry`.
+``fabric.*`` metrics through :class:`repro.obs.MetricsRegistry`.  Each
+worker simulates its cells in one long-lived spawned runner process
+that imports ``repro.api`` once; the worker supervises it over a pipe
+and replaces it only when it dies, passes its deadline, or is
+terminated.
 """
 
 from __future__ import annotations
@@ -453,32 +457,31 @@ def _quarantine(path: str) -> bool:
         return False
 
 
-# -- cell execution (grandchild process) --------------------------------------
+# -- cell execution (warm runner process) -------------------------------------
 
 
-def _cell_child(conn, cell_dict: dict, attempt: int, queue_dir: str,
-                cid: str, settings_dict: dict) -> None:
-    """Simulate one cell, checkpointing as it goes; report over the pipe.
+def _execute_cell(paths: QueuePaths, cid: str, cell: SweepCell,
+                  attempt: int, checkpoint_refs: int) -> dict:
+    """Simulate one cell attempt, checkpointing as it goes; the reply.
 
-    Runs as a spawn-isolated grandchild of the coordinator so a segfault
-    or ``os._exit`` can only ever cost one attempt.  A checkpoint left by
-    a previous attempt (this worker's or a dead one's) is resumed
-    bit-identically; a corrupt or mismatched checkpoint is quarantined to
-    ``*.corrupt`` and the cell restarts from scratch — loudly journaled,
-    never fatal.
+    A checkpoint left by a previous attempt (this worker's or a dead
+    one's) is resumed bit-identically.  One that does not load — corrupt,
+    another container version, or another experiment's — is quarantined
+    to ``*.corrupt`` and the cell restarts from scratch: loudly
+    journaled, never fatal.  A runner whose worker died mid-cell exits
+    at its next checkpoint.
 
-    Chaos inject hooks (fabric-only; see :class:`SweepCell`):
+    Chaos inject hooks (see :class:`SweepCell`) act on the runner, the
+    process that simulates:
 
-    * ``kill9:N`` — SIGKILL *this* process right after writing its N-th
+    * ``crash`` / ``hang`` — ``os._exit`` or sleep until terminated,
+      before simulating (first attempt only unless ``-always``).
+    * ``kill9:N`` — SIGKILL the runner right after writing its N-th
       checkpoint (first overall attempt only): exercises in-worker crash
-      retry with mid-cell resume.
-    * ``killworker:N`` — SIGKILL the parent worker first, then this
-      process: exercises stale-lease reclaim + coordinator restart.
+      retry with mid-cell resume on a fresh runner.
+    * ``killworker:N`` — SIGKILL the parent worker first, then the
+      runner: exercises stale-lease reclaim + coordinator restart.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    cell = SweepCell.from_dict(cell_dict)
-    settings = FabricSettings.from_dict(settings_dict)
-    paths = QueuePaths(queue_dir)
     base, arg, always = parse_inject(cell.inject)
     if base in ("crash", "hang") and (always or attempt == 1):
         if base == "crash":
@@ -487,26 +490,20 @@ def _cell_child(conn, cell_dict: dict, attempt: int, queue_dir: str,
             time.sleep(3600)
     kill_after = (arg if base in ("kill9", "killworker") and attempt == 1
                   else None)
+    worker_pid = os.getppid()
     try:
         from repro.api import Experiment
-        from repro.resilience.checkpoint import load_checkpoint
 
         ckpt_path = paths.checkpoint(cid)
-        resume_from = None
-        if os.path.isfile(ckpt_path):
-            try:
-                load_checkpoint(ckpt_path, kind="simulation")
-                resume_from = ckpt_path
-            except CheckpointError as exc:
-                if _quarantine(ckpt_path):
-                    _log_event(paths, event="checkpoint_quarantined",
-                               cell=cid, error=str(exc))
-
         checkpoints_written = 0
 
         def checkpoint_hook() -> None:
             nonlocal checkpoints_written
             checkpoints_written += 1
+            if os.getppid() != worker_pid:
+                # the worker died mid-cell and nobody will read the
+                # reply; whoever reclaims the cell resumes this checkpoint
+                os._exit(0)
             if kill_after is not None and checkpoints_written == kill_after:
                 if base == "killworker":
                     os.kill(os.getppid(), signal.SIGKILL)
@@ -516,16 +513,15 @@ def _cell_child(conn, cell_dict: dict, attempt: int, queue_dir: str,
             experiment = Experiment(cell.scheme, cell.app, refs=cell.refs,
                                     warmup_refs=cell.warmup_refs)
             return experiment.run(
-                checkpoint_every=settings.checkpoint_refs,
+                checkpoint_every=checkpoint_refs,
                 checkpoint_path=ckpt_path, resume_from=resume,
                 checkpoint_hook=checkpoint_hook)
 
+        resume_from = ckpt_path if os.path.isfile(ckpt_path) else None
         try:
             result = simulate(resume_from)
         except CheckpointError as exc:
-            # the checkpoint parsed but did not belong to this cell
-            # (config/trace mismatch after a manifest edit): quarantine
-            # and rerun from scratch rather than fail the cell
+            # the checkpoint is validated before any simulation runs
             if resume_from is None:
                 raise
             if _quarantine(ckpt_path):
@@ -533,10 +529,37 @@ def _cell_child(conn, cell_dict: dict, attempt: int, queue_dir: str,
                            cell=cid, error=str(exc))
             resume_from = None
             result = simulate(None)
-        conn.send({"ok": True, "result": result.to_dict(),
-                   "resumed": resume_from is not None})
+        return {"ok": True, "result": result.to_dict(),
+                "resumed": resume_from is not None}
     except Exception as exc:        # noqa: BLE001 — verdict, not handling
-        conn.send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _runner_main(conn, queue_dir: str) -> None:
+    """A worker's warm cell runner: import once, then run cells until EOF.
+
+    Spawned by its worker and reused for every cell that worker claims,
+    so each cell pays for its simulation, not for an interpreter.  It
+    announces ``{"ready": pid}`` once ``repro.api`` is imported, then
+    answers each ``{"cid", "cell", "attempt", "checkpoint_refs"}``
+    request with :func:`_execute_cell`'s reply.  EOF on the pipe — the
+    worker closed it, or died — ends the runner, so a SIGKILLed worker
+    never leaves one behind.  SIGINT is ignored (the coordinator owns
+    interrupts); the worker ends a runner mid-cell with SIGTERM.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    import repro.api  # noqa: F401 — the one import every cell reuses
+
+    paths = QueuePaths(queue_dir)
+    try:
+        conn.send({"ready": os.getpid()})
+        while True:
+            job = conn.recv()
+            conn.send(_execute_cell(paths, job["cid"],
+                                    SweepCell.from_dict(job["cell"]),
+                                    job["attempt"], job["checkpoint_refs"]))
+    except (EOFError, OSError):
+        pass                     # the worker is done with us, or gone
     finally:
         conn.close()
 
@@ -544,20 +567,100 @@ def _cell_child(conn, cell_dict: dict, attempt: int, queue_dir: str,
 # -- worker loop (child process) ----------------------------------------------
 
 
-def _run_cell(context, paths: QueuePaths, cid: str, cell: SweepCell,
-              worker_id: str, nonce: str, settings: FabricSettings,
-              drain: dict) -> None:
+class _Runner:
+    """A worker's handle on its warm runner (see :func:`_runner_main`).
+
+    At most one runner process per worker.  The worker starts one when
+    it has none, and replaces it only after it died, passed its
+    deadline, or was terminated for a drain or a lost lease.
+    """
+
+    def __init__(self, context, paths: QueuePaths, worker_id: str):
+        self._context = context
+        self._paths = paths
+        self._worker_id = worker_id
+        self.process = None
+        self.conn = None
+        self.ready = False
+
+    def start(self) -> None:
+        self.conn, child_end = self._context.Pipe()
+        self.process = self._context.Process(
+            target=_runner_main, args=(child_end, self._paths.root),
+            daemon=True)
+        self.process.start()
+        child_end.close()    # EOF must reach the runner when we are gone
+        self.ready = False
+        _log_event(self._paths, event="runner_started",
+                   worker=self._worker_id, pid=self.process.pid)
+
+    def stop(self, *, terminate: bool = False) -> int | None:
+        """Reap the runner and return its exit code.
+
+        Closing the pipe ends an idle runner (EOF); ``terminate`` first
+        sends SIGTERM to one that is mid-cell.
+        """
+        if self.process is None:
+            return None
+        if terminate:
+            self.process.terminate()
+        self.conn.close()
+        self.process.join(5)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(5)
+        exitcode = self.process.exitcode
+        self.process = self.conn = None
+        self.ready = False
+        return exitcode
+
+
+def _await_runner(runner: _Runner, paths: QueuePaths, cid: str,
+                  worker_id: str, nonce: str, settings: FabricSettings,
+                  drain: dict) -> tuple[str, dict | None]:
+    """Wait for the runner's next message while keeping the claim alive.
+
+    Polls the pipe every heartbeat interval and renews the lease on each
+    tick, for at most ``settings.timeout``.  Returns ``("message", msg)``
+    or one of ``("died" | "timeout" | "drained" | "lost", None)``.
+    """
+    deadline = (time.monotonic() + settings.timeout
+                if settings.timeout is not None else None)
+    while True:
+        # poll() is also true at EOF, so a dead runner surfaces here
+        if runner.conn.poll(settings.heartbeat_interval):
+            try:
+                return "message", runner.conn.recv()
+            except (EOFError, OSError):
+                return "died", None
+        if drain["hit"]:
+            return "drained", None
+        if deadline is not None and time.monotonic() > deadline:
+            return "timeout", None
+        if not _renew_lease(paths, cid, worker_id, nonce):
+            # the lease was reclaimed: someone else owns the cell now
+            return "lost", None
+
+
+def _run_cell(runner: _Runner, paths: QueuePaths, cid: str,
+              cell: SweepCell, worker_id: str, nonce: str,
+              settings: FabricSettings, drain: dict) -> None:
     """Execute one claimed cell to a terminal verdict (or abandon it).
 
-    Mirrors ``run_many``'s per-attempt supervision — spawn, wall-clock
-    budget, crash/timeout retries with backoff — while renewing the lease
-    every heartbeat.  Publishes the verdict atomically and releases the
-    lease; returns without publishing when draining or when the lease was
-    lost (so the new owner's eventual publish is the only one).
+    Mirrors ``run_many``'s per-attempt supervision — wall-clock budget,
+    crash/timeout retries with backoff — on the worker's warm runner,
+    renewing the lease every heartbeat.  A runner that dies or passes
+    the deadline is replaced for the next attempt.  Waiting for a new
+    runner's start-up is supervised the same way (with its own
+    ``timeout``) but kept off the cell's ``elapsed``.  Publishes the
+    verdict atomically and releases the lease; returns without
+    publishing when draining or when the lease was lost (so the new
+    owner's eventual publish is the only one).
     """
     attempts_before = _read_attempts(paths, cid)
     attempts = attempts_before
     started = time.monotonic()
+    startup = 0.0
     status = "failed"
     error: str | None = None
     payload: dict | None = None
@@ -567,64 +670,50 @@ def _run_cell(context, paths: QueuePaths, cid: str, cell: SweepCell,
         atomic_write_json(paths.meta(cid), {"attempts": attempts}, indent=0)
         _log_event(paths, event="cell_started", cell=cid, worker=worker_id,
                    attempt=attempts)
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(
-            target=_cell_child,
-            args=(sender, cell.to_dict(), attempts, paths.root, cid,
-                  settings.to_dict()),
-            daemon=True)
-        child.start()
-        sender.close()
-        deadline = (time.monotonic() + settings.timeout
-                    if settings.timeout is not None else None)
-        verdict_timeout = False
-        while True:
-            child.join(settings.heartbeat_interval)
-            if not child.is_alive():
-                break
-            if drain["hit"]:
-                child.terminate()
-                child.join(5)
-                receiver.close()
+        if runner.process is None:
+            runner.start()
+        if not runner.ready:
+            waited = time.monotonic()
+            outcome, message = _await_runner(runner, paths, cid, worker_id,
+                                             nonce, settings, drain)
+            startup += time.monotonic() - waited
+            runner.ready = outcome == "message"
+        if runner.ready:
+            job = {"cid": cid, "cell": cell.to_dict(), "attempt": attempts,
+                   "checkpoint_refs": settings.checkpoint_refs}
+            try:
+                runner.conn.send(job)
+            except OSError:
+                outcome = "died"
+            else:
+                outcome, message = _await_runner(
+                    runner, paths, cid, worker_id, nonce, settings, drain)
+        if outcome in ("drained", "lost"):
+            # end the runner, which may be mid-cell (its last checkpoint
+            # survives), and never publish
+            runner.stop(terminate=True)
+            if outcome == "drained":
                 _log_event(paths, event="cell_drained", cell=cid,
                            worker=worker_id, attempt=attempts)
                 _release_lease(paths, cid, nonce)
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                child.terminate()
-                child.join(5)
-                verdict_timeout = True
-                break
-            if not _renew_lease(paths, cid, worker_id, nonce):
-                # the lease was reclaimed: someone else owns the cell
-                # now — kill our attempt and never publish
-                child.terminate()
-                child.join(5)
-                receiver.close()
+            else:
                 _log_event(paths, event="lease_lost", cell=cid,
                            worker=worker_id, attempt=attempts)
-                return
-        if verdict_timeout:
+            return
+        if outcome == "timeout":
+            runner.stop(terminate=True)
             status = "timeout"
-            error = (f"worker exceeded the {settings.timeout}s wall-clock "
+            error = (f"runner exceeded the {settings.timeout}s wall-clock "
                      f"budget and was terminated")
+        elif outcome == "died":
+            status = "failed"
+            error = (f"runner died without reporting "
+                     f"(exit code {runner.stop()})")
+        elif message.get("ok"):
+            status, payload, error = "ok", message["result"], None
+            resumed = bool(message.get("resumed"))
         else:
-            message = None
-            if receiver.poll():
-                try:
-                    message = receiver.recv()
-                except EOFError:
-                    message = None
-            if message is not None and message.get("ok"):
-                status, payload, error = "ok", message["result"], None
-                resumed = bool(message.get("resumed"))
-            elif message is not None:
-                status, error = "failed", message.get("error")
-            else:
-                status = "failed"
-                error = (f"worker died without reporting "
-                         f"(exit code {child.exitcode})")
-        receiver.close()
+            status, error = "failed", message.get("error")
         if status == "ok":
             break
         if attempts - attempts_before <= settings.retries and not drain["hit"]:
@@ -635,8 +724,8 @@ def _run_cell(context, paths: QueuePaths, cid: str, cell: SweepCell,
             continue
         break
     verdict = CellResult(cell=cell, status=status, attempts=attempts,
-                         elapsed=time.monotonic() - started, error=error,
-                         result=payload, worker_id=worker_id,
+                         elapsed=time.monotonic() - started - startup,
+                         error=error, result=payload, worker_id=worker_id,
                          resumed_from_checkpoint=resumed)
     atomic_write_json(paths.result(cid), verdict.to_dict())
     if status == "ok":
@@ -657,7 +746,8 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
     a graceful drain — the in-flight attempt is terminated (its last
     checkpoint survives), the lease released, and the worker exits 0.
     ``offset`` rotates each worker's scan order so a freshly started pool
-    doesn't stampede the same first cell.
+    doesn't stampede the same first cell.  The worker's warm runner is
+    closed on the way out, however the loop ends.
     """
     import secrets
 
@@ -678,7 +768,7 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
     entries = load_manifest(queue_dir)
     entries = entries[offset % max(1, len(entries)):] \
         + entries[:offset % max(1, len(entries))]
-    context = multiprocessing.get_context("spawn")
+    runner = _Runner(multiprocessing.get_context("spawn"), paths, worker_id)
     drained = False
     try:
         while not drain["hit"]:
@@ -702,7 +792,7 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
                 _log_event(paths, event="cell_claimed", cell=cid,
                            worker=worker_id, reclaimed=reclaimed)
                 claimed_any = True
-                _run_cell(context, paths, cid, cell, worker_id, nonce,
+                _run_cell(runner, paths, cid, cell, worker_id, nonce,
                           settings, drain)
             if drain["hit"] or pending == 0:
                 break
@@ -712,6 +802,7 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
                 time.sleep(settings.poll_interval)
         drained = drain["hit"]
     finally:
+        runner.stop()
         _log_event(paths, event="worker_stopped", worker=worker_id,
                    drained=drained)
 

@@ -49,7 +49,7 @@ def parse_inject(spec: str | None) -> tuple[str | None, int | None, bool]:
     """Split an inject spec into ``(base, arg, always)``.
 
     Grammar: ``crash`` / ``hang``, optionally suffixed ``-always``; or
-    ``kill9:N`` / ``killworker:N`` (fabric-only — SIGKILL the cell child
+    ``kill9:N`` / ``killworker:N`` (fabric-only — SIGKILL the cell runner
     / its worker right after checkpoint ``N`` on the first attempt).
     Raises :class:`ValueError` on anything else.
     """
@@ -83,7 +83,7 @@ class SweepCell:
     warmup_refs: int | None = None
     #: test hook: make the worker misbehave ("crash" / "hang" fail the
     #: first attempt only; "crash-always" / "hang-always" every attempt;
-    #: "kill9:N" / "killworker:N" SIGKILL the cell child / its fabric
+    #: "kill9:N" / "killworker:N" SIGKILL the cell runner / its fabric
     #: worker after checkpoint N — fabric runs only, ignored serially)
     inject: str | None = None
 

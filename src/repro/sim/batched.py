@@ -71,7 +71,7 @@ from repro.core.config import AuthMode, EncryptionMode
 from repro.counters.base import OverflowAction
 from repro.counters.prediction import CounterPredictionScheme
 from repro.counters.split import SplitCounterScheme
-from repro.memory.cache import Cache, CacheLine, Eviction
+from repro.memory.cache import Cache, CacheLine, Eviction, cache_state
 
 __all__ = ["LeanCache", "run_batched"]
 
@@ -84,8 +84,9 @@ class LeanCache:
     true-LRU semantics at a fraction of the per-access cost.  Statistics
     go straight into the donor cache's ``stats`` object so the metrics
     registry, warmup resets, and snapshots keep working unchanged, and
-    ``state_dict()`` emits exactly the donor's schema so checkpoints taken
-    mid-run are byte-identical to scalar ones.
+    ``state_dict()`` emits the donor's layout through the same
+    :func:`~repro.memory.cache.cache_state` so checkpoints taken mid-run
+    are byte-identical to scalar ones.
 
     The batched engine installs instances over ``processor.l1/.l2``,
     ``memory.l2``, ``memory.node_cache``, and the counter cache's inner
@@ -185,27 +186,17 @@ class LeanCache:
         return False
 
     def state_dict(self) -> dict:
-        """Checkpoint schema identical to :meth:`Cache.state_dict`."""
+        """Checkpoint state identical to :meth:`Cache.state_dict` of the
+        donor cache holding the same lines."""
+        addresses = [address for per_set in self.sets
+                     for address in per_set]
         dirty = self.dirty
-        num_sets = self.num_sets
-        return {
-            "sets": [
-                [
-                    {
-                        "tag": address // self.block_size // num_sets,
-                        "dirty": address in dirty,
-                        "payload": None,
-                    }
-                    for address in addresses
-                ]
-                for addresses in self.sets
-            ],
-            "stats": {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "writebacks": self.stats.writebacks,
-            },
-        }
+        tag_span = self.block_size * self.num_sets  # address bytes per tag
+        return cache_state(
+            [len(per_set) for per_set in self.sets],
+            [address // tag_span for address in addresses],
+            [address in dirty for address in addresses],
+            None, self.stats)
 
 
 class _L2ResidencyShim:

@@ -16,9 +16,11 @@ from repro.testing.chaos import (
     ChaosPlan,
     assert_chaos_equivalent,
     assert_no_duplicate_completions,
+    assert_runners_exited,
     attempt_counts,
     normalize_report,
     plant_orphan_lease,
+    runner_pids,
     skew_lease_heartbeat,
     tear_result_file,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "Trigger",
     "assert_chaos_equivalent",
     "assert_no_duplicate_completions",
+    "assert_runners_exited",
     "attempt_counts",
     "format_report",
     "generate_scenario",
@@ -71,6 +74,7 @@ __all__ = [
     "run_differential_checks",
     "run_fuzz",
     "run_scenario",
+    "runner_pids",
     "shrink_scenario",
     "skew_lease_heartbeat",
     "tear_result_file",

@@ -16,8 +16,9 @@ same manifest once the metadata that legitimately differs (wall-clock,
 attempt counts, worker identity) is stripped — see
 :func:`normalize_report`.  The event journal supplies the no-duplicate
 evidence: :func:`assert_no_duplicate_completions` proves no cell
-*finished* twice, and :func:`attempt_counts` exposes how often each cell
-*started* so tests can pin exactly which cells paid a retry.
+*finished* twice, :func:`attempt_counts` exposes how often each cell
+*started* so tests can pin exactly which cells paid a retry, and
+:func:`assert_runners_exited` proves no warm cell runner outlived the run.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ __all__ = [
     "ChaosPlan",
     "assert_chaos_equivalent",
     "assert_no_duplicate_completions",
+    "assert_runners_exited",
     "attempt_counts",
     "normalize_report",
     "plant_orphan_lease",
+    "runner_pids",
     "skew_lease_heartbeat",
     "tear_result_file",
 ]
@@ -132,6 +135,45 @@ def assert_no_duplicate_completions(queue_dir: str) -> None:
         raise AssertionError(
             f"cells completed more than once: {duplicates} — the "
             "completed-result check before claiming is broken")
+
+
+def runner_pids(queue_dir: str) -> list[int]:
+    """Pids of every warm cell runner the journal says was started."""
+    from repro.resilience.fabric import read_events
+
+    return [event["pid"] for event in read_events(queue_dir)
+            if event.get("event") == "runner_started"
+            and isinstance(event.get("pid"), int)]
+
+
+def _pid_running(pid: int) -> bool:
+    """Whether ``pid`` is a live process.  A zombie — exited, waiting for
+    a parent (or, once orphaned, init) to reap it — counts as exited."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+        return state not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:             # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        except PermissionError:
+            pass
+        return True
+
+
+def assert_runners_exited(queue_dir: str) -> None:
+    """Every runner in the journal must have exited once a run is over —
+    after a clean finish, a drain, or its worker being SIGKILLed (an
+    idle runner then sees EOF on its pipe, a busy one its parent pid
+    change at the next checkpoint; ``killworker`` kills both)."""
+    alive = [pid for pid in runner_pids(queue_dir) if _pid_running(pid)]
+    if alive:
+        raise AssertionError(
+            f"cell runners still running after the sweep: pids {alive}")
 
 
 # -- queue-file vandalism (applied between runs, so deterministic) ------------

@@ -15,6 +15,7 @@ from repro.testing import (
     ChaosPlan,
     assert_chaos_equivalent,
     assert_no_duplicate_completions,
+    assert_runners_exited,
     attempt_counts,
     normalize_report,
 )
@@ -46,11 +47,14 @@ class TestKillChaos:
         assert_chaos_equivalent(serial, chaotic)
         # no completed (published) cell ever executed twice
         assert_no_duplicate_completions(queue)
+        # no runner outlived the run, including the one whose worker
+        # was SIGKILLed under it
+        assert_runners_exited(queue)
 
         by_inject = {cell.cell.inject: cell for cell in chaotic.cells}
-        # kill9: the cell child was SIGKILLed after its first checkpoint,
-        # retried in-worker, and resumed from that checkpoint — it must
-        # NOT have rerun from scratch
+        # kill9: the runner was SIGKILLed after its first checkpoint,
+        # retried in-worker on a fresh runner, and resumed from that
+        # checkpoint — it must NOT have rerun from scratch
         assert by_inject["kill9:1"].resumed_from_checkpoint
         assert by_inject["kill9:1"].attempts >= 2
         # killworker: the whole worker died, the lease went stale, was

@@ -3,12 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import api
 from repro.core.config import PRESETS, RecoveryConfig, RecoveryPolicy
 from repro.core.secure_memory import SecureMemorySystem
+from repro.memory.cache import Cache
 from repro.resilience import (
     CHECKPOINT_MAGIC,
     CheckpointError,
+    SweepCell,
+    checkpoint,
     checkpoint_system,
     config_from_state,
     config_state,
@@ -16,12 +21,29 @@ from repro.resilience import (
     load_checkpoint,
     loads,
     restore_system,
+    run_fabric,
+    run_many,
     save_checkpoint,
     trace_digest,
 )
+from repro.resilience.fabric import QueuePaths, cell_id, read_events
+from repro.sim.batched import LeanCache
+from repro.testing import assert_chaos_equivalent
 from repro.workloads import spec_trace
 
 PROTECTED = 64 * 1024
+
+
+def _case_id(value) -> str:
+    """Test id of a codec case.  Set elements are listed sorted: a set's
+    repr follows string hashing, which differs from run to run."""
+    if isinstance(value, (set, frozenset)):
+        text = "{" + ", ".join(sorted(map(repr, value))) + "}"
+        if isinstance(value, frozenset):
+            text = f"frozenset({text})"
+    else:
+        text = repr(value)
+    return text[:40]
 
 
 class TestCodec:
@@ -35,7 +57,7 @@ class TestCodec:
     ]
 
     @pytest.mark.parametrize("value", CASES,
-                             ids=[repr(c)[:40] for c in CASES])
+                             ids=[_case_id(c) for c in CASES])
     def test_value_roundtrip(self, value):
         blob = dumps(value, kind="test")
         out = loads(blob, kind="test")
@@ -104,6 +126,89 @@ class TestConfigState:
     def test_state_is_checkpointable(self):
         state = config_state(PRESETS["split+gcm"])
         assert loads(dumps(state, kind="t"), kind="t") == state
+
+
+#: cache operations over 48 blocks of a 4-set x 4-way cache, so random
+#: sequences hit, miss, evict, refresh and re-order lines
+CACHE_OPS = st.lists(st.tuples(
+    st.sampled_from(("fill", "access", "mark_dirty", "invalidate")),
+    st.integers(0, 47), st.booleans(),
+    st.one_of(st.none(), st.binary(min_size=1, max_size=8))),
+    max_size=80)
+
+
+def _cache_after(ops, *, payloads: bool) -> Cache:
+    cache = Cache(1024, 4, 64)
+    for kind, block, write, payload in ops:
+        address = block * 64
+        if kind == "fill":
+            cache.fill(address, dirty=write,
+                       payload=payload if payloads else None)
+        elif kind == "access":
+            cache.access(address, write=write)
+        elif kind == "mark_dirty":
+            cache.mark_dirty(address)
+        else:
+            cache.invalidate(address)
+    return cache
+
+
+def _lines(cache: Cache) -> list:
+    return [(address, line.dirty,
+             None if line.payload is None else bytes(line.payload))
+            for address, line in cache.resident_blocks()]
+
+
+class TestCacheLayout:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=CACHE_OPS, payloads=st.booleans())
+    def test_roundtrip_keeps_order_dirty_payloads_and_stats(self, ops,
+                                                             payloads):
+        cache = _cache_after(ops, payloads=payloads)
+        blob = dumps(cache.state_dict(), kind="test")
+        restored = Cache(1024, 4, 64)
+        restored.load_state(loads(blob, kind="test"))
+        assert _lines(restored) == _lines(cache)     # MRU order per set
+        assert restored.stats == cache.stats
+        assert dumps(restored.state_dict(), kind="test") == blob
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=CACHE_OPS)
+    def test_lean_cache_emits_the_same_state(self, ops):
+        cache = _cache_after(ops, payloads=False)
+        assert LeanCache(cache).state_dict() == cache.state_dict()
+
+
+class TestContainerVersion:
+    def test_v1_container_is_rejected_naming_its_version(self, monkeypatch):
+        monkeypatch.setattr(checkpoint, "_VERSION", 1)
+        blob = dumps({"x": 1}, kind="simulation")
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="version 1"):
+            loads(blob, kind="simulation")
+
+    def test_v1_checkpoint_in_queue_is_quarantined(self, tmp_path,
+                                                   monkeypatch):
+        cells = [SweepCell("split+gcm", "swim", refs=3_000)]
+        queue = str(tmp_path / "queue")
+        cid = cell_id(0, cells[0])
+        QueuePaths(queue).ensure()
+        # a real mid-cell snapshot of this very cell, written as version 1
+        monkeypatch.setattr(checkpoint, "_VERSION", 1)
+        api.run("split+gcm", "swim", refs=3_000, checkpoint_every=1_000,
+                checkpoint_path=QueuePaths(queue).checkpoint(cid))
+        monkeypatch.undo()
+
+        report = run_fabric(cells, queue_dir=queue, parallelism=1,
+                            heartbeat_interval=0.2, lease_ttl=2.0,
+                            checkpoint_refs=1_000)
+        assert report.ok, report.to_dict()
+        quarantined = [event for event in read_events(queue)
+                       if event["event"] == "checkpoint_quarantined"]
+        assert [event["cell"] for event in quarantined] == [cid]
+        assert "version 1" in quarantined[0]["error"]
+        assert not report.cells[0].resumed_from_checkpoint
+        assert_chaos_equivalent(run_many(cells), report)
 
 
 class TestTraceDigest:

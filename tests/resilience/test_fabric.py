@@ -6,6 +6,7 @@ on a one-core CI box.
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -16,6 +17,7 @@ from repro.resilience.fabric import (
     FabricSettings,
     QueuePaths,
     _load_result,
+    _Runner,
     _try_claim,
     cell_id,
     init_queue,
@@ -29,6 +31,7 @@ from repro.resilience.runner import (
     load_sweep_report,
     run_many,
 )
+from repro.testing import assert_runners_exited, runner_pids
 
 REFS = 1_500          # one cell finishes in well under a second
 
@@ -247,3 +250,75 @@ class TestFabricEndToEnd:
         assert report.ok
         assert report.fabric is not None
         assert report.cells[0].worker_id is not None
+
+
+class TestWarmRunners:
+    """Each worker simulates its cells in one long-lived runner process;
+    a runner is replaced only when it dies, times out, or is terminated."""
+
+    def test_crash_is_retried_on_a_fresh_runner(self, tmp_path):
+        queue = str(tmp_path / "queue")
+        cells = [SweepCell("split", "swim", refs=REFS, inject="crash"),
+                 SweepCell("split", "gzip", refs=REFS)]
+        report = run_fabric(cells, queue_dir=queue, parallelism=1,
+                            heartbeat_interval=0.2, lease_ttl=2.0,
+                            checkpoint_refs=500, retries=1,
+                            retry_backoff=0.05)
+        assert report.counts() == {"ok": 2}, report.to_dict()
+        assert report.cells[0].attempts == 2
+        assert report.cells[1].attempts == 1
+        # the crashed runner was replaced once; the replacement stayed
+        # warm for the second cell
+        pids = runner_pids(queue)
+        assert len(pids) == 2 and len(set(pids)) == 2
+        assert_runners_exited(queue)
+
+    def test_hung_runner_times_out_and_worker_continues(self, tmp_path):
+        queue = str(tmp_path / "queue")
+        cells = [SweepCell("split", "swim", refs=REFS, inject="hang-always"),
+                 SweepCell("split", "gzip", refs=REFS)]
+        report = run_fabric(cells, queue_dir=queue, parallelism=1,
+                            timeout=5.0, heartbeat_interval=0.2,
+                            lease_ttl=2.0, checkpoint_refs=500, retries=0)
+        hung, after = report.cells
+        assert hung.status == "timeout", hung.to_dict()
+        assert "wall-clock" in hung.error
+        assert after.status == "ok", after.to_dict()
+        assert after.worker_id == hung.worker_id
+        # the terminated runner was replaced for the worker's next cell
+        pids = runner_pids(queue)
+        assert len(pids) == 2 and len(set(pids)) == 2
+        assert_runners_exited(queue)
+
+    def test_clean_run_starts_at_most_one_runner_per_worker(self, tmp_path):
+        queue = str(tmp_path / "queue")
+        cells = [SweepCell(scheme, app, refs=REFS)
+                 for scheme in ("split", "baseline", "direct")
+                 for app in ("swim", "gzip")]
+        report = run_fabric(cells, queue_dir=queue, parallelism=2,
+                            heartbeat_interval=0.2, lease_ttl=2.0,
+                            checkpoint_refs=500)
+        assert report.counts() == {"ok": 6}
+        assert 1 <= len(runner_pids(queue)) <= 2
+        assert all(cell.attempts == 1 for cell in report.cells)
+        assert_runners_exited(queue)
+
+    def test_runner_exits_on_eof(self, tmp_path):
+        """Closing the worker's end of the pipe — as a SIGKILLed worker's
+        exit does — ends an idle runner by itself."""
+        paths = QueuePaths(str(tmp_path))
+        paths.ensure()
+        runner = _Runner(multiprocessing.get_context("spawn"), paths, "w0")
+        runner.start()
+        process = runner.process
+        try:
+            assert runner.conn.poll(60), "runner never became ready"
+            assert runner.conn.recv() == {"ready": process.pid}
+            runner.conn.close()
+            process.join(30)
+            assert not process.is_alive()
+            assert process.exitcode == 0
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join(5)

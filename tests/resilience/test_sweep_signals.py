@@ -14,6 +14,9 @@ import subprocess
 import sys
 import time
 
+from repro.resilience.fabric import read_events
+from repro.testing import assert_runners_exited
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
@@ -67,6 +70,45 @@ class TestSigtermDrain:
         checkpoints = os.listdir(os.path.join(queue, "checkpoints"))
         assert any(name.endswith(".ckpt") for name in checkpoints), \
             checkpoints
+        # and ended every worker's cell runner on the way out
+        assert_runners_exited(queue)
+
+
+class TestWorkerSigkill:
+    def test_runner_of_a_sigkilled_worker_does_not_outlive_it(
+            self, tmp_path):
+        """A worker SIGKILLed mid-cell cannot close its runner; the
+        runner notices at its next checkpoint and exits."""
+        queue = str(tmp_path / "queue")
+        ckpt_dir = os.path.join(queue, "checkpoints")
+        proc = _sweep(
+            ["--scheme", "split", "--app", "swim", "--refs", "3000000",
+             "--json", "--parallel", "1", "--queue-dir", queue,
+             "--heartbeat-interval", "0.2", "--lease-ttl", "2",
+             "--checkpoint-refs", "2000"],
+            tmp_path, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 90
+            while time.monotonic() < deadline:
+                if os.path.isdir(ckpt_dir) and any(
+                        name.endswith(".ckpt")
+                        for name in os.listdir(ckpt_dir)):
+                    break
+                time.sleep(0.2)
+            worker = next(event["pid"] for event in read_events(queue)
+                          if event["event"] == "worker_started")
+            os.kill(worker, signal.SIGKILL)
+            time.sleep(2)
+            os.kill(proc.pid, signal.SIGTERM)
+            _stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 143, stderr.decode()
+        # the orphaned runner was mid-way through a 3M-ref cell: had it
+        # not exited by itself, it would still be simulating now
+        assert_runners_exited(queue)
 
 
 class TestCorruptResultRecovery:
