@@ -8,8 +8,6 @@ multi-round statistics, unlike the single-shot figure benches.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import bulk_ctr_transform, ctr_transform
 from repro.crypto.gcm import AESGCM
@@ -18,7 +16,6 @@ from repro.crypto.ghash import ghash, ghash_chunks
 from repro.crypto.mac import gcm_block_mac, gcm_block_macs
 from repro.crypto.sha1 import sha1
 from repro.crypto.vector import (
-    HAVE_NUMPY,
     bulk_ctr_transform_vector,
     gcm_block_macs_vector,
     ghash_chunks_many,
@@ -29,9 +26,6 @@ from repro.crypto.vector import (
 KEY = bytes(range(16))
 BLOCK64 = bytes(range(64)) + bytes(range(192, 256)) * 0
 DATA64 = (b"\xa5" * 64)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="vector kernel needs numpy")
 
 # Batch size for the vector-vs-table comparisons: large enough that the
 # per-call array setup amortizes, matching the read_blocks bulk path.
@@ -136,7 +130,6 @@ def test_sha1_64B(benchmark):
 # (table/array construction is cached per key).
 
 
-@needs_numpy
 def test_vector_aes_encrypt_1024_blocks(benchmark):
     blocks = [bytes([i & 0xFF]) * 16 for i in range(VEC_N)]
     vaes = vector_aes(KEY)
@@ -151,7 +144,6 @@ def test_table_aes_encrypt_1024_blocks(benchmark):
     assert len(out) == VEC_N
 
 
-@needs_numpy
 def test_vector_pad_generation_1024_blocks(benchmark):
     out = benchmark(bulk_ctr_transform_vector, KEY, VEC_ITEMS)
     addr, ctr, data = VEC_ITEMS[0]
@@ -164,7 +156,6 @@ def test_table_pad_generation_1024_blocks(benchmark):
     assert len(out) == VEC_N
 
 
-@needs_numpy
 def test_vector_ghash_1024_messages(benchmark):
     h = AES128(KEY).encrypt_block(b"\x00" * 16)
     vector_ghash(h)  # build the table outside the timed region
@@ -185,7 +176,6 @@ def test_table_ghash_1024_messages(benchmark):
     assert len(out) == VEC_N
 
 
-@needs_numpy
 def test_vector_leaf_macs_1024_blocks(benchmark):
     h = AES128(KEY).encrypt_block(b"\x00" * 16)
     out = benchmark(gcm_block_macs_vector, KEY, h, VEC_ITEMS, 64)

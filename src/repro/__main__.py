@@ -116,7 +116,12 @@ def _cmd_simulate(args) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    result = api.run(config, args.app, refs=args.refs)
+    try:
+        experiment = api.Experiment(config, args.app, refs=args.refs)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    result = experiment.run()
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -295,6 +300,9 @@ def _cmd_profile(args) -> int:
             config, args.app, refs=args.refs, tolerance=args.tolerance,
             trace_out=args.trace_out, csv_out=args.csv_out,
         )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except AttributionError as exc:
         # Strict recording already failed a miss mid-run: the breakdown
         # did not sum to the observed latency.

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import difflib
 import math
+import threading
 import warnings
-from dataclasses import asdict, dataclass, field
+from collections import OrderedDict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.core.config import PRESETS, SecureMemoryConfig
@@ -49,6 +51,7 @@ from repro.obs import (
 )
 from repro.sim import LoopState, Processor, SimResult, simulate
 from repro.workloads import (
+    Trace,
     canonical_workload_id,
     resolve_trace,
     workload_kind,
@@ -227,6 +230,84 @@ class ExperimentResult(ResultBase):
         return asdict(self)
 
 
+#: the seed every named generator workload is generated with
+_TRACE_SEED = 1234
+
+#: Byte budget of the per-process trace memo.  An entry is 0.9-2.8 MiB at
+#: the 60k-reference default (all 24 named workloads: 32.8 MiB), so 48 MiB
+#: holds the whole app matrix in one process in any cell order, with room
+#: for a few longer traces, while bounding what a long-lived process (a
+#: warm sweep runner, a notebook) can pin.  Least recently used entries
+#: are evicted first.
+TRACE_MEMO_BYTES = 48 << 20
+
+
+@dataclass
+class _MemoEntry:
+    name: str
+    records: Any                 # read-only TRACE_DTYPE array
+    baseline: SimResult          # stats only: memory is None
+    classifications: dict        # packed, see repro.sim.batched
+    nbytes: int = 0
+
+
+class _TraceMemo:
+    """LRU memo of generator workloads' traces, stats-only baselines and
+    the batched engine's packed cache classifications.
+
+    Keyed on (workload name, refs, trace seed, warmup_refs).  It holds
+    only read-only NumPy arrays and scalars; each hit gets a fresh
+    :class:`~repro.workloads.Trace` and a fresh baseline copy, so nothing
+    a caller mutates reaches the next hit.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._entries: OrderedDict[tuple, _MemoEntry] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[Trace, SimResult] | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            classifications = dict(entry.classifications)
+        trace = Trace.from_arrays(entry.name, entry.records)
+        trace.classifications.update(classifications)
+        return trace, replace(entry.baseline)
+
+    def keep(self, key: tuple, trace: Trace, baseline: SimResult) -> None:
+        """Store (or refresh) ``key`` from a finished run, then evict least
+        recently used entries until the memo fits its budget."""
+        # imported here, like the engine itself, so that importing the
+        # api does not load the batched engine
+        from repro.sim.batched import classification_nbytes
+
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                records = trace.arrays()
+                records.setflags(write=False)
+                entry = _MemoEntry(trace.name, records, replace(baseline),
+                                   {})
+                self._entries[key] = entry
+            self._entries.move_to_end(key)
+            entry.classifications.update(trace.classifications)
+            entry.nbytes = entry.records.nbytes + sum(
+                map(classification_nbytes, entry.classifications.values()))
+            total = sum(e.nbytes for e in self._entries.values())
+            while total > self.budget:
+                total -= self._entries.popitem(last=False)[1].nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_TRACE_MEMO = _TraceMemo(TRACE_MEMO_BYTES)
+
+
 class Experiment:
     """One secure-memory configuration bound to one workload.
 
@@ -238,6 +319,19 @@ class Experiment:
     the identical trace and returns an :class:`ExperimentResult`; the raw
     :class:`~repro.sim.SimResult` pair stays on ``.result`` /
     ``.baseline_result`` for deeper inspection.
+
+    ``refs`` must be at least 1 and ``warmup_refs`` (default ``refs //
+    3``) in ``[0, refs)``; anything else raises :class:`ValueError` here,
+    before any work.
+
+    A generator workload (SPEC or scenario name) without ``baseline=``
+    goes through a per-process memo of its trace, baseline and cache
+    classifications, keyed on (name, refs, trace seed, warmup_refs), so
+    the scheme columns of one app pay only for their own simulation.  On
+    every such run, memo hit or miss, ``baseline_result`` is stats only:
+    its ``memory`` is ``None``.  A prebuilt trace, a recorded trace file
+    or an explicit ``baseline=`` bypasses the memo, and then
+    ``baseline_result.memory`` is the baseline's full memory system.
     """
 
     def __init__(self, config: SecureMemoryConfig | str,
@@ -246,11 +340,24 @@ class Experiment:
                  baseline: SimResult | None = None,
                  trace: Tracer | str | None = None):
         self.config = get_config(config) if isinstance(config, str) else config
+        kind = None
         if isinstance(workload, str):
-            workload_kind(workload)  # raises ValueError with suggestions
+            kind = workload_kind(workload)  # raises with suggestions
+        if refs < 1:
+            raise ValueError(f"refs must be >= 1, got {refs}")
+        if warmup_refs is None:
+            warmup_refs = refs // 3
+        elif not 0 <= warmup_refs < refs:
+            raise ValueError(
+                f"warmup_refs must be in [0, refs) = [0, {refs}), got "
+                f"{warmup_refs}")
         self.workload = workload
         self.refs = refs
-        self.warmup_refs = refs // 3 if warmup_refs is None else warmup_refs
+        self.warmup_refs = warmup_refs
+        #: trace memo key; None when the memo is bypassed
+        self._memo_key = (
+            (workload, refs, _TRACE_SEED, warmup_refs)
+            if kind in ("spec", "scenario") and baseline is None else None)
         self.result: SimResult | None = None
         #: pass a prior run's baseline to skip re-simulating it (it must
         #: come from the identical trace for the normalization to be fair)
@@ -266,7 +373,7 @@ class Experiment:
 
     def _trace(self):
         if isinstance(self.workload, str):
-            return resolve_trace(self.workload, self.refs)
+            return resolve_trace(self.workload, self.refs, seed=_TRACE_SEED)
         return self.workload
 
     def run(self, *, checkpoint_every: int | None = None,
@@ -283,7 +390,7 @@ class Experiment:
         must all match, otherwise :class:`repro.resilience.CheckpointError`
         is raised.  A resumed run finishes with statistics bit-identical to
         the uninterrupted run — the baseline is recomputed deterministically
-        either way.
+        (or served by the trace memo) either way.
 
         Every checkpoint argument is validated *up front*: a non-positive
         cadence, a cadence without a path (or vice versa), or a
@@ -297,7 +404,12 @@ class Experiment:
         fabric uses it to renew work leases and drive deterministic chaos
         injection at exact checkpoint boundaries.
         """
-        trace = self._trace()
+        key = self._memo_key
+        memo_hit = _TRACE_MEMO.get(key) if key is not None else None
+        if memo_hit is not None:
+            trace, baseline = memo_hit
+        else:
+            trace, baseline = self._trace(), self.baseline_result
         checkpointing = (checkpoint_every is not None
                          or checkpoint_path is not None
                          or resume_from is not None)
@@ -310,10 +422,11 @@ class Experiment:
             resume_payload = self._validate_checkpoint_args(
                 trace, checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path, resume_from=resume_from)
-        baseline = self.baseline_result
         if baseline is None:
             baseline = simulate(get_config("baseline"), trace,
                                 warmup_refs=self.warmup_refs)
+            if key is not None:
+                baseline = replace(baseline, memory=None)
         if checkpointing:
             result = self._run_checkpointed(
                 trace, checkpoint_every=checkpoint_every,
@@ -324,6 +437,8 @@ class Experiment:
             result = simulate(self.config, trace,
                               warmup_refs=self.warmup_refs,
                               tracer=self.tracer)
+        if key is not None:
+            _TRACE_MEMO.keep(key, trace, baseline)
         self.baseline_result = baseline
         self.result = result
         if self._trace_out is not None:

@@ -47,11 +47,7 @@ from typing import Any, Callable
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import bulk_ctr_transform
 from repro.crypto.mac import gcm_block_macs
-from repro.crypto.vector import (
-    HAVE_NUMPY,
-    ghash_chunks_kernel,
-    ghash_chunks_many,
-)
+from repro.crypto.vector import ghash_chunks_kernel, ghash_chunks_many
 from repro.sim.metrics import geometric_mean
 
 __all__ = [
@@ -157,7 +153,7 @@ def _micro_benchmarks(seed: int, blocks: int,
         return lambda: bulk_ctr_transform(aes, ctr_items, kernel=kernel)
 
     def ghash_runner(kernel: str) -> Callable[[], Any]:
-        if kernel == "vector" and HAVE_NUMPY:
+        if kernel == "vector":
             # The vector kernel's unit of work is the whole batch — one
             # chain per message length — which is exactly how the leaf-MAC
             # path drives it; timing it per-message would bench the array
@@ -190,17 +186,10 @@ def _sim_benchmarks(refs: int, app: str) -> dict[str, Any]:
     never on host speed, so a cross-machine baseline diff of exactly 1.0
     is the expected clean result.
     """
-    from repro.api import Experiment, get_config
-    from repro.sim import simulate
-    from repro.workloads import spec_trace
-
-    trace = spec_trace(app, refs)
-    baseline = simulate(get_config("baseline"), trace,
-                        warmup_refs=refs // 3)
+    from repro.api import Experiment
 
     def measure(name: str) -> dict[str, Any]:
-        result = Experiment(name, trace, refs=refs,
-                            baseline=baseline).run()
+        result = Experiment(name, app, refs=refs).run()
         return {
             "cycles": result.cycles,
             "normalized_ipc": result.normalized_ipc,
@@ -356,7 +345,6 @@ def run_bench(*, seed: int = 0, blocks: int = 1024, repeats: int = 3,
         "bench_id": BENCH_ID,
         "quick": quick,
         "seed": seed,
-        "numpy_available": HAVE_NUMPY,
         "micro": micro,
         "sim": sim,
         "engine": engine,
@@ -379,7 +367,7 @@ def validate_report(report: Any) -> None:
         raise ValueError(f"unknown bench schema {schema!r} "
                          f"(expected {BENCH_SCHEMA!r})")
     for field, kind in (("bench_id", str), ("quick", bool), ("seed", int),
-                        ("numpy_available", bool), ("micro", dict),
+                        ("micro", dict),
                         ("sim", dict), ("engine", dict), ("serve", dict),
                         ("gate_metrics", dict)):
         if not isinstance(report.get(field), kind):

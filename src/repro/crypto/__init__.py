@@ -33,7 +33,6 @@ from repro.crypto.mac import (
 )
 from repro.crypto.sha1 import hmac_sha1, sha1
 from repro.crypto.vector import (
-    HAVE_NUMPY,
     KERNELS,
     VECTOR_MIN_BLOCKS,
     VectorAES128,
@@ -60,7 +59,6 @@ __all__ = [
     "GF128Element",
     "GF128Table",
     "GHASH",
-    "HAVE_NUMPY",
     "KERNELS",
     "VECTOR_MIN_BLOCKS",
     "VectorAES128",

@@ -99,10 +99,9 @@ def bulk_ctr_transform(aes: AES128, items: list[tuple[int, int, bytes]],
     if kernel == "vector":
         from repro.crypto import vector as _vector
 
-        if _vector.HAVE_NUMPY:
-            total_chunks = sum(len(data) // CHUNK_SIZE for _, _, data in items)
-            if total_chunks >= _vector.VECTOR_MIN_BLOCKS:
-                return _vector.bulk_ctr_transform_vector(aes.key, items, iv_tag)
+        total_chunks = sum(len(data) // CHUNK_SIZE for _, _, data in items)
+        if total_chunks >= _vector.VECTOR_MIN_BLOCKS:
+            return _vector.bulk_ctr_transform_vector(aes.key, items, iv_tag)
     seeds: list[bytes] = []
     spans: list[tuple[int, int]] = []
     for block_address, counter, data in items:

@@ -61,7 +61,7 @@ def gcm_block_macs(aes: AES128, ghash_key: bytes,
     if kernel == "vector":
         from repro.crypto import vector as _vector
 
-        if _vector.HAVE_NUMPY and len(items) >= _vector.VECTOR_MIN_BLOCKS:
+        if len(items) >= _vector.VECTOR_MIN_BLOCKS:
             return _vector.gcm_block_macs_vector(
                 aes.key, ghash_key, items, mac_bits
             )

@@ -26,13 +26,15 @@ Everything here is *bit-identical* to the table and scalar kernels — the
 Hypothesis suite in ``tests/crypto/test_vector_equivalence.py`` and the
 fuzz harness's differential oracle prove it on every run.  Callers select a
 kernel through the ``kernel=`` arguments (or ``Config.kernel``); the
-dispatch helpers fall back to the table kernel automatically when NumPy is
-unavailable or the batch is too small to amortize array overhead.
+dispatch helpers fall back to the table kernel automatically when the batch
+is too small to amortize array overhead.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as _np
 
 from repro.crypto.aes import (
     AES128,
@@ -52,13 +54,6 @@ from repro.crypto.ctr import AUTHENTICATION_IV, CHUNK_SIZE, ENCRYPTION_IV
 from repro.crypto.gf128 import _mulx, _RED8, block_to_int, gf128_mul
 from repro.crypto.ghash import ghash_chunks
 
-try:  # the container bakes numpy in, but the kernels degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via resolve_kernel tests
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
 #: kernel names accepted by the dispatch helpers and ``Config.kernel``
 KERNELS = ("scalar", "table", "vector")
 
@@ -73,51 +68,38 @@ _MASK64 = (1 << 64) - 1
 def resolve_kernel(name: str) -> str:
     """Map a requested kernel (or ``"auto"``) to the one that will run.
 
-    ``"auto"`` picks ``"vector"`` when NumPy is importable and ``"table"``
-    otherwise; an explicit ``"vector"`` request also falls back to
-    ``"table"`` without NumPy (the two are proven byte-identical, so the
-    fallback is silent).  Unknown names raise :class:`ValueError`.
+    ``"auto"`` picks ``"vector"``.  Unknown names raise
+    :class:`ValueError`.
     """
     if name == "auto":
-        return "vector" if HAVE_NUMPY else "table"
+        return "vector"
     if name not in KERNELS:
         raise ValueError(
             f"kernel must be 'auto' or one of {KERNELS}, got {name!r}"
         )
-    if name == "vector" and not HAVE_NUMPY:
-        return "table"
     return name
 
 
 # -- numpy lookup tables (tiny; built eagerly at import) ----------------------
 
-if HAVE_NUMPY:
-    _SBOX_NP = _np.array(SBOX, dtype=_np.uint8)
-    _INV_SBOX_NP = _np.array(INV_SBOX, dtype=_np.uint8)
-    _MUL2_NP = _np.array(_MUL2, dtype=_np.uint8)
-    _MUL3_NP = _np.array(_MUL3, dtype=_np.uint8)
-    _MUL9_NP = _np.array(_MUL9, dtype=_np.uint8)
-    _MUL11_NP = _np.array(_MUL11, dtype=_np.uint8)
-    _MUL13_NP = _np.array(_MUL13, dtype=_np.uint8)
-    _MUL14_NP = _np.array(_MUL14, dtype=_np.uint8)
-    # ShiftRows / InvShiftRows as column permutations of the flat state
-    # (byte i = column i//4, row i%4 — identical to the scalar kernel).
-    _SHIFT_NP = _np.array(
-        [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11],
-        dtype=_np.intp,
-    )
-    _INV_SHIFT_NP = _np.array(
-        [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3],
-        dtype=_np.intp,
-    )
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "the vector kernel requires numpy; use resolve_kernel() / the "
-            "kernel dispatch helpers for automatic table fallback"
-        )
+_SBOX_NP = _np.array(SBOX, dtype=_np.uint8)
+_INV_SBOX_NP = _np.array(INV_SBOX, dtype=_np.uint8)
+_MUL2_NP = _np.array(_MUL2, dtype=_np.uint8)
+_MUL3_NP = _np.array(_MUL3, dtype=_np.uint8)
+_MUL9_NP = _np.array(_MUL9, dtype=_np.uint8)
+_MUL11_NP = _np.array(_MUL11, dtype=_np.uint8)
+_MUL13_NP = _np.array(_MUL13, dtype=_np.uint8)
+_MUL14_NP = _np.array(_MUL14, dtype=_np.uint8)
+# ShiftRows / InvShiftRows as column permutations of the flat state
+# (byte i = column i//4, row i%4 — identical to the scalar kernel).
+_SHIFT_NP = _np.array(
+    [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11],
+    dtype=_np.intp,
+)
+_INV_SHIFT_NP = _np.array(
+    [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3],
+    dtype=_np.intp,
+)
 
 
 def _blocks_to_array(blocks) -> "_np.ndarray":
@@ -152,7 +134,6 @@ class VectorAES128:
     __slots__ = ("key", "_rk_enc", "_rk_dec")
 
     def __init__(self, key: bytes):
-        _require_numpy()
         round_keys = expand_key(key)
         self.key = bytes(key)
         self._rk_enc = _np.array(round_keys, dtype=_np.uint8)
@@ -278,7 +259,6 @@ class VectorGHASH:
     __slots__ = ("h", "_th", "_tl")
 
     def __init__(self, h: bytes):
-        _require_numpy()
         self.h = bytes(h)
         hval = block_to_int(self.h)
         # Same row construction as GF128Table (kept independent so the two
@@ -347,7 +327,6 @@ def ghash_chunks_many(h: bytes, messages: Sequence[bytes]) -> list[bytes]:
     vector chain, so the common case — every message is one cache block —
     is a single batch.
     """
-    _require_numpy()
     out: list[bytes | None] = [None] * len(messages)
     groups: dict[int, list[int]] = {}
     for index, message in enumerate(messages):
@@ -383,7 +362,6 @@ def make_seeds_array(block_addresses: Sequence[int],
     big-endian, ``num_chunks`` consecutive chunk seeds per block.  Returns
     shape ``(len(block_addresses) * num_chunks, 16)``.
     """
-    _require_numpy()
     # Counters may exceed 64 bits (split: major||minor); mask in Python
     # ints first — np.asarray would overflow on >64-bit values.
     base = _np.asarray(
@@ -440,7 +418,6 @@ def bulk_ctr_transform_vector(key: bytes, items, iv_tag: int = ENCRYPTION_IV
     ``items`` is ``(block_address, counter, data)`` triples, output order
     is input order, and the result is byte-identical to the table path.
     """
-    _require_numpy()
     if iv_tag == ENCRYPTION_IV:
         seeds, counts = _chunk_seeds_for_items(items)
     else:
@@ -476,7 +453,6 @@ def gcm_block_macs_vector(key: bytes, ghash_key: bytes, items,
     result is byte-identical to
     :func:`repro.crypto.mac.gcm_block_mac` on the same inputs.
     """
-    _require_numpy()
     triples = list(items)
     if not triples:
         return []
@@ -504,7 +480,7 @@ def gcm_block_macs_vector(key: bytes, ghash_key: bytes, items,
 def encrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
                           kernel: str = "table") -> list[bytes]:
     """Encrypt many 16-byte blocks with the named kernel."""
-    if kernel == "vector" and HAVE_NUMPY and len(blocks) >= VECTOR_MIN_BLOCKS:
+    if kernel == "vector" and len(blocks) >= VECTOR_MIN_BLOCKS:
         return vector_aes(aes.key).encrypt_blocks(blocks)
     if kernel == "scalar":
         return [aes.encrypt_block_scalar(block) for block in blocks]
@@ -514,7 +490,7 @@ def encrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
 def decrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
                           kernel: str = "table") -> list[bytes]:
     """Decrypt many 16-byte blocks with the named kernel."""
-    if kernel == "vector" and HAVE_NUMPY and len(blocks) >= VECTOR_MIN_BLOCKS:
+    if kernel == "vector" and len(blocks) >= VECTOR_MIN_BLOCKS:
         return vector_aes(aes.key).decrypt_blocks(blocks)
     if kernel == "scalar":
         return [aes.decrypt_block_scalar(block) for block in blocks]
@@ -537,6 +513,6 @@ def ghash_chunks_kernel(h: bytes, chunks: list[bytes],
     """GHASH one chunk list with the named kernel."""
     if kernel == "scalar":
         return _ghash_chunks_scalar(h, chunks)
-    if kernel == "vector" and HAVE_NUMPY:
+    if kernel == "vector":
         return ghash_chunks_many(h, [b"".join(chunks)])[0]
     return ghash_chunks(h, chunks)

@@ -15,14 +15,16 @@ stream alone:
   that emits the L2 event stream (one event per L1 miss, tagged with the
   dirty L1 victim, if any).  The L1 is *always* timing-independent: only
   the processor's reference stream touches it.  The event stream for a
-  from-reset run is cached on the trace, so a fig-4/fig-9 style sweep
-  classifies each trace once and reuses the events for every scheme;
+  from-reset run is cached on the trace in packed form
+  (:class:`L1Classification`), so a fig-4/fig-9 style sweep classifies
+  each trace once and reuses the events for every scheme;
 * **phase B2** — the same trick one level down.  When the L2 is not also
   the Merkle node cache and the counter scheme cannot trigger a page
   re-encryption (which probes ``l2.contains`` mid-run), nothing in the
   memory layer ever touches the L2 — so L2 hits, misses, and dirty
   victims are precomputable too, and the serial drain iterates only the
-  *L2* misses.  Cached per (trace, L1 geometry, L2 geometry);
+  *L2* misses.  Cached, packed, per (trace, L1 geometry, L2 geometry)
+  as one :class:`L2Classification` that also serves phase B2p;
 * **phase B2p** — the placement-only variant for split-counter schemes,
   whose page re-encryption *does* touch the L2 mid-run — but only via
   ``contains`` (pure) and ``mark_dirty`` (never reorders LRU).  L2
@@ -59,6 +61,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +77,8 @@ from repro.counters.prediction import CounterPredictionScheme
 from repro.counters.split import SplitCounterScheme
 from repro.memory.cache import Cache, CacheLine, Eviction, cache_state
 
-__all__ = ["LeanCache", "run_batched"]
+__all__ = ["L1Classification", "L2Classification", "LeanCache",
+           "classification_nbytes", "run_batched"]
 
 
 class LeanCache:
@@ -299,79 +304,212 @@ def _l1_kernel(mirror: LeanCache, blocks: list, block_set: list,
     return events
 
 
-def _classified_events(trace, l1: Cache, blocks_arr, writes_arr):
+# -- packed whole-trace classifications ---------------------------------------
+#
+# A from-reset run's L1 and L2 classifications are pure functions of the
+# trace and the cache geometry, so they are computed once per trace and
+# kept in ``Trace.classifications`` — and, through the api's per-process
+# trace memo, across traces rebuilt from the same records.  Both places
+# hold them only in the packed form below: read-only arrays, never
+# per-event Python objects.  A run unpacks only the view it drains, once
+# per trace, into ``Trace.event_views`` (see :func:`_event_view`).
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _pack_sets(sets: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-set MRU-first address lists as (flat int64 contents, int32
+    per-set lengths)."""
+    lens = np.fromiter(map(len, sets), dtype=np.int32, count=len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
+                       count=int(lens.sum()))
+    return _frozen(flat), _frozen(lens)
+
+
+def _unpack_sets(flat: np.ndarray, lens: np.ndarray) -> list[list[int]]:
+    """Fresh per-set address lists from :func:`_pack_sets` output."""
+    values = flat.tolist()
+    sets = []
+    pos = 0
+    for n in lens.tolist():
+        sets.append(values[pos:pos + n])
+        pos += n
+    return sets
+
+
+def _span(sorted_arr: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Index range of the entries of ``sorted_arr`` within ``[lo, hi)``."""
+    first, last = np.searchsorted(sorted_arr, (lo, hi))
+    return int(first), int(last)
+
+
+def _scatter(size: int, positions: np.ndarray, values: np.ndarray) -> list:
+    """``size`` Nones, with ``values[j]`` at ``positions[j]``."""
+    out = [None] * size
+    for position, value in zip(positions.tolist(), values.tolist()):
+        out[position] = value
+    return out
+
+
+def _geometry(*caches: Cache) -> tuple:
+    """Size, associativity and block size of each cache, flattened: the
+    part of a classification key that names the cache hierarchy."""
+    return tuple(value for cache in caches
+                 for value in (cache.size_bytes, cache.assoc,
+                               cache.block_size))
+
+
+class L1Classification(NamedTuple):
+    """Whole-trace L1 classification (phase B1) of a from-reset run.
+
+    One B1 event per L1 miss; its block and write flag are the trace's
+    at ``refs[k]``, so only the reference index is stored.  Dirty L1
+    victims are sparse: ``(wb_events[j], wb_blocks[j])`` pairs, sorted by
+    event.
+    """
+
+    refs: np.ndarray        # int32, trace index of each B1 event
+    wb_events: np.ndarray   # int32, B1 events that evicted a dirty line
+    wb_blocks: np.ndarray   # int64, the evicted block of each
+    set_flat: np.ndarray    # int64, final L1 lines, MRU first per set
+    set_lens: np.ndarray    # int32, lines per set
+    dirty: np.ndarray       # int64, final dirty L1 lines
+
+    def unpack(self, blocks_arr, writes_arr):
+        """Every B1 event as a ``(ref_index, block, is_write,
+        dirty_l1_victim_or_None)`` tuple."""
+        refs = self.refs
+        victims = _scatter(len(refs), self.wb_events, self.wb_blocks)
+        return zip(refs.tolist(), blocks_arr[refs].tolist(),
+                   writes_arr[refs].tolist(), victims)
+
+
+class L2Classification(NamedTuple):
+    """Whole-trace L2 classification (phases B2 and B2p), from B1 events.
+
+    One L2 event per L2 demand miss.  Placement (hit/miss/victim) is
+    shared by both phases; ``dirty_wb``/``dirty`` are the phase-B2 dirty
+    model (only L1 write-backs and write misses set dirty bits), and the
+    ``add_*`` arrays feed phase B2p, whose dirty bits resolve live.
+    Per-B1-event hit and miss counts are 0-2 (the L1 victim's write-back
+    access, then the demand access), so they fit int8.
+    """
+
+    events: np.ndarray      # int32, B1 event of each L2 miss
+    victims: np.ndarray     # int64, LRU victim of each, -1 if none
+    dirty_wb: np.ndarray    # int32, L2 events whose victim was dirty (B2)
+    hit_d: np.ndarray       # int8, L2 hits per B1 event
+    miss_d: np.ndarray      # int8, L2 misses per B1 event
+    add_flat: np.ndarray    # int64, L1 write-backs that hit the L2
+    add_lens: np.ndarray    # int32, how many precede each L2 miss (+ tail)
+    set_flat: np.ndarray    # int64, final L2 lines, MRU first per set
+    set_lens: np.ndarray    # int32, lines per set
+    dirty: np.ndarray       # int64, final dirty L2 lines (B2 model)
+
+    def unpack(self, l1: L1Classification, blocks_arr, writes_arr):
+        """Every phase-B2 event as a ``(ref_index, block, is_write,
+        dirty_victim_or_None)`` tuple."""
+        refs = l1.refs[self.events]
+        victims = _scatter(len(refs), self.dirty_wb,
+                           self.victims[self.dirty_wb])
+        return zip(refs.tolist(), blocks_arr[refs].tolist(),
+                   writes_arr[refs].tolist(), victims)
+
+    def unpack_placement(self, l1: L1Classification, blocks_arr,
+                         writes_arr):
+        """Every phase-B2p event as a ``(ref_index, block, is_write,
+        victim_or_None, gap_dirty_adds)`` tuple, where ``gap_dirty_adds``
+        are the L1 write-backs that hit the L2 since the previous miss
+        (applied to the live dirty set first)."""
+        refs = l1.refs[self.events]
+        victims = [None if v < 0 else v for v in self.victims.tolist()]
+        adds = [()] * len(refs)
+        lens = self.add_lens[:-1]
+        nonzero = np.flatnonzero(lens)
+        flat = self.add_flat.tolist()
+        for k, end, n in zip(nonzero.tolist(),
+                             np.cumsum(lens)[nonzero].tolist(),
+                             lens[nonzero].tolist()):
+            adds[k] = tuple(flat[end - n:end])
+        return zip(refs.tolist(), blocks_arr[refs].tolist(),
+                   writes_arr[refs].tolist(), victims, adds)
+
+    def trailing_adds(self) -> list[int]:
+        """L1 write-backs that hit the L2 after its last miss."""
+        return self.add_flat[len(self.add_flat) - int(self.add_lens[-1]):
+                             ].tolist()
+
+
+def _l1_classification(trace, l1: Cache, blocks_arr,
+                       writes_arr) -> L1Classification:
     """Whole-trace L1 classification for a from-reset run, cached.
 
     The event stream and the final L1 line state depend only on the trace
     and the L1 geometry — not on the scheme under test — so a sweep over
-    many schemes classifies each trace once.  Returns ``(events,
-    event_refs, cum_writebacks, final_sets, final_dirty)`` where the
-    cumulative array lets any segmentation recover exact per-boundary L1
-    statistics.  The per-reference Python lists are materialized only on
-    a cache miss — a warm sweep never pays for them.
+    many schemes classifies each trace once.
     """
-    key = (l1.size_bytes, l1.assoc, l1.block_size)
-    cache = getattr(trace, "_l1_classification", None)
-    if cache is None:
-        cache = trace._l1_classification = {}
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    blocks = blocks_arr.tolist()
+    key = ("l1",) + _geometry(l1)
+    packed = trace.classifications.get(key)
+    if packed is not None:
+        return packed
     shift = l1.block_size.bit_length() - 1
     block_set = ((blocks_arr >> shift)
                  & np.int64(l1.num_sets - 1)).tolist()
-    writes = trace.writes
-    scratch = Cache(l1.size_bytes, l1.assoc, l1.block_size, name="scratch")
-    mirror = LeanCache(scratch)
+    mirror = LeanCache(Cache(l1.size_bytes, l1.assoc, l1.block_size,
+                             name="scratch"))
     positions, run_writes = _run_masks(blocks_arr, writes_arr, 0, len(trace))
-    events = _l1_kernel(mirror, blocks, block_set, writes,
-                        positions, run_writes, len(trace))
-    event_refs = np.fromiter((e[0] for e in events), dtype=np.int64,
-                             count=len(events))
-    event_wbs = np.cumsum(
-        np.fromiter((e[3] is not None for e in events), dtype=np.int64,
-                    count=len(events)))
-    result = (events, event_refs, event_wbs, mirror.sets, mirror.dirty)
-    cache[key] = result
-    return result
+    events = _l1_kernel(mirror, blocks_arr.tolist(), block_set,
+                        trace.writes, positions, run_writes, len(trace))
+    wb_events = [k for k, event in enumerate(events)
+                 if event[3] is not None]
+    set_flat, set_lens = _pack_sets(mirror.sets)
+    packed = L1Classification(
+        refs=_frozen(np.fromiter((e[0] for e in events), dtype=np.int32,
+                                 count=len(events))),
+        wb_events=_frozen(np.asarray(wb_events, dtype=np.int32)),
+        wb_blocks=_frozen(np.asarray([events[k][3] for k in wb_events],
+                                     dtype=np.int64)),
+        set_flat=set_flat, set_lens=set_lens,
+        dirty=_frozen(np.asarray(sorted(mirror.dirty), dtype=np.int64)))
+    trace.classifications[key] = packed
+    return packed
 
 
-# -- phase B2: ahead-of-time L2 classification --------------------------------
-
-
-def _l2_classified_events(trace, l1_key: tuple, l2: Cache, b1):
+def _l2_classification(trace, l1c: L1Classification, l1: Cache, l2: Cache,
+                       blocks_arr, writes_arr) -> L2Classification:
     """Whole-trace L2 classification for a from-reset run, cached.
 
-    Valid only when the memory layer never touches the L2: no Merkle node
-    cache sharing it, and no split-counter scheme (whose page
-    re-encryption probes ``l2.contains``/``mark_dirty`` mid-run).  Under
-    those conditions the L2's hit/miss/victim sequence is a pure function
-    of the B1 event stream, so the serial drain shrinks to the L2
-    *misses* only.  Returns ``(l2_events, l2ev_refs, cum_hits,
-    cum_misses, cum_writebacks, final_sets, final_dirty)``; the cum
-    arrays are indexed by *B1 event count* so any segmentation recovers
-    exact per-boundary L2 statistics via a searchsorted on the B1 refs.
+    Valid only when the memory layer never changes L2 *placement*: no
+    Merkle node cache sharing it.  Then the hit/miss/victim sequence is a
+    pure function of the B1 event stream, so the serial drain shrinks to
+    the L2 *misses* only.  When no split-counter page re-encryption can
+    mark L2 blocks dirty mid-run either, the dirty bits (hence the
+    write-backs) are precomputed too (phase B2); otherwise they resolve
+    live in the drain (phase B2p).
     """
-    key = (l1_key, l2.size_bytes, l2.assoc, l2.block_size)
-    cache = getattr(trace, "_l2_classification", None)
-    if cache is None:
-        cache = trace._l2_classification = {}
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    key = ("l2",) + _geometry(l1, l2)
+    packed = trace.classifications.get(key)
+    if packed is not None:
+        return packed
     shift = l2.block_size.bit_length() - 1
     mask = l2.num_sets - 1
     assoc = l2.assoc
     sets: list[list[int]] = [[] for _ in range(l2.num_sets)]
     dirty: set[int] = set()
-    l2_events = []
-    append = l2_events.append
-    h = m = w = 0
-    cum_h = [0]
-    cum_m = [0]
-    cum_w = [0]
-    for i, block, is_write, l1_victim in b1[0]:
+    events: list[int] = []
+    victims: list[int] = []
+    dirty_wb: list[int] = []
+    hit_d: list[int] = []
+    miss_d: list[int] = []
+    adds: list[int] = []
+    add_lens: list[int] = []
+    mark = 0
+    b1 = l1c.unpack(blocks_arr, writes_arr)
+    for k, (_i, block, is_write, l1_victim) in enumerate(b1):
+        h = m = 0
         if l1_victim is not None:
             # L1 write-back: an L2 access with write=True
             lines = sets[(l1_victim >> shift) & mask]
@@ -380,9 +518,10 @@ def _l2_classified_events(trace, l1_key: tuple, l2: Cache, b1):
                 if j:
                     lines.insert(0, lines.pop(j))
                 dirty.add(l1_victim)
-                h += 1
+                adds.append(l1_victim)
+                h = 1
             else:
-                m += 1
+                m = 1
         lines = sets[(block >> shift) & mask]
         if block in lines:
             j = lines.index(block)
@@ -391,109 +530,60 @@ def _l2_classified_events(trace, l1_key: tuple, l2: Cache, b1):
             h += 1
         else:
             m += 1
-            victim = None
+            victim = -1
             if len(lines) >= assoc:
-                v = lines.pop()
-                if v in dirty:
-                    w += 1
-                    dirty.discard(v)
-                    victim = v
+                victim = lines.pop()
+                if victim in dirty:
+                    dirty.discard(victim)
+                    dirty_wb.append(len(events))
             lines.insert(0, block)
             if is_write:
                 dirty.add(block)
-            append((i, block, is_write, victim))
-        cum_h.append(h)
-        cum_m.append(m)
-        cum_w.append(w)
-    result = (
-        l2_events,
-        np.fromiter((e[0] for e in l2_events), dtype=np.int64,
-                    count=len(l2_events)),
-        np.asarray(cum_h, dtype=np.int64),
-        np.asarray(cum_m, dtype=np.int64),
-        np.asarray(cum_w, dtype=np.int64),
-        sets,
-        dirty,
-    )
-    cache[key] = result
-    return result
+            events.append(k)
+            victims.append(victim)
+            add_lens.append(len(adds) - mark)
+            mark = len(adds)
+        hit_d.append(h)
+        miss_d.append(m)
+    add_lens.append(len(adds) - mark)
+    set_flat, set_lens = _pack_sets(sets)
+    packed = L2Classification(
+        events=_frozen(np.asarray(events, dtype=np.int32)),
+        victims=_frozen(np.asarray(victims, dtype=np.int64)),
+        dirty_wb=_frozen(np.asarray(dirty_wb, dtype=np.int32)),
+        hit_d=_frozen(np.asarray(hit_d, dtype=np.int8)),
+        miss_d=_frozen(np.asarray(miss_d, dtype=np.int8)),
+        add_flat=_frozen(np.asarray(adds, dtype=np.int64)),
+        add_lens=_frozen(np.asarray(add_lens, dtype=np.int32)),
+        set_flat=set_flat, set_lens=set_lens,
+        dirty=_frozen(np.asarray(sorted(dirty), dtype=np.int64)))
+    trace.classifications[key] = packed
+    return packed
 
 
-def _l2_placement_events(trace, l1_key: tuple, l2: Cache, b1):
-    """Whole-trace L2 *placement* classification, cached (phase B2p).
+def classification_nbytes(packed) -> int:
+    """Bytes held by one packed classification's arrays."""
+    return sum(array.nbytes for array in packed)
 
-    The fallback one level weaker than :func:`_l2_classified_events`:
-    when the memory layer can mark resident L2 blocks dirty mid-run (a
-    split-counter page re-encryption) but never changes *placement*, the
-    hit/miss/victim-identity sequence is still a pure function of the B1
-    event stream — only the dirty bits (hence write-back counts) are
-    timing-dependent.  Emits one event per L2 miss as ``(ref_index,
-    block, is_write, victim_address_or_None, gap_dirty_adds)`` where
-    ``gap_dirty_adds`` are the L1 victim write-backs that hit the L2
-    since the previous miss (applied to the live dirty set before the
-    eviction).  Returns ``(events, event_refs, cum_hits, cum_misses,
-    final_sets, trailing_dirty_adds)``; write-backs are accumulated live
-    by the drain.
+
+def _event_view(trace, key: tuple, unpack) -> list:
+    """The per-event tuples a drain iterates for one classification view,
+    unpacked on a trace's first run and kept on that trace alone.
+
+    This list is the only per-event Python form of a classification.  It
+    is never packed back or shared: the api's trace memo copies only
+    ``Trace.classifications``, so a memo hit starts without it.  Repeated
+    runs on one trace (an engine benchmark, a ``baseline=`` sweep) slice
+    it instead of unpacking again.
     """
-    key = (l1_key, l2.size_bytes, l2.assoc, l2.block_size)
-    cache = getattr(trace, "_l2_placement", None)
-    if cache is None:
-        cache = trace._l2_placement = {}
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    shift = l2.block_size.bit_length() - 1
-    mask = l2.num_sets - 1
-    assoc = l2.assoc
-    sets: list[list[int]] = [[] for _ in range(l2.num_sets)]
-    events = []
-    append = events.append
-    pending: list[int] = []
-    h = m = 0
-    cum_h = [0]
-    cum_m = [0]
-    for i, block, is_write, l1_victim in b1[0]:
-        if l1_victim is not None:
-            lines = sets[(l1_victim >> shift) & mask]
-            if l1_victim in lines:
-                j = lines.index(l1_victim)
-                if j:
-                    lines.insert(0, lines.pop(j))
-                pending.append(l1_victim)
-                h += 1
-            else:
-                m += 1
-        lines = sets[(block >> shift) & mask]
-        if block in lines:
-            j = lines.index(block)
-            if j:
-                lines.insert(0, lines.pop(j))
-            h += 1
-        else:
-            m += 1
-            victim = None
-            if len(lines) >= assoc:
-                victim = lines.pop()
-            lines.insert(0, block)
-            append((i, block, is_write, victim, tuple(pending)))
-            pending.clear()
-        cum_h.append(h)
-        cum_m.append(m)
-    result = (
-        events,
-        np.fromiter((e[0] for e in events), dtype=np.int64,
-                    count=len(events)),
-        np.asarray(cum_h, dtype=np.int64),
-        np.asarray(cum_m, dtype=np.int64),
-        sets,
-        tuple(pending),
-    )
-    cache[key] = result
-    return result
+    view = trace.event_views.get(key)
+    if view is None:
+        view = trace.event_views[key] = list(unpack())
+    return view
 
 
 def _l2_preclass_ok(memory) -> bool:
-    """Phase-B2 structural eligibility (see :func:`_l2_classified_events`)."""
+    """Phase-B2 structural eligibility (see :func:`_l2_classification`)."""
     return (memory.node_cache is None
             and not isinstance(memory.scheme, SplitCounterScheme))
 
@@ -1531,19 +1621,32 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                and (memory.node_cache is None or node_is_l2))
     cached = None
     cached_l2 = None
-    cached_l2p = None
+    # phase B2p: split-counter scheme, placement is still precomputable,
+    # dirty bits stay live
+    l2_dirty_live = False
+    events = None  # the drained view's per-event tuples, whole trace
     if use_cached:
-        cached = _classified_events(trace, real_l1, blocks_arr, writes_arr)
+        cached = _l1_classification(trace, real_l1, blocks_arr, writes_arr)
         if real_l2.occupancy() == 0 and memory.node_cache is None:
-            l1_key = (real_l1.size_bytes, real_l1.assoc, real_l1.block_size)
-            if _l2_preclass_ok(memory):
-                cached_l2 = _l2_classified_events(trace, l1_key, real_l2,
-                                                  cached)
-            elif fast_ok:
-                # split-counter scheme: placement is still precomputable,
-                # dirty bits stay live (phase B2p)
-                cached_l2p = _l2_placement_events(trace, l1_key, real_l2,
-                                                  cached)
+            l2_dirty_live = not _l2_preclass_ok(memory)
+            if fast_ok or not l2_dirty_live:
+                cached_l2 = _l2_classification(trace, cached, real_l1,
+                                               real_l2, blocks_arr,
+                                               writes_arr)
+        geometry = _geometry(real_l1, real_l2)
+        if cached_l2 is None:
+            events = _event_view(
+                trace, ("b1",) + geometry[:3],
+                lambda: cached.unpack(blocks_arr, writes_arr))
+        elif l2_dirty_live:
+            events = _event_view(
+                trace, ("b2p",) + geometry,
+                lambda: cached_l2.unpack_placement(cached, blocks_arr,
+                                                   writes_arr))
+        else:
+            events = _event_view(
+                trace, ("b2",) + geometry,
+                lambda: cached_l2.unpack(cached, blocks_arr, writes_arr))
     blocks = block_set = writes = None
     if cached is None:
         blocks = blocks_arr.tolist()
@@ -1567,7 +1670,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
         cc_mirror = LeanCache(real_cc_inner)
         counter_cache.cache = cc_mirror
     shim = None
-    if cached_l2p is not None:
+    if cached_l2 is not None and l2_dirty_live:
         shim = _L2ResidencyShim()
         memory.l2 = shim
 
@@ -1598,36 +1701,24 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
             # phase B: the segment's event stream + bulk statistics
             if cached is not None:
-                events, event_refs, event_wbs, _, _ = cached
-                lo = int(np.searchsorted(event_refs, a, side="left"))
-                hi = int(np.searchsorted(event_refs, b, side="left"))
+                lo, hi = _span(cached.refs, a, b)
                 misses = hi - lo
                 stats = l1_mirror.stats
                 stats.hits += (b - a) - misses
                 stats.misses += misses
-                stats.writebacks += int(
-                    (event_wbs[hi - 1] if hi else 0)
-                    - (event_wbs[lo - 1] if lo else 0))
+                first, last = _span(cached.wb_events, lo, hi)
+                stats.writebacks += last - first
                 if cached_l2 is not None:
-                    (l2_events, l2ev_refs, cum_h, cum_m, cum_w,
-                     _, _) = cached_l2
                     l2stats = l2_mirror.stats
-                    l2stats.hits += int(cum_h[hi] - cum_h[lo])
-                    l2stats.misses += int(cum_m[hi] - cum_m[lo])
-                    l2stats.writebacks += int(cum_w[hi] - cum_w[lo])
-                    lo2 = int(np.searchsorted(l2ev_refs, a, side="left"))
-                    hi2 = int(np.searchsorted(l2ev_refs, b, side="left"))
-                    segment = l2_events[lo2:hi2]
-                elif cached_l2p is not None:
-                    # placement-only: hits/misses are precomputed, the
-                    # write-backs accumulate live in the drain
-                    (p_events, pev_refs, pcum_h, pcum_m, _, _) = cached_l2p
-                    l2stats = l2_mirror.stats
-                    l2stats.hits += int(pcum_h[hi] - pcum_h[lo])
-                    l2stats.misses += int(pcum_m[hi] - pcum_m[lo])
-                    lo2 = int(np.searchsorted(pev_refs, a, side="left"))
-                    hi2 = int(np.searchsorted(pev_refs, b, side="left"))
-                    segment = p_events[lo2:hi2]
+                    l2stats.hits += int(cached_l2.hit_d[lo:hi].sum())
+                    l2stats.misses += int(cached_l2.miss_d[lo:hi].sum())
+                    lo2, hi2 = _span(cached_l2.events, lo, hi)
+                    # phase B2p: the write-backs accumulate live in the
+                    # drain
+                    if not l2_dirty_live:
+                        first, last = _span(cached_l2.dirty_wb, lo2, hi2)
+                        l2stats.writebacks += last - first
+                    segment = events[lo2:hi2]
                 else:
                     segment = events[lo:hi]
             else:
@@ -1638,13 +1729,13 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
             # phase C: serial replay
             if fast is not None:
-                if cached_l2 is not None:
-                    cycle_base, writebacks = fast.drain_pre(
-                        segment, cycle_base, writebacks, outstanding)
-                elif cached_l2p is not None:
+                if shim is not None:
                     cycle_base, writebacks = fast.drain_pre_dirty(
                         segment, cycle_base, writebacks, outstanding,
                         shim.resident, shim.dirty)
+                elif cached_l2 is not None:
+                    cycle_base, writebacks = fast.drain_pre(
+                        segment, cycle_base, writebacks, outstanding)
                 else:
                     cycle_base, writebacks = fast.drain_live(
                         segment, cycle_base, writebacks, outstanding)
@@ -1723,19 +1814,19 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
         # Flush mirrored line state back and restore the real objects.
         if cached is not None:
             # l1_mirror was never advanced; the cached final state is the
-            # truth (a cached run always covers [0, n)).  Copy, don't
-            # alias — the cache entry must stay frozen.
-            l1_mirror.sets = [list(lines) for lines in cached[3]]
-            l1_mirror.dirty = set(cached[4])
+            # truth (a cached run always covers [0, n))
+            l1_mirror.sets = _unpack_sets(cached.set_flat, cached.set_lens)
+            l1_mirror.dirty = set(cached.dirty.tolist())
         if cached_l2 is not None:
-            l2_mirror.sets = [list(lines) for lines in cached_l2[5]]
-            l2_mirror.dirty = set(cached_l2[6])
-        elif cached_l2p is not None:
-            # placement final state is precomputed; the dirty bits are
-            # the drain's live set plus the marks trailing the last miss
-            l2_mirror.sets = [list(lines) for lines in cached_l2p[4]]
-            final_dirty = set(shim.dirty)
-            final_dirty.update(cached_l2p[5])
+            l2_mirror.sets = _unpack_sets(cached_l2.set_flat,
+                                          cached_l2.set_lens)
+            if shim is not None:
+                # the dirty bits are the drain's live set plus the marks
+                # trailing the last miss
+                final_dirty = set(shim.dirty)
+                final_dirty.update(cached_l2.trailing_adds())
+            else:
+                final_dirty = set(cached_l2.dirty.tolist())
             l2_mirror.dirty = final_dirty
         l1_mirror.flush_to(real_l1)
         l2_mirror.flush_to(real_l2)

@@ -111,7 +111,8 @@ class SimResult:
     l2_hits: int
     l2_misses: int
     writebacks: int
-    memory: TimingSecureMemory
+    #: None on a stats-only result (an api trace-memo baseline)
+    memory: TimingSecureMemory | None
 
     @property
     def ipc(self) -> float:
@@ -159,24 +160,10 @@ class Processor:
     def resolved_sim_engine(self) -> str:
         """The timing-loop implementation this processor will run.
 
-        ``config.sim_engine="auto"`` picks the NumPy event-batch engine
-        when numpy is importable and falls back to the scalar loop
-        otherwise; an explicit ``"batched"`` without numpy is an error
-        rather than a silent fallback.
+        ``config.sim_engine="auto"`` picks the NumPy event-batch engine.
         """
         choice = self.config.sim_engine
-        if choice == "auto":
-            from repro.crypto.vector import HAVE_NUMPY
-
-            return "batched" if HAVE_NUMPY else "scalar"
-        if choice == "batched":
-            from repro.crypto.vector import HAVE_NUMPY
-
-            if not HAVE_NUMPY:
-                raise RuntimeError(
-                    "sim_engine='batched' requires numpy; use 'auto' or "
-                    "'scalar'")
-        return choice
+        return "batched" if choice == "auto" else choice
 
     def run(self, trace: Trace, warmup_refs: int = 0, *,
             resume: LoopState | None = None,

@@ -462,18 +462,13 @@ def _diff_vector_kernels(rng: random.Random,
 
     Checks batched AES encrypt/decrypt, the batched GHASH chains, bulk
     CTR transforms under both IV domains, and batched GCM block MACs at
-    every truncation width.  Skips (passes with a note) when NumPy is
-    unavailable — then the vector kernel cannot be selected either.
+    every truncation width.
     """
     from repro.crypto import vector
     from repro.crypto.ctr import AUTHENTICATION_IV, bulk_ctr_transform
     from repro.crypto.mac import gcm_block_mac
 
     name = "vector-vs-table-kernels"
-    if not vector.HAVE_NUMPY:
-        return DifferentialResult(name, True,
-                                  "numpy unavailable; vector kernel "
-                                  "cannot be selected (fallback checked)")
     key = rng.randbytes(16)
     aes = AES128(key)
     blocks = [rng.randbytes(16) for _ in range(num_blocks)]

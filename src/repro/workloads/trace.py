@@ -15,13 +15,9 @@ profiles; they stand in for the SPEC CPU 2000 reference runs of the paper
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-try:  # optional: only the batched sim engine needs ndarray views
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
 #: structured dtype of :meth:`Trace.arrays` — one record per reference
 TRACE_DTYPE = [("addr", "<i8"), ("gap", "<i4"), ("write", "?")]
@@ -45,6 +41,26 @@ class Trace:
         self._block_ids: dict = {}
         self._cum_insns: list[int] | None = None
         self._cum_cycles: dict = {}
+        #: the batched sim engine's packed whole-trace cache
+        #: classifications, keyed by cache geometry (filled and read only
+        #: by :mod:`repro.sim.batched`)
+        self.classifications: dict = {}
+        #: the batched engine's per-event tuples unpacked from
+        #: ``classifications``, per drained view; kept on this trace only
+        self.event_views: dict = {}
+
+    @classmethod
+    def from_arrays(cls, name: str, records) -> "Trace":
+        """Rebuild a trace from its :meth:`arrays` records.
+
+        ``records`` becomes the new trace's :meth:`arrays` view as is (no
+        copy), so a read-only array stays read-only.
+        """
+        trace = cls(name=name, gaps=records["gap"].tolist(),
+                    writes=records["write"].tolist(),
+                    addrs=records["addr"].tolist())
+        trace._arrays = records
+        return trace
 
     def __len__(self) -> int:
         return len(self.addrs)
@@ -67,18 +83,9 @@ class Trace:
     # -- materialized views (batched engine + shared cycle arithmetic) -------
 
     def arrays(self):
-        """The trace as one structured ndarray (``TRACE_DTYPE``), cached.
-
-        Raises :class:`RuntimeError` without numpy — only the batched sim
-        engine needs this view; the scalar engine sticks to the plain
-        lists.
-        """
-        if _np is None:
-            raise RuntimeError(
-                "Trace.arrays() requires numpy; install it or use "
-                "sim_engine='scalar'")
+        """The trace as one structured ndarray (``TRACE_DTYPE``), cached."""
         if self._arrays is None:
-            recs = _np.zeros(len(self.addrs), dtype=TRACE_DTYPE)
+            recs = np.zeros(len(self.addrs), dtype=TRACE_DTYPE)
             recs["addr"] = self.addrs
             recs["gap"] = self.gaps
             recs["write"] = self.writes
@@ -90,7 +97,7 @@ class Trace:
         per block size."""
         cached = self._block_ids.get(block_size)
         if cached is None:
-            cached = self.arrays()["addr"] & ~_np.int64(block_size - 1)
+            cached = self.arrays()["addr"] & ~np.int64(block_size - 1)
             self._block_ids[block_size] = cached
         return cached
 
@@ -103,8 +110,9 @@ class Trace:
         instructions); length is ``len(trace) + 1``.
         """
         if self._cum_insns is None:
-            self._cum_insns = [0] + list(
-                itertools.accumulate(g + 1 for g in self.gaps))
+            insns = np.zeros(len(self.gaps) + 1, dtype=np.int64)
+            np.cumsum(self.arrays()["gap"] + 1, out=insns[1:])
+            self._cum_insns = insns.tolist()
         return self._cum_insns
 
     def cum_cycles(self, cpi: float) -> list[float]:
@@ -114,11 +122,16 @@ class Trace:
         both sim engines, so ``cycle = cycle_base + cum_cycles[i]`` is the
         *same* IEEE double no matter which engine evaluates it — the
         foundation of the bit-exact scalar/batched equivalence suite.
+        ``np.add.accumulate`` adds left to right (unlike the pairwise
+        ``np.sum``), so this equals the running Python float sum bit for
+        bit.
         """
         cached = self._cum_cycles.get(cpi)
         if cached is None:
-            cached = [0.0] + list(
-                itertools.accumulate((g + 1) * cpi for g in self.gaps))
+            cycles = np.zeros(len(self.gaps) + 1, dtype=np.float64)
+            np.add.accumulate((self.arrays()["gap"] + 1) * cpi,
+                              out=cycles[1:])
+            cached = cycles.tolist()
             self._cum_cycles[cpi] = cached
         return cached
 

@@ -41,12 +41,9 @@ import struct
 import zlib
 from typing import Iterable, Iterator
 
-from repro.workloads.trace import TRACE_DTYPE, Trace
+import numpy as np
 
-try:  # optional: only mmap_records needs numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from repro.workloads.trace import TRACE_DTYPE, Trace
 
 __all__ = [
     "DATA_OFFSET",
@@ -315,11 +312,9 @@ def mmap_records(path: str | os.PathLike):
     trace ≫ RAM.  Use :func:`load_trace` when the stronger guarantee
     matters more than the copy.
     """
-    if _np is None:
-        raise RuntimeError("mmap_records requires numpy")
     path = os.fspath(path)
     header = read_header(path)
-    return _np.memmap(path, dtype=TRACE_DTYPE, mode="r",
+    return np.memmap(path, dtype=TRACE_DTYPE, mode="r",
                       offset=DATA_OFFSET, shape=(header["records"],))
 
 

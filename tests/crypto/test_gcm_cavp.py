@@ -12,7 +12,6 @@ from repro.crypto.aes import AES128
 from repro.crypto.gcm import AESGCM, AuthenticationError
 from repro.crypto.ghash import GHASH, ghash, ghash_chunks
 from repro.crypto.vector import (
-    HAVE_NUMPY,
     _ghash_chunks_scalar,
     ghash_chunks_many,
     vector_aes,
@@ -155,11 +154,7 @@ def _ghash_kernel(h: bytes, chunks: list[bytes], kernel: str) -> bytes:
     return ghash_chunks(h, chunks)
 
 
-KERNEL_IDS = ["scalar", "table",
-              pytest.param("vector",
-                           marks=pytest.mark.skipif(
-                               not HAVE_NUMPY,
-                               reason="vector kernel needs numpy"))]
+KERNEL_IDS = ["scalar", "table", "vector"]
 
 
 class TestCAVPAllKernels:

@@ -13,7 +13,6 @@ truncates them to 64 bits, so the vector path's Python-side masking must
 match :func:`repro.crypto.ctr.make_seed` exactly.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aes import AES128
@@ -28,7 +27,6 @@ from repro.crypto.ctr import (
 from repro.crypto.ghash import ghash_chunks
 from repro.crypto.mac import VALID_MAC_BITS, gcm_block_mac, gcm_block_macs
 from repro.crypto.vector import (
-    HAVE_NUMPY,
     _ghash_chunks_scalar,
     bulk_ctr_transform_vector,
     decrypt_blocks_kernel,
@@ -39,9 +37,6 @@ from repro.crypto.vector import (
     make_seeds_array,
 )
 from repro.counters.split import SplitCounterScheme
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
-                                reason="vector kernel needs numpy")
 
 keys = st.binary(min_size=16, max_size=16)
 # 16-byte-aligned byte addresses whose chunk index stays within the

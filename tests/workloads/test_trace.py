@@ -1,6 +1,9 @@
-"""Trace container: accounting and slicing."""
+"""Trace container: accounting, slicing and prefix sums."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.trace import Trace
 
@@ -37,3 +40,30 @@ class TestTrace:
         assert sub.addrs == [64, 128]
         assert sub.gaps == [2, 3]
         assert len(sub) == 2
+
+
+class TestPrefixSums:
+    """``cum_insns``/``cum_cycles`` are NumPy accumulations; both engines
+    index them, so they must equal the running Python sums bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaps=st.lists(st.integers(0, 10_000), max_size=400),
+           cpi=st.sampled_from([1 / 3, 1 / 4, 1 / 2, 1.0, 0.1, 2.5]))
+    def test_match_itertools_accumulate(self, gaps, cpi):
+        trace = Trace(name="t", gaps=gaps, writes=[False] * len(gaps),
+                      addrs=[0] * len(gaps))
+        assert trace.cum_insns == [0] + list(
+            itertools.accumulate(g + 1 for g in gaps))
+        cycles = trace.cum_cycles(cpi)
+        reference = [0.0] + list(
+            itertools.accumulate((g + 1) * cpi for g in gaps))
+        assert [c.hex() for c in cycles] == [r.hex() for r in reference]
+        assert all(type(c) is float for c in cycles)
+
+    def test_rebuilt_trace_matches(self):
+        trace = Trace(name="t", gaps=[3, 0, 7], writes=[True, False, True],
+                      addrs=[64, 0, 4096])
+        rebuilt = Trace.from_arrays("t", trace.arrays())
+        assert rebuilt == trace
+        assert rebuilt.arrays() is trace.arrays()
+        assert rebuilt.cum_cycles(1 / 3) == trace.cum_cycles(1 / 3)
