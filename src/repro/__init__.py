@@ -32,42 +32,21 @@ Quick start::
     assert memory.read(0x1000, 14) == b"secret payload"
 """
 
-from repro import api
-from repro.core import (
-    AuthMode,
-    CounterOrg,
-    EncryptionMode,
-    PRESETS,
-    SecureMemoryConfig,
-    SecureMemorySystem,
-    baseline_config,
-    direct_config,
-    gcm_auth_config,
-    mono_config,
-    mono_gcm_config,
-    mono_sha_config,
-    prediction_config,
-    sha_auth_config,
-    split_config,
-    split_gcm_config,
-    split_sha_config,
-    xom_sha_config,
-)
-from repro.auth import AuthPolicy, IntegrityViolation
+from __future__ import annotations
 
-__version__ = "1.0.0"
+import importlib
 
-__all__ = [
+#: re-exports resolved on first use (PEP 562): ``import repro`` alone
+#: loads no submodule, so a process that needs only a light one — a
+#: sweep fabric worker importing the queue protocol — skips the
+#: simulator and NumPy
+_CORE_NAMES = frozenset({
     "AuthMode",
-    "AuthPolicy",
     "CounterOrg",
     "EncryptionMode",
-    "IntegrityViolation",
     "PRESETS",
     "SecureMemoryConfig",
     "SecureMemorySystem",
-    "__version__",
-    "api",
     "baseline_config",
     "direct_config",
     "gcm_auth_config",
@@ -80,4 +59,26 @@ __all__ = [
     "split_gcm_config",
     "split_sha_config",
     "xom_sha_config",
-]
+})
+
+_AUTH_NAMES = frozenset({"AuthPolicy", "IntegrityViolation"})
+
+__version__ = "1.0.0"
+
+__all__ = sorted({"__version__", "api", *_CORE_NAMES, *_AUTH_NAMES})
+
+
+def __getattr__(name: str):
+    # importlib, not ``from repro import api``: that form probes this
+    # module's attributes first and would recurse into this hook
+    if name == "api":
+        return importlib.import_module("repro.api")
+    if name in _CORE_NAMES:
+        return getattr(importlib.import_module("repro.core"), name)
+    if name in _AUTH_NAMES:
+        return getattr(importlib.import_module("repro.auth"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

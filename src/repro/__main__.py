@@ -71,6 +71,7 @@ import sys
 
 from repro import api
 from repro.core import SecureMemorySystem, split_gcm_config
+from repro.resilience import CHECKPOINT_REFS
 from repro.workloads import SCENARIO_APPS, SPEC_APPS, workload_kind
 
 
@@ -257,6 +258,11 @@ def _cmd_sweep(args) -> int:
                           heartbeat_interval=args.heartbeat_interval,
                           lease_ttl=args.lease_ttl,
                           checkpoint_refs=args.checkpoint_refs)
+    except ValueError as exc:
+        # rejected before any cell ran: a kill inject that cannot fire,
+        # a queue dir holding another sweep, bad fabric settings
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     finally:
         signal.signal(signal.SIGTERM, previous)
     if args.out:
@@ -610,8 +616,11 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--inject", action="append", metavar="KIND@INDEX",
                        help="test hook: make cell INDEX misbehave (crash, "
                             "hang, crash-always, hang-always; with "
-                            "--parallel also kill9:N / killworker:N — "
-                            "SIGKILL after the Nth checkpoint; repeatable)")
+                            "--parallel or --queue-dir also kill9:N / "
+                            "killworker:N — SIGKILL after the Nth "
+                            "checkpoint, which needs N checkpoints before "
+                            "the cell's last ref: N * --checkpoint-refs < "
+                            "--refs, else exit 2; repeatable)")
     sweep.add_argument("--json", action="store_true",
                        help="emit one machine-readable JSON report")
     sweep.add_argument("--out", metavar="PATH",
@@ -635,11 +644,12 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--heartbeat-interval", type=float, default=0.5,
                        metavar="SEC",
                        help="lease renewal cadence (default 0.5)")
-    sweep.add_argument("--checkpoint-refs", type=int, default=2_000,
-                       metavar="REFS",
+    sweep.add_argument("--checkpoint-refs", type=int,
+                       default=CHECKPOINT_REFS, metavar="REFS",
                        help="mid-cell checkpoint cadence so reclaimed or "
-                            "retried cells resume instead of rerunning "
-                            "(default 2000)")
+                            "retried cells resume instead of rerunning; a "
+                            "cell of at most REFS refs runs unchecked "
+                            f"(default {CHECKPOINT_REFS})")
     prof = sub.add_parser(
         "profile", help="traced simulation with per-miss cycle attribution")
     prof.add_argument("--app", default="swim",

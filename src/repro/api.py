@@ -29,7 +29,6 @@ from __future__ import annotations
 import difflib
 import math
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
@@ -49,6 +48,7 @@ from repro.obs import (
     write_chrome_trace,
     write_csv,
 )
+from repro.resilience import CHECKPOINT_REFS
 from repro.sim import LoopState, Processor, SimResult, simulate
 from repro.workloads import (
     Trace,
@@ -607,7 +607,8 @@ def run_many(cells, *, timeout: float | None = None, retries: int = 1,
              retry_backoff: float = 0.25, progress=None,
              parallelism: int = 1, queue_dir: str | None = None,
              resume: bool = False, heartbeat_interval: float = 0.5,
-             lease_ttl: float = 10.0, checkpoint_refs: int = 2000,
+             lease_ttl: float = 10.0,
+             checkpoint_refs: int = CHECKPOINT_REFS,
              max_worker_restarts: int | None = None):
     """Supervised sweep over many experiments (subprocess isolation).
 
@@ -644,14 +645,6 @@ class ProfileResult(ResultBase):
     csv_path: str | None = None
     metrics: dict[str, Any] = field(default_factory=dict)
     meta: ResultMeta | None = None
-
-    @property
-    def result(self) -> ExperimentResult:
-        """Deprecated alias of :attr:`run` (pre-ResultBase field name)."""
-        warnings.warn(
-            "ProfileResult.result is deprecated; use ProfileResult.run",
-            DeprecationWarning, stacklevel=2)
-        return self.run
 
     @property
     def ok(self) -> bool:
@@ -728,14 +721,6 @@ class BenchResult(ResultBase):
         """True when the report passed its own validation (it always has
         by the time :func:`bench` returns — run_bench validates)."""
         return bool(self.report)
-
-    def __getitem__(self, key: str) -> Any:
-        """Deprecated dict-style access from when ``bench()`` returned the
-        raw report; use :attr:`report` instead."""
-        warnings.warn(
-            "indexing BenchResult is deprecated; use BenchResult.report",
-            DeprecationWarning, stacklevel=2)
-        return self.report[key]
 
     def to_dict(self) -> dict[str, Any]:
         return {"report": self.report, "meta": self.meta_dict()}

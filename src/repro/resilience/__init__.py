@@ -13,23 +13,37 @@ Three layers, importable from this package:
   fabric (filesystem work-stealing queue, lease heartbeats, per-cell
   checkpoint resume, append-only result streaming).
 
-``checkpoint``, ``runner``, and ``fabric`` import the heavy core/sim
-layers at module scope, which would cycle with ``secure_memory``'s eager
-import of ``recovery`` — so their names resolve lazily (PEP 562).
+Every public name resolves lazily (PEP 562), so importing one submodule
+loads only what that submodule needs.  ``recovery`` imports the core
+config and the Merkle tree; a sweep fabric worker, which needs only the
+queue protocol of ``fabric`` and ``runner``, never loads them.
 """
 
 from __future__ import annotations
 
-from repro.resilience.recovery import (
-    QuarantinedPageError,
-    RecoveryConfig,
-    RecoveryController,
-    RecoveryEvent,
-    RecoveryHalted,
-    RecoveryPolicy,
-    RecoveryStats,
-    backoff_delay,
-)
+#: default mid-cell checkpoint cadence of a sweep cell, in trace refs
+#: (``checkpoint_refs`` of ``run_many``, ``run_fabric`` and
+#: ``FabricSettings``; ``repro sweep --checkpoint-refs``).  A snapshot
+#: grows with the simulated footprint, from 4-8 ms on gcc/split to
+#: 0.5-0.9 s for a 1.3 MB db-page-cache/mono+sha blob, and a checkpointed
+#: run loses the batched engine's cached classification: a 20k-ref cell
+#: checkpointed every 2000 refs took 92 ms against 35 ms unchecked
+#: (medians; EXPERIMENTS.md, "Checkpoint cadence").  At 250k refs no
+#: cell of the 20k-ref sweep default or the 80k-ref figure traces
+#: checkpoints, while a paper-scale cell still does, and a killed one
+#: reruns at most one interval: 1.8-3.4 s on the slowest measured cell.
+CHECKPOINT_REFS = 250_000
+
+_RECOVERY_NAMES = frozenset({
+    "QuarantinedPageError",
+    "RecoveryConfig",
+    "RecoveryController",
+    "RecoveryEvent",
+    "RecoveryHalted",
+    "RecoveryPolicy",
+    "RecoveryStats",
+    "backoff_delay",
+})
 
 _CHECKPOINT_NAMES = frozenset({
     "CHECKPOINT_MAGIC",
@@ -74,14 +88,8 @@ _FABRIC_NAMES = frozenset({
 })
 
 __all__ = [
-    "QuarantinedPageError",
-    "RecoveryConfig",
-    "RecoveryController",
-    "RecoveryEvent",
-    "RecoveryHalted",
-    "RecoveryPolicy",
-    "RecoveryStats",
-    "backoff_delay",
+    "CHECKPOINT_REFS",
+    *sorted(_RECOVERY_NAMES),
     *sorted(_CHECKPOINT_NAMES),
     *sorted(_RUNNER_NAMES),
     *sorted(_FABRIC_NAMES),
@@ -89,6 +97,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
+    if name in _RECOVERY_NAMES:
+        from repro.resilience import recovery
+        return getattr(recovery, name)
     if name in _CHECKPOINT_NAMES:
         from repro.resilience import checkpoint
         return getattr(checkpoint, name)
@@ -99,3 +110,7 @@ def __getattr__(name: str):
         from repro.resilience import fabric
         return getattr(fabric, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -36,18 +36,10 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.auth.policies import AuthPolicy
-from repro.core.config import (
-    AuthMode,
-    CounterOrg,
-    EncryptionMode,
-    IntegrityMode,
-    RecoveryConfig,
-    RecoveryPolicy,
-    SecureMemoryConfig,
-)
+if TYPE_CHECKING:
+    from repro.core.config import SecureMemoryConfig
 
 CHECKPOINT_MAGIC = b"RPRCKPT1"
 #: container body version; 2 introduced the flat per-cache layout of
@@ -238,17 +230,15 @@ def load_checkpoint(path: str, kind: str | None = None) -> Any:
 # -- configuration (de)serialization -----------------------------------------
 
 
-_CONFIG_ENUMS = {
-    "encryption": EncryptionMode,
-    "counter_org": CounterOrg,
-    "auth": AuthMode,
-    "auth_policy": AuthPolicy,
-    "integrity": IntegrityMode,
-}
+# The config types are imported inside the two (de)serializers, not at
+# module scope: the sweep fabric's queue protocol imports this module for
+# its atomic writers, and its workers must not load the simulator.
 
 
 def config_state(config: SecureMemoryConfig) -> dict:
     """A JSON-able snapshot of every config field (enums by value)."""
+    from repro.core.config import RecoveryConfig
+
     state: dict = {}
     for spec in dataclasses.fields(config):
         value = getattr(config, spec.name)
@@ -285,8 +275,26 @@ def semantic_config_state(config_or_state) -> dict:
 
 def config_from_state(state: dict) -> SecureMemoryConfig:
     """Rebuild a :class:`SecureMemoryConfig` from :func:`config_state`."""
+    from repro.auth.policies import AuthPolicy
+    from repro.core.config import (
+        AuthMode,
+        CounterOrg,
+        EncryptionMode,
+        IntegrityMode,
+        RecoveryConfig,
+        RecoveryPolicy,
+        SecureMemoryConfig,
+    )
+
+    enums = {
+        "encryption": EncryptionMode,
+        "counter_org": CounterOrg,
+        "auth": AuthMode,
+        "auth_policy": AuthPolicy,
+        "integrity": IntegrityMode,
+    }
     kwargs = dict(state)
-    for name, enum_cls in _CONFIG_ENUMS.items():
+    for name, enum_cls in enums.items():
         if name in kwargs:
             kwargs[name] = enum_cls(kwargs[name])
     if "recovery" in kwargs:

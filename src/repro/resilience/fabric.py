@@ -35,10 +35,13 @@ section 17):
   ``os.replace`` publish makes the duplicate write invisible.
   Correctness rests on (a) deterministic cells, (b) atomic result
   publication, (c) the completed-result check before every claim.
-* **Checkpoints make reclaims cheap.**  Each in-flight cell checkpoints
-  through the versioned container every ``checkpoint_refs`` references;
-  a reclaimed or retried cell resumes mid-simulation (bit-identically —
-  the PR-4 guarantee) instead of rerunning.  A corrupt checkpoint or
+* **Checkpoints make reclaims cheap.**  A cell longer than
+  ``checkpoint_refs`` references checkpoints through the versioned
+  container every ``checkpoint_refs``; a reclaimed or retried cell
+  resumes mid-simulation (bit-identically) instead of rerunning.  A
+  shorter cell with no checkpoint on disk runs unchecked, which costs
+  less than snapshotting it (:data:`repro.resilience.CHECKPOINT_REFS`).
+  A checkpoint on disk is always resumed.  A corrupt checkpoint or
   result file is quarantined to ``*.corrupt`` and the cell re-runs; it
   is never silently trusted and never crashes the sweep.
 
@@ -49,7 +52,10 @@ workers up to a budget, and aggregates the event journal into
 worker simulates its cells in one long-lived spawned runner process
 that imports ``repro.api`` once; the worker supervises it over a pipe
 and replaces it only when it dies, passes its deadline, or is
-terminated.
+terminated.  The worker itself imports only this queue protocol (this
+module, :mod:`~repro.resilience.runner` and the atomic writers of
+:mod:`~repro.resilience.checkpoint`), never the simulator, so it is up
+while its runner still boots.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import signal
 import time
 from dataclasses import dataclass, field, fields
 
-from repro.obs import MetricsRegistry
+from repro.resilience import CHECKPOINT_REFS
 from repro.resilience.checkpoint import CheckpointError, atomic_write_json
 from repro.resilience.runner import (
     CellResult,
@@ -103,7 +109,7 @@ class FabricSettings:
     retry_backoff: float = 0.25
     heartbeat_interval: float = 0.5
     lease_ttl: float = 10.0
-    checkpoint_refs: int = 2_000       # mid-cell checkpoint cadence (refs)
+    checkpoint_refs: int = CHECKPOINT_REFS   # mid-cell cadence (refs)
     poll_interval: float = 0.2
 
     def __post_init__(self) -> None:
@@ -187,6 +193,13 @@ class QueuePaths:
         os.makedirs(self.root, exist_ok=True)
         for name in self._DIRS:
             os.makedirs(os.path.join(self.root, name), exist_ok=True)
+
+
+def _checkpoints_due(refs: int, checkpoint_refs: int) -> int:
+    """How many checkpoints a from-scratch run of ``refs`` references
+    writes: one at every positive multiple of the cadence before the
+    last reference."""
+    return (refs - 1) // checkpoint_refs
 
 
 def cell_id(index: int, cell: SweepCell) -> str:
@@ -465,11 +478,15 @@ def _execute_cell(paths: QueuePaths, cid: str, cell: SweepCell,
     """Simulate one cell attempt, checkpointing as it goes; the reply.
 
     A checkpoint left by a previous attempt (this worker's or a dead
-    one's) is resumed bit-identically.  One that does not load — corrupt,
-    another container version, or another experiment's — is quarantined
-    to ``*.corrupt`` and the cell restarts from scratch: loudly
-    journaled, never fatal.  A runner whose worker died mid-cell exits
-    at its next checkpoint.
+    one's) is resumed bit-identically, whatever the cadence.  One that
+    does not load — corrupt, another container version, or another
+    experiment's — is quarantined to ``*.corrupt`` and the cell restarts
+    from scratch: loudly journaled, never fatal.  A cell started from
+    scratch with no checkpoint due before its last reference runs plain
+    ``Experiment.run()``, which keeps the batched engine's cached
+    classification.  A runner whose worker died mid-cell exits at its
+    next checkpoint, or, on an unchecked cell, when its reply finds the
+    pipe closed.
 
     Chaos inject hooks (see :class:`SweepCell`) act on the runner, the
     process that simulates:
@@ -512,6 +529,9 @@ def _execute_cell(paths: QueuePaths, cid: str, cell: SweepCell,
         def simulate(resume: str | None):
             experiment = Experiment(cell.scheme, cell.app, refs=cell.refs,
                                     warmup_refs=cell.warmup_refs)
+            if resume is None and not _checkpoints_due(cell.refs,
+                                                       checkpoint_refs):
+                return experiment.run()
             return experiment.run(
                 checkpoint_every=checkpoint_refs,
                 checkpoint_path=ckpt_path, resume_from=resume,
@@ -810,6 +830,28 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
 # -- coordinator --------------------------------------------------------------
 
 
+def _check_kill_injects(paths: QueuePaths, entries,
+                        checkpoint_refs: int) -> None:
+    """Reject a ``kill9:N`` / ``killworker:N`` cell that can never fire.
+
+    A kill fires after checkpoint N of the cell's first attempt, so an N
+    past the cell's last checkpoint would let a chaos run pass without
+    killing anything.  A cell whose first attempt already ran (in a
+    resumed queue) is exempt: its inject is spent either way.
+    """
+    for cid, cell in entries:
+        _base, after, _always = parse_inject(cell.inject)
+        if after is None:                  # only the kill kinds take an N
+            continue
+        due = _checkpoints_due(cell.refs, checkpoint_refs)
+        if after > due and _read_attempts(paths, cid) == 0:
+            raise ValueError(
+                f"cell {cid}: inject {cell.inject!r} fires after checkpoint "
+                f"{after}, but {cell.refs} refs at a cadence of "
+                f"{checkpoint_refs} refs write {due} checkpoint(s); lower "
+                f"N or the checkpoint cadence")
+
+
 def _assemble_report(paths: QueuePaths, entries, *, interrupted: bool,
                      fabric_section: dict) -> SweepReport:
     """Build the report in manifest order from the results directory."""
@@ -849,7 +891,7 @@ def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
                timeout: float | None = None, retries: int = 1,
                retry_backoff: float = 0.25,
                heartbeat_interval: float = 0.5, lease_ttl: float = 10.0,
-               checkpoint_refs: int = 2_000, resume: bool = False,
+               checkpoint_refs: int = CHECKPOINT_REFS, resume: bool = False,
                max_worker_restarts: int | None = None,
                progress=None, out_path: str | None = None) -> SweepReport:
     """Run a sweep through the distributed fabric; always returns a report.
@@ -864,7 +906,13 @@ def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
     partial report comes back with ``interrupted=True`` — a later
     ``resume=True`` invocation picks up exactly where it stopped,
     skipping every published result wholesale.
+
+    A ``kill9:N`` / ``killworker:N`` cell whose N-th checkpoint never
+    comes at ``checkpoint_refs`` raises :class:`ValueError` before any
+    worker starts (and, for a new sweep, before the manifest is written).
     """
+    from repro.obs import MetricsRegistry
+
     cells = [cell if isinstance(cell, SweepCell)
              else SweepCell.from_dict(dict(cell)) for cell in cells]
     settings = FabricSettings(
@@ -872,7 +920,13 @@ def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
         retry_backoff=retry_backoff, heartbeat_interval=heartbeat_interval,
         lease_ttl=lease_ttl, checkpoint_refs=checkpoint_refs)
     paths = QueuePaths(queue_dir)
+    if not resume:
+        _check_kill_injects(paths, ((cell_id(index, cell), cell)
+                                    for index, cell in enumerate(cells)
+                                    if cell.inject), checkpoint_refs)
     entries = init_queue(queue_dir, cells, settings, resume=resume)
+    if resume:
+        _check_kill_injects(paths, entries, checkpoint_refs)
     if max_worker_restarts is None:
         max_worker_restarts = 2 * parallelism
 

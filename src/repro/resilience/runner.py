@@ -23,6 +23,8 @@ import signal
 import time
 from dataclasses import dataclass, field
 
+from repro.resilience import CHECKPOINT_REFS
+
 __all__ = [
     "CellResult",
     "SWEEP_SCHEMA",
@@ -297,7 +299,8 @@ def run_many(cells, *, timeout: float | None = None, retries: int = 1,
              out_path: str | None = None,
              parallelism: int = 1, queue_dir: str | None = None,
              resume: bool = False, heartbeat_interval: float = 0.5,
-             lease_ttl: float = 10.0, checkpoint_refs: int = 2000,
+             lease_ttl: float = 10.0,
+             checkpoint_refs: int = CHECKPOINT_REFS,
              max_worker_restarts: int | None = None) -> SweepReport:
     """Run every cell under supervision; always returns a report.
 
@@ -319,8 +322,10 @@ def run_many(cells, *, timeout: float | None = None, retries: int = 1,
     dispatched to the distributed fabric
     (:func:`repro.resilience.fabric.run_fabric`): cells are sharded
     across spawn-isolated workers via a filesystem work-stealing queue,
-    in-flight cells checkpoint every ``checkpoint_refs`` refs so
-    reclaimed or retried cells resume mid-simulation, and ``resume=True``
+    cells longer than ``checkpoint_refs`` refs checkpoint every
+    ``checkpoint_refs`` so reclaimed or retried cells resume
+    mid-simulation (default :data:`repro.resilience.CHECKPOINT_REFS`;
+    shorter cells run unchecked), and ``resume=True``
     skips cells whose results already sit in ``queue_dir``.  A
     ``queue_dir`` shared between invocations (or hosts on a shared
     filesystem) makes them cooperate on one queue; without one, a

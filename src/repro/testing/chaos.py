@@ -169,7 +169,8 @@ def assert_runners_exited(queue_dir: str) -> None:
     """Every runner in the journal must have exited once a run is over —
     after a clean finish, a drain, or its worker being SIGKILLed (an
     idle runner then sees EOF on its pipe, a busy one its parent pid
-    change at the next checkpoint; ``killworker`` kills both)."""
+    change at the next checkpoint or, in an unchecked cell, the closed
+    pipe when it replies; ``killworker`` kills both)."""
     alive = [pid for pid in runner_pids(queue_dir) if _pid_running(pid)]
     if alive:
         raise AssertionError(

@@ -1,4 +1,4 @@
-"""Normalized result surface: shared meta block, deprecation shims."""
+"""Normalized result surface: shared meta block, fingerprints, pure JSON."""
 
 import json
 import subprocess
@@ -66,20 +66,6 @@ class TestMetaAttached:
         meta = ResultMeta(kind="run")
         with pytest.raises(dataclasses.FrozenInstanceError):
             meta.kind = "other"
-
-
-class TestDeprecatedNames:
-    def test_profile_result_attribute_warns(self):
-        result = api.profile("split+gcm", "mcf", refs=300)
-        with pytest.warns(DeprecationWarning, match="ProfileResult.run"):
-            legacy = result.result
-        assert legacy is result.run
-
-    def test_bench_indexing_warns(self):
-        result = api.bench(quick=True)
-        with pytest.warns(DeprecationWarning, match="BenchResult.report"):
-            legacy = result["schema"]
-        assert legacy == result.report["schema"]
 
 
 class TestSchemesJSONPurity:

@@ -8,14 +8,21 @@ on a one-core CI box.
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.api import Experiment
+from repro.resilience import CHECKPOINT_REFS
 from repro.resilience.checkpoint import CheckpointError, atomic_write_json
 from repro.resilience.fabric import (
     FabricSettings,
     QueuePaths,
+    _execute_cell,
     _load_result,
     _Runner,
     _try_claim,
@@ -31,9 +38,12 @@ from repro.resilience.runner import (
     load_sweep_report,
     run_many,
 )
-from repro.testing import assert_runners_exited, runner_pids
+from repro.testing import assert_runners_exited, normalize_report, runner_pids
+from repro.testing.chaos import _pid_running
 
 REFS = 1_500          # one cell finishes in well under a second
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
 
 
 def tiny_cells():
@@ -322,3 +332,235 @@ class TestWarmRunners:
             if process.is_alive():
                 process.kill()
                 process.join(5)
+
+
+def _checkpoint_files(queue: str) -> list[str]:
+    names = os.listdir(os.path.join(queue, "checkpoints"))
+    return sorted(name for name in names if name.endswith(".ckpt"))
+
+
+def _same(*results) -> bool:
+    """Bit-identical simulation payloads (JSON, so NaN equals NaN)."""
+    return len({json.dumps(result, sort_keys=True)
+                for result in results}) == 1
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The keyword arguments of every ``Experiment.run`` call in this
+    process (what a runner's :func:`_execute_cell` asks of the engine)."""
+    calls = []
+    run = Experiment.run
+
+    def spy(self, **kwargs):
+        calls.append(kwargs)
+        return run(self, **kwargs)
+
+    monkeypatch.setattr(Experiment, "run", spy)
+    return calls
+
+
+class TestCheckpointCadence:
+    """A cell with no checkpoint due before its last ref runs unchecked;
+    a checkpoint on disk is resumed whatever the cadence."""
+
+    def test_short_cell_at_default_cadence_writes_no_checkpoint(
+            self, tmp_path, run_calls):
+        cell = SweepCell("split", "gzip", refs=20_000)
+        paths = QueuePaths(str(tmp_path / "queue"))
+        paths.ensure()
+        plain = _execute_cell(paths, "plain", cell, 1, CHECKPOINT_REFS)
+        assert plain["ok"] and not plain["resumed"], plain
+        assert _checkpoint_files(paths.root) == []
+        # no checkpoint arguments: the batched engine keeps its cached
+        # classification
+        assert run_calls == [{}]
+        # the same cell at cadence 2000 does checkpoint (its rolling file
+        # stays: only the worker unlinks it, after publishing)
+        checked = _execute_cell(paths, "checked", cell, 1, 2_000)
+        assert checked["ok"], checked
+        assert _checkpoint_files(paths.root) == ["checked.ckpt"]
+        assert run_calls[1]["checkpoint_every"] == 2_000
+        in_process = Experiment("split", "gzip", refs=20_000).run()
+        assert _same(plain["result"], checked["result"],
+                     in_process.to_dict())
+        # end to end through a worker and its runner, default cadence
+        report = run_many([cell], queue_dir=str(tmp_path / "fabric"),
+                          heartbeat_interval=0.2, lease_ttl=2.0)
+        assert report.ok, report.to_dict()
+        assert _same(report.cells[0].result, in_process.to_dict())
+        assert report.fabric["settings"]["checkpoint_refs"] \
+            == CHECKPOINT_REFS
+
+    def test_resume_at_default_cadence_resumes_older_checkpoint(
+            self, tmp_path, run_calls):
+        queue = str(tmp_path / "queue")
+        cells = [SweepCell("split", "swim", refs=3_000,
+                           inject="killworker:1")]
+        # the worker and its runner die right after checkpoint 1 (ref
+        # 500), and with no restarts left the run stops there
+        interrupted = run_fabric(cells, queue_dir=queue, parallelism=1,
+                                 heartbeat_interval=0.2, lease_ttl=1.0,
+                                 checkpoint_refs=500, max_worker_restarts=0)
+        assert interrupted.counts() == {"skipped": 1}
+        cid = "0000-split-swim"
+        assert _checkpoint_files(queue) == [cid + ".ckpt"]
+        # no checkpoint falls due in a 3000-ref cell at the default
+        # cadence, but the one on disk is what the attempt runs from
+        paths = QueuePaths(queue)
+        reply = _execute_cell(paths, cid, cells[0], 2, CHECKPOINT_REFS)
+        assert reply["ok"] and reply["resumed"], reply
+        assert run_calls[-1]["resume_from"] == paths.checkpoint(cid)
+        # the same through a resumed queue at the default cadence, where
+        # the spent kill inject does not get the queue rejected
+        resumed = run_fabric([], queue_dir=queue, parallelism=1,
+                             heartbeat_interval=0.2, lease_ttl=1.0,
+                             resume=True)
+        assert resumed.ok, resumed.to_dict()
+        cell = resumed.cells[0]
+        assert cell.resumed_from_checkpoint
+        assert cell.attempts == 2
+        assert _same(cell.result, reply["result"])
+        assert normalize_report(resumed) == normalize_report(run_many(cells))
+        assert_runners_exited(queue)
+
+    def test_cell_one_ref_past_the_interval_checkpoints_once(
+            self, tmp_path):
+        refs = CHECKPOINT_REFS + 1
+        with pytest.raises(ValueError, match="write 1 checkpoint"):
+            run_fabric([SweepCell("split", "gzip", refs=refs,
+                                  inject="kill9:2")],
+                       queue_dir=str(tmp_path / "rejected"))
+        queue = str(tmp_path / "queue")
+        report = run_fabric([SweepCell("split", "gzip", refs=refs,
+                                       inject="kill9:1")],
+                            queue_dir=queue, parallelism=1,
+                            heartbeat_interval=0.2, lease_ttl=2.0,
+                            retries=1, retry_backoff=0.05)
+        assert report.ok, report.to_dict()
+        cell = report.cells[0]
+        # killed after its only checkpoint, resumed on a fresh runner
+        assert cell.attempts == 2 and cell.resumed_from_checkpoint
+        assert _same(cell.result,
+                     Experiment("split", "gzip", refs=refs).run().to_dict())
+        assert_runners_exited(queue)
+
+    def test_runner_of_worker_killed_mid_unchecked_cell_exits(
+            self, tmp_path):
+        """No checkpoint hook runs in an unchecked cell, so the parent-pid
+        check cannot see the worker die; the runner ends the cell, finds
+        the pipe closed when it replies, and exits."""
+        queue = str(tmp_path / "queue")
+        # the first cell warms the runner, so the second one is sent to
+        # it as soon as it is journaled as started; it takes over a
+        # second, all of it unchecked
+        long_cell = SweepCell("mono+sha", "db-page-cache", refs=100_000)
+        cells = [SweepCell("split", "swim", refs=REFS), long_cell]
+        long_id = cell_id(1, long_cell)
+        reports = []
+        sweep = threading.Thread(target=lambda: reports.append(run_fabric(
+            cells, queue_dir=queue, parallelism=1, heartbeat_interval=0.2,
+            lease_ttl=1.0)))
+        sweep.start()
+        try:
+            deadline = time.monotonic() + 120
+            while not any(event["event"] == "cell_started"
+                          and event["cell"] == long_id
+                          for event in read_events(queue)):
+                assert time.monotonic() < deadline, "long cell never started"
+                time.sleep(0.02)
+            time.sleep(0.2)
+            worker = next(event["pid"] for event in read_events(queue)
+                          if event["event"] == "worker_started")
+            orphan = runner_pids(queue)[0]
+            os.kill(worker, signal.SIGKILL)
+            # busy in the cell, the runner outlives its worker for now
+            assert _pid_running(orphan)
+        finally:
+            sweep.join(180)
+        assert not sweep.is_alive()
+        report = reports[0]
+        assert report.ok, report.to_dict()
+        # the killed worker's claim was reclaimed and the cell rerun
+        assert report.cells[1].attempts == 2
+        assert not report.cells[1].resumed_from_checkpoint
+        assert_runners_exited(queue)
+
+
+class TestKillInjectBoundary:
+    """kill9:N fires after checkpoint N, and a 20k-ref cell at cadence
+    2000 writes (20000 - 1) // 2000 = 9 checkpoints."""
+
+    def test_last_checkpoint_fires(self, tmp_path):
+        queue = str(tmp_path / "queue")
+        report = run_fabric([SweepCell("split", "gzip", refs=20_000,
+                                       inject="kill9:9")],
+                            queue_dir=queue, parallelism=1,
+                            heartbeat_interval=0.2, lease_ttl=2.0,
+                            checkpoint_refs=2_000, retries=1,
+                            retry_backoff=0.05)
+        assert report.ok, report.to_dict()
+        assert report.cells[0].attempts == 2
+        assert report.cells[0].resumed_from_checkpoint
+        assert_runners_exited(queue)
+
+    def test_one_past_the_last_checkpoint_is_rejected(self, tmp_path):
+        queue = str(tmp_path / "queue")
+        with pytest.raises(ValueError) as raised:
+            run_fabric([SweepCell("split", "gzip", refs=20_000,
+                                  inject="kill9:10")],
+                       queue_dir=queue, parallelism=1, checkpoint_refs=2_000)
+        message = str(raised.value)
+        for part in ("0000-split-gzip", "kill9:10", "checkpoint 10",
+                     "20000 refs", "cadence of 2000", "9 checkpoint"):
+            assert part in message, message
+        # rejected before the manifest was written or a worker started,
+        # so a corrected sweep can still use the same queue dir
+        assert not os.path.exists(os.path.join(queue, "manifest.json"))
+        assert read_events(queue) == []
+
+    def test_sweep_cli_exits_2(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--scheme", "split",
+             "--app", "gzip", "--refs", "20000", "--parallel", "2",
+             "--queue-dir", str(tmp_path / "queue"),
+             "--inject", "kill9:10@0", "--checkpoint-refs", "2000"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "fires after checkpoint 10" in proc.stderr
+
+
+class TestLeanWorker:
+    """A fabric worker imports the queue protocol only; the package
+    re-exports still resolve, lazily."""
+
+    PROBE = """
+import json, sys
+import repro.resilience.fabric
+heavy = sorted(name for name in sys.modules
+               if name.split(".")[0] == "numpy"
+               or name.startswith(("repro.api", "repro.sim", "repro.crypto",
+                                   "repro.core")))
+import repro, repro.resilience
+missing = [f"{module.__name__}.{name}"
+           for module in (repro, repro.resilience)
+           for name in module.__all__ if getattr(module, name, None) is None]
+undir = [name for name in repro.__all__ if name not in dir(repro)]
+undir += [name for name in repro.resilience.__all__
+          if name not in dir(repro.resilience)]
+star = {}
+exec("from repro import *", star)
+unstarred = [name for name in repro.__all__ if name not in star]
+print(json.dumps({"heavy": heavy, "missing": missing, "undir": undir,
+                  "unstarred": unstarred}))
+"""
+
+    def test_fabric_import_leaves_out_the_simulator(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "heavy": [], "missing": [], "undir": [], "unstarred": []}
