@@ -27,11 +27,12 @@ Commands:
   2 usage error, 3 wall-clock timeout hit with no failures so far (the
   report is valid but partial; see :mod:`repro.testing`).
 * ``sweep [--scheme S ...] [--app A ...] [--timeout SEC] [--retries N]
-  [--json]`` — run the scheme x app cross product under the supervised
-  runner: each cell in its own subprocess with a wall-clock budget and
-  crash/timeout retries.  Exit codes: 0 all cells ok, 1 any cell failed or
-  timed out, 2 usage error, 130 interrupted (SIGINT; the partial report is
-  still printed).
+  [--parallel N] [--queue-dir DIR] [--json]`` — run the scheme x app
+  cross product on the crash-tolerant sweep fabric: spawn-isolated
+  workers, each cell with a wall-clock budget and crash/timeout
+  retries.  Exit codes: 0 all cells ok, 1 any cell failed or timed out,
+  2 usage error, 130 interrupted by SIGINT, 143 by SIGTERM (the partial
+  report is still printed).
 * ``profile --app mcf --scheme split+gcm [--trace-out t.json] [--csv-out
   t.csv] [--json]`` — run one traced simulation, decompose every L2 miss's
   latency into bus/DRAM/AES/GHASH/tree components, and report the
@@ -191,16 +192,8 @@ def _cmd_sweep(args) -> int:
     import dataclasses
     import signal
 
-    from repro.resilience.runner import SweepCell, run_many
+    from repro.resilience import SweepCell
 
-    if args.resume and not args.queue_dir:
-        print("--resume needs --queue-dir (the queue holds the manifest "
-              "and results to resume)", file=sys.stderr)
-        return 2
-    if args.parallel < 1:
-        print(f"--parallel must be >= 1, got {args.parallel}",
-              file=sys.stderr)
-        return 2
     schemes = args.scheme or ["split+gcm"]
     for name in schemes:
         try:
@@ -238,8 +231,8 @@ def _cmd_sweep(args) -> int:
         print(f"sweep: {result.cell.label} -> {result.status} "
               f"({result.attempts} attempt(s))", file=sys.stderr)
 
-    # SIGTERM drains exactly like Ctrl-C (run_many/run_fabric catch the
-    # KeyboardInterrupt, drain workers, and return the partial report) but
+    # SIGTERM drains exactly like Ctrl-C (run_many catches the
+    # KeyboardInterrupt, drains workers, and returns the partial report) but
     # exits 143 so a supervisor can tell "operator interrupt" from
     # "terminated by the platform".
     sigterm = {"hit": False}
@@ -250,17 +243,17 @@ def _cmd_sweep(args) -> int:
 
     previous = signal.signal(signal.SIGTERM, _on_sigterm)
     try:
-        report = run_many(cells, timeout=args.timeout, retries=args.retries,
-                          retry_backoff=args.retry_backoff,
-                          progress=progress, out_path=args.out,
-                          parallelism=args.parallel,
-                          queue_dir=args.queue_dir, resume=args.resume,
-                          heartbeat_interval=args.heartbeat_interval,
-                          lease_ttl=args.lease_ttl,
-                          checkpoint_refs=args.checkpoint_refs)
+        report = api.run_many(
+            cells, timeout=args.timeout, retries=args.retries,
+            retry_backoff=args.retry_backoff, progress=progress,
+            out_path=args.out, parallelism=args.parallel,
+            queue_dir=args.queue_dir, resume=args.resume,
+            heartbeat_interval=args.heartbeat_interval,
+            lease_ttl=args.lease_ttl, checkpoint_refs=args.checkpoint_refs)
     except ValueError as exc:
-        # rejected before any cell ran: a kill inject that cannot fire,
-        # a queue dir holding another sweep, bad fabric settings
+        # rejected before any cell ran: bad settings (--parallel 0,
+        # --resume without --queue-dir), a queue dir holding another
+        # sweep, a kill inject that cannot fire
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -596,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     fuzz.add_argument("--json", action="store_true",
                       help="emit the machine-readable report")
     sweep = sub.add_parser(
-        "sweep", help="supervised multi-experiment sweep (subprocesses)")
+        "sweep", help="multi-experiment sweep on the crash-tolerant fabric")
     sweep.add_argument("--scheme", action="append", metavar="NAME",
                        help="scheme preset (repeatable; default split+gcm)")
     sweep.add_argument("--app", action="append",
@@ -615,8 +608,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="base retry delay, doubles per retry")
     sweep.add_argument("--inject", action="append", metavar="KIND@INDEX",
                        help="test hook: make cell INDEX misbehave (crash, "
-                            "hang, crash-always, hang-always; with "
-                            "--parallel or --queue-dir also kill9:N / "
+                            "hang, crash-always, hang-always, kill9:N or "
                             "killworker:N — SIGKILL after the Nth "
                             "checkpoint, which needs N checkpoints before "
                             "the cell's last ref: N * --checkpoint-refs < "
@@ -628,12 +620,12 @@ def main(argv: list[str] | None = None) -> int:
                             "after every finished cell, so a crash or "
                             "Ctrl-C leaves a valid partial report)")
     sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker processes; >1 routes the sweep through "
-                            "the crash-tolerant fabric (default 1: serial)")
+                       help="worker processes (default 1)")
     sweep.add_argument("--queue-dir", metavar="DIR",
-                       help="fabric work-stealing queue directory; point a "
-                            "second invocation (or host on a shared "
-                            "filesystem) at the same DIR to cooperate")
+                       help="work-stealing queue directory (default: a "
+                            "private temporary one); point a second "
+                            "invocation (or host on a shared filesystem) "
+                            "at the same DIR to cooperate")
     sweep.add_argument("--resume", action="store_true",
                        help="adopt the manifest already in --queue-dir and "
                             "skip every cell with a published result")

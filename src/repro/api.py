@@ -48,7 +48,6 @@ from repro.obs import (
     write_chrome_trace,
     write_csv,
 )
-from repro.resilience import CHECKPOINT_REFS
 from repro.sim import LoopState, Processor, SimResult, simulate
 from repro.workloads import (
     Trace,
@@ -603,34 +602,20 @@ def run(config: SecureMemoryConfig | str, workload: Any = "swim", *,
         resume_from=resume_from)
 
 
-def run_many(cells, *, timeout: float | None = None, retries: int = 1,
-             retry_backoff: float = 0.25, progress=None,
-             parallelism: int = 1, queue_dir: str | None = None,
-             resume: bool = False, heartbeat_interval: float = 0.5,
-             lease_ttl: float = 10.0,
-             checkpoint_refs: int = CHECKPOINT_REFS,
-             max_worker_restarts: int | None = None):
-    """Supervised sweep over many experiments (subprocess isolation).
+def run_many(cells, **kwargs: Any):
+    """Run a sweep of experiments on the crash-tolerant sweep fabric.
 
-    A facade over :func:`repro.resilience.run_many` (imported lazily).
-    ``cells`` is an iterable of :class:`repro.resilience.SweepCell` or
-    equivalent dicts; each runs in its own worker process with an optional
-    per-cell wall-clock ``timeout`` and crash/timeout ``retries``.  Returns
-    a :class:`repro.resilience.SweepReport` whose ``to_dict()`` marks every
+    A facade over :func:`repro.resilience.fabric.run_many` (imported
+    lazily), which documents every keyword.  ``cells`` is an iterable of
+    :class:`repro.resilience.SweepCell` or equivalent dicts; each runs in
+    a spawn-isolated worker process with an optional per-attempt
+    wall-clock ``timeout`` and crash/timeout ``retries``.  Returns a
+    :class:`repro.resilience.SweepReport` whose ``to_dict()`` marks every
     cell ``ok``/``failed``/``timeout``/``skipped``.
-
-    ``parallelism``/``queue_dir``/``resume`` (and the fabric tuning knobs)
-    route the sweep through the crash-tolerant distributed fabric — see
-    :func:`repro.resilience.fabric.run_fabric` for the full story.
     """
-    from repro.resilience.runner import run_many as _run_many
+    from repro.resilience.fabric import run_many as _run_many
 
-    return _run_many(cells, timeout=timeout, retries=retries,
-                     retry_backoff=retry_backoff, progress=progress,
-                     parallelism=parallelism, queue_dir=queue_dir,
-                     resume=resume, heartbeat_interval=heartbeat_interval,
-                     lease_ttl=lease_ttl, checkpoint_refs=checkpoint_refs,
-                     max_worker_restarts=max_worker_restarts)
+    return _run_many(cells, **kwargs)
 
 
 @dataclass

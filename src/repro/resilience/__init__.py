@@ -1,17 +1,18 @@
 """Fault tolerance for the secure-memory runtime.
 
-Three layers, importable from this package:
+Four modules, importable from this package:
 
 * :mod:`repro.resilience.recovery` — integrity-violation recovery
   (retry with backoff, transient/persistent classification, halt /
   quarantine / degrade policies);
 * :mod:`repro.resilience.checkpoint` — versioned, integrity-summed
   serialization of full machine state for deterministic resume;
-* :mod:`repro.resilience.runner` — the supervised sweep runner
-  (subprocess isolation, timeouts, retry, partial results);
-* :mod:`repro.resilience.fabric` — the distributed crash-tolerant sweep
-  fabric (filesystem work-stealing queue, lease heartbeats, per-cell
-  checkpoint resume, append-only result streaming).
+* :mod:`repro.resilience.runner` — the sweep data model (cells,
+  per-cell verdicts, reports);
+* :mod:`repro.resilience.fabric` — the sweep executor, ``run_many``: a
+  crash-tolerant filesystem work-stealing queue (spawn-isolated
+  workers, lease heartbeats, timeouts and retries, per-cell checkpoint
+  resume, append-only result streaming, partial reports).
 
 Every public name resolves lazily (PEP 562), so importing one submodule
 loads only what that submodule needs.  ``recovery`` imports the core
@@ -22,16 +23,16 @@ queue protocol of ``fabric`` and ``runner``, never loads them.
 from __future__ import annotations
 
 #: default mid-cell checkpoint cadence of a sweep cell, in trace refs
-#: (``checkpoint_refs`` of ``run_many``, ``run_fabric`` and
-#: ``FabricSettings``; ``repro sweep --checkpoint-refs``).  A snapshot
-#: grows with the simulated footprint, from 4-8 ms on gcc/split to
-#: 0.5-0.9 s for a 1.3 MB db-page-cache/mono+sha blob, and a checkpointed
-#: run loses the batched engine's cached classification: a 20k-ref cell
-#: checkpointed every 2000 refs took 92 ms against 35 ms unchecked
-#: (medians; EXPERIMENTS.md, "Checkpoint cadence").  At 250k refs no
-#: cell of the 20k-ref sweep default or the 80k-ref figure traces
-#: checkpoints, while a paper-scale cell still does, and a killed one
-#: reruns at most one interval: 1.8-3.4 s on the slowest measured cell.
+#: (``checkpoint_refs`` of ``run_many`` and ``FabricSettings``;
+#: ``repro sweep --checkpoint-refs``).  A snapshot grows with the
+#: simulated footprint, from 4-8 ms on gcc/split to 0.5-0.9 s for a
+#: 1.3 MB db-page-cache/mono+sha blob, and a checkpointed run loses the
+#: batched engine's cached classification: a 20k-ref cell checkpointed
+#: every 2000 refs took 92 ms against 35 ms unchecked (medians;
+#: EXPERIMENTS.md, "Checkpoint cadence").  At 250k refs no cell of the
+#: 20k-ref sweep default or the 80k-ref figure traces checkpoints, while
+#: a paper-scale cell still does, and a killed one reruns at most one
+#: interval: 1.8-3.4 s on the slowest measured cell.
 CHECKPOINT_REFS = 250_000
 
 _RECOVERY_NAMES = frozenset({
@@ -71,7 +72,6 @@ _RUNNER_NAMES = frozenset({
     "SweepReport",
     "load_sweep_report",
     "parse_inject",
-    "run_many",
 })
 
 _FABRIC_NAMES = frozenset({
@@ -84,7 +84,7 @@ _FABRIC_NAMES = frozenset({
     "lease_is_stale",
     "load_manifest",
     "read_events",
-    "run_fabric",
+    "run_many",
 })
 
 __all__ = [

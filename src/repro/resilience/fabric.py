@@ -1,10 +1,12 @@
-"""Crash-tolerant distributed sweep fabric: a filesystem work-stealing queue.
+"""The sweep executor: a crash-tolerant, filesystem work-stealing queue.
 
-The fabric scales :func:`repro.resilience.runner.run_many` from one
-serial supervisor to a pool of spawn-isolated worker processes — and,
-because every coordination primitive is a file under one ``queue_dir``,
-to multiple cooperating invocations (two terminals, two hosts on a
-shared filesystem) with zero extra machinery.  The layout::
+:func:`run_many` runs every sweep, ``repro sweep`` included: it shards
+the cells of :mod:`repro.resilience.runner`'s data model across a pool
+of spawn-isolated worker processes — and, because every coordination
+primitive is a file under one ``queue_dir``, across multiple
+cooperating invocations (two terminals, two hosts on a shared
+filesystem) with zero extra machinery.  A run without a ``queue_dir``
+uses a private temporary one.  The layout::
 
     queue_dir/
       manifest.json        # the sweep: cell list + settings (atomic write)
@@ -45,7 +47,7 @@ section 17):
   result file is quarantined to ``*.corrupt`` and the cell re-runs; it
   is never silently trusted and never crashes the sweep.
 
-The coordinator (:func:`run_fabric`) spawns the local worker pool,
+The coordinator (:func:`run_many`) spawns the local worker pool,
 streams completed cells into the report as they land, restarts crashed
 workers up to a budget, and aggregates the event journal into
 ``fabric.*`` metrics through :class:`repro.obs.MetricsRegistry`.  Each
@@ -85,13 +87,17 @@ __all__ = [
     "init_queue",
     "load_manifest",
     "read_events",
-    "run_fabric",
+    "run_many",
 ]
 
 MANIFEST_SCHEMA = "repro-sweep-manifest/1"
 
 #: terminal statuses a result file may carry; anything else is corrupt
 _TERMINAL = ("ok", "failed", "timeout")
+
+#: seconds the coordinator, and a worker that found every unfinished cell
+#: leased elsewhere, sleep between scans of the queue
+_POLL_INTERVAL = 0.2
 
 #: bounds (seconds) for the heartbeat-age histogram — heartbeats are
 #: sub-second in health, minutes only when something died
@@ -103,14 +109,13 @@ class FabricSettings:
     """Knobs shared by the coordinator and every worker (via the spawn
     args), recorded informationally in the manifest."""
 
-    parallelism: int = 2
-    timeout: float | None = None       # per-attempt wall clock, like run_many
+    parallelism: int = 1
+    timeout: float | None = None       # per-attempt wall clock (seconds)
     retries: int = 1                   # extra attempts per claim
     retry_backoff: float = 0.25
     heartbeat_interval: float = 0.5
     lease_ttl: float = 10.0
     checkpoint_refs: int = CHECKPOINT_REFS   # mid-cell cadence (refs)
-    poll_interval: float = 0.2
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -134,6 +139,8 @@ class FabricSettings:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FabricSettings":
+        """Ignores unknown keys, such as an older manifest's
+        ``poll_interval``."""
         names = {spec.name for spec in fields(cls)}
         return cls(**{key: value for key, value in data.items()
                       if key in names})
@@ -667,15 +674,15 @@ def _run_cell(runner: _Runner, paths: QueuePaths, cid: str,
               settings: FabricSettings, drain: dict) -> None:
     """Execute one claimed cell to a terminal verdict (or abandon it).
 
-    Mirrors ``run_many``'s per-attempt supervision — wall-clock budget,
-    crash/timeout retries with backoff — on the worker's warm runner,
-    renewing the lease every heartbeat.  A runner that dies or passes
-    the deadline is replaced for the next attempt.  Waiting for a new
-    runner's start-up is supervised the same way (with its own
-    ``timeout``) but kept off the cell's ``elapsed``.  Publishes the
-    verdict atomically and releases the lease; returns without
-    publishing when draining or when the lease was lost (so the new
-    owner's eventual publish is the only one).
+    Supervises each attempt on the worker's warm runner — wall-clock
+    budget, crash/timeout retries with backoff — renewing the lease every
+    heartbeat.  A runner that dies or passes the deadline is replaced
+    for the next attempt.  Waiting for a new runner's start-up is
+    supervised the same way (with its own ``timeout``) but kept off the
+    cell's ``elapsed``.  Publishes the verdict atomically and releases
+    the lease; returns without publishing when draining or when the
+    lease was lost (so the new owner's eventual publish is the only
+    one).
     """
     attempts_before = _read_attempts(paths, cid)
     attempts = attempts_before
@@ -819,7 +826,7 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
             if not claimed_any:
                 # every unfinished cell is leased elsewhere: wait for a
                 # result to land or a lease to go stale
-                time.sleep(settings.poll_interval)
+                time.sleep(_POLL_INTERVAL)
         drained = drain["hit"]
     finally:
         runner.stop()
@@ -887,48 +894,83 @@ def _aggregate_stats(queue_dir: str, stats: FabricStats) -> list[dict]:
     return events
 
 
-def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
-               timeout: float | None = None, retries: int = 1,
-               retry_backoff: float = 0.25,
-               heartbeat_interval: float = 0.5, lease_ttl: float = 10.0,
-               checkpoint_refs: int = CHECKPOINT_REFS, resume: bool = False,
-               max_worker_restarts: int | None = None,
-               progress=None, out_path: str | None = None) -> SweepReport:
-    """Run a sweep through the distributed fabric; always returns a report.
+def run_many(cells, *, queue_dir: str | None = None, parallelism: int = 1,
+             timeout: float | None = None, retries: int = 1,
+             retry_backoff: float = 0.25, heartbeat_interval: float = 0.5,
+             lease_ttl: float = 10.0, checkpoint_refs: int = CHECKPOINT_REFS,
+             resume: bool = False, max_worker_restarts: int | None = None,
+             progress=None, out_path: str | None = None) -> SweepReport:
+    """Run a sweep on the fabric; always returns a report.
 
-    Spawns ``parallelism`` local workers against ``queue_dir`` (other
-    invocations may point workers at the same directory concurrently),
-    streams completed cells into the report — and to ``out_path``,
-    atomically, as they land — restarts crashed workers up to
-    ``max_worker_restarts`` (default ``2 * parallelism``), and aggregates
-    the ``fabric.*`` metrics.  ``KeyboardInterrupt`` drains gracefully:
-    workers get SIGTERM, in-flight cells keep their checkpoints, and the
-    partial report comes back with ``interrupted=True`` — a later
-    ``resume=True`` invocation picks up exactly where it stopped,
-    skipping every published result wholesale.
+    ``cells`` is an iterable of :class:`SweepCell` or equivalent dicts.
+    ``parallelism`` local workers run them against ``queue_dir``; other
+    invocations may point workers at the same directory concurrently,
+    and without one the run uses a private temporary queue.  Each
+    attempt gets the wall-clock ``timeout`` in seconds (``None`` waits
+    forever), and a crashed or timed-out cell gets ``retries`` extra
+    attempts, ``retry_backoff`` seconds apart, doubling per retry.  A
+    cell longer than ``checkpoint_refs`` refs checkpoints every
+    ``checkpoint_refs``, so a reclaimed or retried cell resumes
+    mid-simulation; a shorter one runs unchecked.  Workers renew their
+    leases every ``heartbeat_interval`` seconds and reclaim one older
+    than ``lease_ttl``.  Crashed workers are restarted up to
+    ``max_worker_restarts`` times (default ``2 * parallelism``).
 
-    A ``kill9:N`` / ``killworker:N`` cell whose N-th checkpoint never
-    comes at ``checkpoint_refs`` raises :class:`ValueError` before any
-    worker starts (and, for a new sweep, before the manifest is written).
+    Each published cell is streamed, in manifest order, to ``out_path``
+    — rewritten atomically, and holding only the published cells — and
+    then passed to ``progress``.  ``KeyboardInterrupt`` drains
+    gracefully: workers get SIGTERM, in-flight cells keep their
+    checkpoints, and the partial report comes back with
+    ``interrupted=True``, its unfinished cells ``skipped``.  A later
+    ``resume=True`` run on the same ``queue_dir`` adopts its manifest
+    and skips every published result wholesale.
+
+    Raises :class:`ValueError` before any worker starts on bad settings,
+    ``resume`` without a ``queue_dir``, a ``queue_dir`` holding another
+    sweep, or a ``kill9:N`` / ``killworker:N`` cell whose N-th
+    checkpoint never comes at ``checkpoint_refs`` (for a new sweep,
+    before the manifest is written).
     """
-    from repro.obs import MetricsRegistry
-
     cells = [cell if isinstance(cell, SweepCell)
              else SweepCell.from_dict(dict(cell)) for cell in cells]
     settings = FabricSettings(
         parallelism=parallelism, timeout=timeout, retries=retries,
         retry_backoff=retry_backoff, heartbeat_interval=heartbeat_interval,
         lease_ttl=lease_ttl, checkpoint_refs=checkpoint_refs)
-    paths = QueuePaths(queue_dir)
+    if resume and queue_dir is None:
+        raise ValueError("resume=True needs a queue_dir to resume from")
+    if max_worker_restarts is None:
+        max_worker_restarts = 2 * parallelism
+    import contextlib
+    import tempfile
+
+    # a runner orphaned by a SIGKILLed worker may still write into a
+    # private queue while it is removed; that must not cost the report
+    queue = (contextlib.nullcontext(queue_dir) if queue_dir is not None
+             else tempfile.TemporaryDirectory(prefix="repro-fabric-",
+                                              ignore_cleanup_errors=True))
+    with queue as root:
+        return _coordinate(QueuePaths(root), cells, settings, resume=resume,
+                           max_worker_restarts=max_worker_restarts,
+                           progress=progress, out_path=out_path)
+
+
+def _coordinate(paths: QueuePaths, cells: list[SweepCell],
+                settings: FabricSettings, *, resume: bool,
+                max_worker_restarts: int, progress,
+                out_path: str | None) -> SweepReport:
+    """The coordinator behind :func:`run_many`, on one queue directory."""
+    from repro.obs import MetricsRegistry
+
+    checkpoint_refs = settings.checkpoint_refs
+    parallelism = settings.parallelism
     if not resume:
         _check_kill_injects(paths, ((cell_id(index, cell), cell)
                                     for index, cell in enumerate(cells)
                                     if cell.inject), checkpoint_refs)
-    entries = init_queue(queue_dir, cells, settings, resume=resume)
+    entries = init_queue(paths.root, cells, settings, resume=resume)
     if resume:
         _check_kill_injects(paths, entries, checkpoint_refs)
-    if max_worker_restarts is None:
-        max_worker_restarts = 2 * parallelism
 
     registry = MetricsRegistry()
     stats = FabricStats(cells_total=len(entries))
@@ -952,33 +994,37 @@ def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
         process.start()
         workers[wid] = process
 
-    for index in range(parallelism):
-        spawn_worker(index)
-
-    surfaced: set[str] = set()
+    surfaced: dict[str, CellResult] = {}
     interrupted = False
 
     def sweep_results() -> int:
-        """Surface newly published results; returns the completed count."""
-        done = 0
-        fresh = False
+        """Surface newly published results; returns the completed count.
+
+        Each new result, in manifest order, is first streamed to
+        ``out_path`` in a report of the published cells only, then
+        passed to ``progress``.
+        """
+        done: list[str] = []
+        fresh: list[tuple[str, dict]] = []
         for cid, _cell in entries:
             payload = _load_result(paths, cid, quarantine_by="coordinator")
             if payload is None:
                 continue
-            done += 1
+            done.append(cid)
             if cid not in surfaced:
-                surfaced.add(cid)
-                fresh = True
-                if progress is not None:
-                    progress(CellResult.from_dict(payload))
+                fresh.append((cid, payload))
         if fresh and out_path is not None:
-            stats.cells_completed = done
             _aggregate_stats(paths.root, stats)
-            atomic_write_json(out_path, _assemble_report(
-                paths, entries, interrupted=False,
-                fabric_section=_fabric_section()).to_dict())
-        return done
+        for cid, payload in fresh:
+            surfaced[cid] = result = CellResult.from_dict(payload)
+            if out_path is not None:
+                streamed = [surfaced[key] for key in done if key in surfaced]
+                stats.cells_completed = len(streamed)
+                atomic_write_json(out_path, SweepReport(
+                    cells=streamed, fabric=_fabric_section()).to_dict())
+            if progress is not None:
+                progress(result)
+        return len(done)
 
     def sample_heartbeats() -> None:
         now = time.time()
@@ -1000,6 +1046,8 @@ def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
 
     restarts_left = max_worker_restarts
     try:
+        for index in range(parallelism):
+            spawn_worker(index)
         while True:
             done = sweep_results()
             sample_heartbeats()
@@ -1025,7 +1073,7 @@ def run_fabric(cells, *, queue_dir: str, parallelism: int = 2,
                     spawn_worker(0)
                 else:
                     break
-            time.sleep(settings.poll_interval)
+            time.sleep(_POLL_INTERVAL)
     except KeyboardInterrupt:
         interrupted = True
         for process in workers.values():

@@ -1,29 +1,20 @@
-"""Supervised experiment runner: subprocess isolation, timeout, retry.
+"""Sweep data model: cells, per-cell verdicts and the sweep report.
 
-``run_many`` executes a sweep of experiment *cells* one at a time, each in
-its own spawned worker process, so a crash (segfault, ``os._exit``, OOM
-kill) or a hang in one cell can never take down the sweep: the supervisor
-notices the dead pipe or the expired wall-clock budget, retries the cell
-with exponential backoff up to its retry budget, and records the final
-verdict.  A SIGINT (Ctrl-C) drains gracefully — the in-flight worker is
-terminated, every remaining cell is marked ``skipped``, and the partial
-:class:`SweepReport` is still returned so the caller can persist what
-finished.
+A sweep is a list of :class:`SweepCell` (scheme × workload × refs).
+:func:`repro.resilience.fabric.run_many` runs it and returns a
+:class:`SweepReport` holding one :class:`CellResult` per cell;
+:func:`load_sweep_report` reads a report back from the JSON that
+``run_many(out_path=...)`` streams.
 
-Cells carry an ``inject`` test hook (``"crash"``/``"hang"``, optionally
-suffixed ``-always``) that makes the *worker* misbehave before touching the
-simulator; the CI ``resilience`` job uses it to prove the supervisor's
-retry and timeout paths against real subprocesses.
+Cells carry an ``inject`` test hook (see :func:`parse_inject`) that makes
+the process simulating the cell misbehave; the chaos tests and the CI
+``resilience`` and ``sweep-chaos`` jobs use it to prove the fabric's
+retry, timeout and resume paths against real subprocesses.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-import time
 from dataclasses import dataclass, field
-
-from repro.resilience import CHECKPOINT_REFS
 
 __all__ = [
     "CellResult",
@@ -32,38 +23,36 @@ __all__ = [
     "SweepReport",
     "load_sweep_report",
     "parse_inject",
-    "run_many",
 ]
 
-#: report schema emitted by ``SweepReport.to_dict``.  v2 added per-cell
-#: ``worker_id`` / ``resumed_from_checkpoint`` (and kept ``attempts``)
-#: plus the optional ``fabric`` section; v1 reports (no ``schema`` key)
-#: stay readable through :func:`load_sweep_report`.
+#: report schema emitted by ``SweepReport.to_dict``: per-cell
+#: ``attempts``, ``worker_id`` and ``resumed_from_checkpoint`` plus the
+#: ``fabric`` section.  :func:`load_sweep_report` reads only this one.
 SWEEP_SCHEMA = "repro-sweep/2"
 
 _INJECT_KINDS = ("crash", "hang")
-#: fabric-only inject kinds, parameterized ``kind:N`` (see
-#: :mod:`repro.resilience.fabric`); the serial runner ignores them
-_FABRIC_INJECT_KINDS = ("kill9", "killworker")
+#: inject kinds parameterized ``kind:N``, anchored to checkpoint N (see
+#: :mod:`repro.resilience.fabric`)
+_KILL_INJECT_KINDS = ("kill9", "killworker")
 
 
 def parse_inject(spec: str | None) -> tuple[str | None, int | None, bool]:
     """Split an inject spec into ``(base, arg, always)``.
 
     Grammar: ``crash`` / ``hang``, optionally suffixed ``-always``; or
-    ``kill9:N`` / ``killworker:N`` (fabric-only — SIGKILL the cell runner
-    / its worker right after checkpoint ``N`` on the first attempt).
+    ``kill9:N`` / ``killworker:N`` (SIGKILL the cell runner / its worker
+    right after checkpoint ``N`` on the first attempt).
     Raises :class:`ValueError` on anything else.
     """
     if spec is None:
         return None, None, False
     base, colon, arg = spec.partition(":")
     if colon:
-        if base in _FABRIC_INJECT_KINDS and arg.isdigit() and int(arg) >= 1:
+        if base in _KILL_INJECT_KINDS and arg.isdigit() and int(arg) >= 1:
             return base, int(arg), False
         raise ValueError(
             f"unknown inject {spec!r}; parameterized kinds are "
-            f"{' or '.join(f'{kind}:N' for kind in _FABRIC_INJECT_KINDS)} "
+            f"{' or '.join(f'{kind}:N' for kind in _KILL_INJECT_KINDS)} "
             "with N >= 1")
     always = spec.endswith("-always")
     base = spec[:-len("-always")] if always else spec
@@ -71,7 +60,7 @@ def parse_inject(spec: str | None) -> tuple[str | None, int | None, bool]:
         raise ValueError(
             f"unknown inject {spec!r}; choose from {_INJECT_KINDS} "
             f"(optionally suffixed '-always') or "
-            f"{'/'.join(_FABRIC_INJECT_KINDS)}:N")
+            f"{'/'.join(_KILL_INJECT_KINDS)}:N")
     return base, None, always
 
 
@@ -83,10 +72,10 @@ class SweepCell:
     app: str = "swim"
     refs: int = 20_000
     warmup_refs: int | None = None
-    #: test hook: make the worker misbehave ("crash" / "hang" fail the
-    #: first attempt only; "crash-always" / "hang-always" every attempt;
-    #: "kill9:N" / "killworker:N" SIGKILL the cell runner / its fabric
-    #: worker after checkpoint N — fabric runs only, ignored serially)
+    #: test hook: make the cell runner misbehave ("crash" / "hang" fail
+    #: the first attempt only; "crash-always" / "hang-always" every
+    #: attempt; "kill9:N" / "killworker:N" SIGKILL the cell runner / its
+    #: worker after checkpoint N)
     inject: str | None = None
 
     def __post_init__(self) -> None:
@@ -147,7 +136,7 @@ class CellResult:
     error: str | None = None
     #: the worker's ``ExperimentResult.to_dict()`` when status is "ok"
     result: dict | None = None
-    #: which fabric worker published the verdict (None for serial runs)
+    #: which fabric worker published the verdict (None if none did)
     worker_id: str | None = None
     #: whether the winning attempt resumed from a per-cell checkpoint
     resumed_from_checkpoint: bool = False
@@ -171,8 +160,7 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellResult":
-        """Rebuild from :meth:`to_dict` output — v1 (no worker/resume
-        fields) and v2 cell records both load."""
+        """Rebuild from :meth:`to_dict` output."""
         return cls(
             cell=SweepCell.from_dict(data["cell"]),
             status=data["status"],
@@ -192,7 +180,7 @@ class SweepReport:
 
     cells: list[CellResult] = field(default_factory=list)
     interrupted: bool = False
-    #: fabric runs attach their queue/metrics section here (None serially)
+    #: the fabric's queue/metrics section (None on a hand-built report)
     fabric: dict | None = None
 
     @property
@@ -217,50 +205,15 @@ class SweepReport:
         }
 
 
-def _worker(conn, cell_dict: dict, attempt: int) -> None:
-    """Run one cell inside a spawned process; report over the pipe.
-
-    Runs with SIGINT ignored: the supervisor owns interrupt handling, and a
-    terminal Ctrl-C is delivered to the whole process group — the worker
-    must not die mid-send and turn a graceful drain into a spurious crash.
-    """
-    import os
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    cell = SweepCell.from_dict(cell_dict)
-    base, _arg, always = parse_inject(cell.inject)
-    # kill9/killworker are fabric hooks (they need a checkpoint stream to
-    # anchor to); the serial runner runs such cells normally
-    if base in _INJECT_KINDS and (always or attempt == 1):
-        if base == "crash":
-            os._exit(17)
-        while True:                        # "hang": wait for terminate()
-            time.sleep(3600)
-    try:
-        from repro import api
-
-        result = api.run(cell.scheme, cell.app, refs=cell.refs,
-                         warmup_refs=cell.warmup_refs)
-        conn.send({"ok": True, "result": result.to_dict()})
-    except Exception as exc:            # noqa: BLE001 — verdict, not handling
-        conn.send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-    finally:
-        conn.close()
-
-
 def load_sweep_report(path: str) -> dict:
     """Read a sweep-report JSON written via ``run_many(out_path=...)``.
 
     Raises :class:`repro.resilience.checkpoint.CheckpointError` (a
     :class:`ValueError`) with a clear message on an unreadable, truncated,
     or corrupt file — never a raw :class:`json.JSONDecodeError` — so a
-    harness resuming from a partial sweep fails loudly and legibly.
-
-    Reads both schema generations: a v1 report (written before the
-    ``schema`` key existed) is normalized in place — ``schema`` is set to
-    ``"repro-sweep/1"`` and every cell gains the v2 defaults
-    (``worker_id: None``, ``resumed_from_checkpoint: False``) — so
-    consumers can index v2 fields unconditionally.
+    harness resuming from a partial sweep fails loudly and legibly.  A
+    report of any schema but :data:`SWEEP_SCHEMA`, or of none, is
+    rejected the same way.
     """
     import json
 
@@ -281,164 +234,9 @@ def load_sweep_report(path: str) -> dict:
         raise CheckpointError(
             f"sweep report {path!r} is not a sweep report "
             "(missing the 'cells' section)")
-    schema = payload.get("schema", "repro-sweep/1")
-    if schema not in ("repro-sweep/1", SWEEP_SCHEMA):
+    schema = payload.get("schema")
+    if schema != SWEEP_SCHEMA:
         raise CheckpointError(
             f"sweep report {path!r} has unsupported schema {schema!r} "
-            f"(this reader knows repro-sweep/1 and {SWEEP_SCHEMA})")
-    payload["schema"] = schema
-    for cell in payload["cells"]:
-        cell.setdefault("worker_id", None)
-        cell.setdefault("resumed_from_checkpoint", False)
-    payload.setdefault("fabric", None)
+            f"(this reader knows {SWEEP_SCHEMA})")
     return payload
-
-
-def run_many(cells, *, timeout: float | None = None, retries: int = 1,
-             retry_backoff: float = 0.25, progress=None,
-             out_path: str | None = None,
-             parallelism: int = 1, queue_dir: str | None = None,
-             resume: bool = False, heartbeat_interval: float = 0.5,
-             lease_ttl: float = 10.0,
-             checkpoint_refs: int = CHECKPOINT_REFS,
-             max_worker_restarts: int | None = None) -> SweepReport:
-    """Run every cell under supervision; always returns a report.
-
-    ``timeout`` is the per-attempt wall-clock budget in seconds (``None``
-    waits forever); ``retries`` is how many *extra* attempts a crashed or
-    timed-out cell gets; ``retry_backoff`` seconds doubles per retry.
-    ``progress`` (if given) is called with each :class:`CellResult` as it
-    finalizes.  A ``KeyboardInterrupt`` terminates the in-flight worker,
-    marks unfinished cells ``skipped``, and returns the partial report
-    (``interrupted=True``) instead of propagating.
-
-    ``out_path`` streams partial results to disk: the report JSON is
-    rewritten *atomically* after every finalized cell (temp file in the
-    same directory + ``os.replace``), so even a SIGKILL leaves the last
-    complete report on disk, never a truncated one.  Read it back with
-    :func:`load_sweep_report`.
-
-    With ``parallelism > 1`` or an explicit ``queue_dir`` the sweep is
-    dispatched to the distributed fabric
-    (:func:`repro.resilience.fabric.run_fabric`): cells are sharded
-    across spawn-isolated workers via a filesystem work-stealing queue,
-    cells longer than ``checkpoint_refs`` refs checkpoint every
-    ``checkpoint_refs`` so reclaimed or retried cells resume
-    mid-simulation (default :data:`repro.resilience.CHECKPOINT_REFS`;
-    shorter cells run unchecked), and ``resume=True``
-    skips cells whose results already sit in ``queue_dir``.  A
-    ``queue_dir`` shared between invocations (or hosts on a shared
-    filesystem) makes them cooperate on one queue; without one, a
-    parallel run uses a private temporary queue.  The remaining fabric
-    knobs (``heartbeat_interval``, ``lease_ttl``,
-    ``max_worker_restarts``) are documented on :func:`run_fabric`.
-    """
-    from repro.resilience.checkpoint import atomic_write_json
-
-    cells = [cell if isinstance(cell, SweepCell)
-             else SweepCell.from_dict(dict(cell)) for cell in cells]
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if resume and queue_dir is None:
-        raise ValueError("resume=True needs a queue_dir to resume from")
-    if parallelism > 1 or queue_dir is not None:
-        import tempfile
-
-        from repro.resilience.fabric import run_fabric
-
-        def _dispatch(qdir: str) -> SweepReport:
-            return run_fabric(
-                cells, queue_dir=qdir, parallelism=parallelism,
-                timeout=timeout, retries=retries,
-                retry_backoff=retry_backoff,
-                heartbeat_interval=heartbeat_interval, lease_ttl=lease_ttl,
-                checkpoint_refs=checkpoint_refs, resume=resume,
-                max_worker_restarts=max_worker_restarts,
-                progress=progress, out_path=out_path)
-
-        if queue_dir is not None:
-            return _dispatch(queue_dir)
-        with tempfile.TemporaryDirectory(prefix="repro-fabric-") as tmp:
-            return _dispatch(tmp)
-    context = multiprocessing.get_context("spawn")
-    report = SweepReport()
-    process = None
-    current: SweepCell | None = None
-    try:
-        for cell in cells:
-            current = cell
-            attempts = 0
-            status = "failed"
-            error: str | None = None
-            payload: dict | None = None
-            started = time.monotonic()
-            while attempts <= retries:
-                attempts += 1
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_worker, args=(sender, cell.to_dict(), attempts),
-                    daemon=True)
-                process.start()
-                sender.close()
-                process.join(timeout)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(5)
-                    status = "timeout"
-                    error = (f"worker exceeded the {timeout}s wall-clock "
-                             f"budget and was terminated")
-                else:
-                    # poll() is also true at EOF (worker died pipe-first),
-                    # so the recv itself decides between verdict and crash.
-                    message = None
-                    if receiver.poll():
-                        try:
-                            message = receiver.recv()
-                        except EOFError:
-                            message = None
-                    if message is not None and message.get("ok"):
-                        status, payload, error = "ok", message["result"], None
-                    elif message is not None:
-                        status, error = "failed", message.get("error")
-                    else:
-                        status = "failed"
-                        error = (f"worker died without reporting "
-                                 f"(exit code {process.exitcode})")
-                receiver.close()
-                process = None
-                if status == "ok":
-                    break
-                if attempts <= retries:
-                    time.sleep(retry_backoff * (2 ** (attempts - 1)))
-            result = CellResult(cell=cell, status=status, attempts=attempts,
-                                elapsed=time.monotonic() - started,
-                                error=error, result=payload)
-            report.cells.append(result)
-            current = None
-            if out_path is not None:
-                atomic_write_json(out_path, report.to_dict())
-            if progress is not None:
-                progress(result)
-    except KeyboardInterrupt:
-        report.interrupted = True
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(5)
-        done = len(report.cells)
-        if current is not None and (not report.cells
-                                    or report.cells[-1].cell is not current):
-            report.cells.append(CellResult(
-                cell=current, status="skipped",
-                error="interrupted while running"))
-            done += 1
-        # `cells` is materialized above, so slicing past the finished
-        # prefix marks exactly the never-started tail.
-        for untouched in cells[done:]:
-            report.cells.append(CellResult(
-                cell=untouched, status="skipped",
-                error="interrupted before start"))
-    if out_path is not None:
-        atomic_write_json(out_path, report.to_dict())
-    return report

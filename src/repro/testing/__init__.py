@@ -20,6 +20,7 @@ from repro.testing.chaos import (
     attempt_counts,
     normalize_report,
     plant_orphan_lease,
+    reference_report,
     runner_pids,
     skew_lease_heartbeat,
     tear_result_file,
@@ -70,6 +71,7 @@ __all__ = [
     "generate_scenario",
     "normalize_report",
     "plant_orphan_lease",
+    "reference_report",
     "replay_reproducer",
     "run_differential_checks",
     "run_fuzz",

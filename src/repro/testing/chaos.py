@@ -11,11 +11,14 @@ replays exactly.
 
 The harness's verdict is :func:`assert_chaos_equivalent`: after any
 amount of injected chaos plus a resume, the fabric's final report must
-be byte-identical to an uninterrupted serial :func:`run_many` of the
-same manifest once the metadata that legitimately differs (wall-clock,
-attempt counts, worker identity) is stripped — see
-:func:`normalize_report`.  The event journal supplies the no-duplicate
-evidence: :func:`assert_no_duplicate_completions` proves no cell
+be byte-identical to :func:`reference_report` of the same cells once
+the metadata that legitimately differs (wall-clock, attempt counts,
+worker identity) is stripped — see :func:`normalize_report`.  The
+reference runs each cell in-process, the same ``Experiment`` call the
+fabric's cell runner makes, with no executor in between, so it checks
+the fabric without trusting any part of it.  The event journal
+supplies the no-duplicate evidence:
+:func:`assert_no_duplicate_completions` proves no cell
 *finished* twice, :func:`attempt_counts` exposes how often each cell
 *started* so tests can pin exactly which cells paid a retry, and
 :func:`assert_runners_exited` proves no warm cell runner outlived the run.
@@ -35,14 +38,16 @@ __all__ = [
     "attempt_counts",
     "normalize_report",
     "plant_orphan_lease",
+    "reference_report",
     "runner_pids",
     "skew_lease_heartbeat",
     "tear_result_file",
 ]
 
 #: per-cell metadata that legitimately differs between a chaotic fabric
-#: run and a serene serial one: how long it took, how many attempts it
-#: burned, who ran it, and whether it resumed — never *what it computed*
+#: run and the serene in-process reference: how long it took, how many
+#: attempts it burned, who ran it, and whether it resumed — never *what
+#: it computed*
 _VOLATILE_CELL_KEYS = ("elapsed", "attempts", "retried", "worker_id",
                        "resumed_from_checkpoint")
 
@@ -81,8 +86,6 @@ def normalize_report(report) -> str:
     payload = report if isinstance(report, dict) else report.to_dict()
     payload = json.loads(json.dumps(payload))       # deep copy, JSON-shaped
     payload.pop("fabric", None)
-    payload.setdefault("schema", "repro-sweep/1")
-    payload["schema"] = "repro-sweep/*"             # v1 vs v2 is metadata too
     for cell in payload.get("cells", ()):
         for key in _VOLATILE_CELL_KEYS:
             cell.pop(key, None)
@@ -92,9 +95,28 @@ def normalize_report(report) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def assert_chaos_equivalent(serial_report, fabric_report) -> None:
+def reference_report(cells):
+    """What an undisturbed sweep of ``cells`` must report, built in-process.
+
+    Each :class:`~repro.resilience.runner.SweepCell` gets status ``ok``
+    and, as its result, ``Experiment(...).run().to_dict()`` — the call
+    the fabric's cell runner makes — in this process, with no executor,
+    queue or checkpoint in between.
+    """
+    from repro.api import Experiment
+    from repro.resilience.runner import CellResult, SweepReport
+
+    return SweepReport(cells=[
+        CellResult(cell=cell, status="ok", attempts=1,
+                   result=Experiment(cell.scheme, cell.app, refs=cell.refs,
+                                     warmup_refs=cell.warmup_refs)
+                   .run().to_dict())
+        for cell in cells])
+
+
+def assert_chaos_equivalent(reference, fabric_report) -> None:
     """Fail loudly unless the two reports are byte-identical (normalized)."""
-    serene = normalize_report(serial_report)
+    serene = normalize_report(reference)
     chaotic = normalize_report(fabric_report)
     if serene == chaotic:
         return
@@ -103,9 +125,9 @@ def assert_chaos_equivalent(serial_report, fabric_report) -> None:
     diff = "\n".join(difflib.unified_diff(
         json.dumps(json.loads(serene), indent=1).splitlines(),
         json.dumps(json.loads(chaotic), indent=1).splitlines(),
-        "serial", "fabric", lineterm=""))
+        "reference", "fabric", lineterm=""))
     raise AssertionError(
-        "chaos run diverged from the uninterrupted serial run:\n" + diff)
+        "chaos run diverged from the reference report:\n" + diff)
 
 
 def attempt_counts(queue_dir: str) -> dict[str, int]:

@@ -102,3 +102,23 @@ class TestRunShortcut:
         result = api.run("direct", "gzip", refs=6000)
         assert result.scheme == "direct"
         assert result.counter_cache_hit_rate is None
+
+
+class TestRunMany:
+    def test_forwards_out_path_and_streams_the_report(self, tmp_path):
+        from repro.resilience import SweepCell, load_sweep_report
+
+        out = str(tmp_path / "sweep.json")
+        on_disk = []
+        report = api.run_many(
+            [SweepCell("split", "swim", refs=1_500),
+             SweepCell("direct", "swim", refs=1_500)],
+            out_path=out,
+            progress=lambda _cell: on_disk.append(load_sweep_report(out)))
+        assert report.ok
+        # each callback found the report already holding the cells
+        # published so far, and nothing else
+        assert [len(streamed["cells"]) for streamed in on_disk] == [1, 2]
+        assert all(cell["status"] == "ok" and not streamed["interrupted"]
+                   for streamed in on_disk for cell in streamed["cells"])
+        assert load_sweep_report(out) == report.to_dict()

@@ -21,7 +21,8 @@ from repro.resilience import (
     load_sweep_report,
     save_checkpoint,
 )
-from repro.resilience.runner import SweepCell, run_many
+from repro.resilience.fabric import run_many
+from repro.resilience.runner import SweepCell
 
 
 class TestAtomicWriteBytes:

@@ -1,16 +1,16 @@
 """Chaos harness acceptance: kills, stale/skewed leases, torn results.
 
-The ISSUE's headline criterion lives here: SIGKILL a worker mid-cell,
-resume, and the final report is byte-identical (modulo timing/attempt
-metadata) to an uninterrupted serial ``run_many`` of the same manifest —
-with checkpointed cells resuming mid-simulation rather than rerunning
-from scratch, and no completed cell executed twice.
+The headline criterion lives here: SIGKILL a worker mid-cell, resume,
+and the final report is byte-identical (modulo timing/attempt metadata)
+to the in-process reference report of the same cells — with
+checkpointed cells resuming mid-simulation rather than rerunning from
+scratch, and no completed cell executed twice.
 """
 
 import os
 
-from repro.resilience.fabric import QueuePaths, read_events, run_fabric
-from repro.resilience.runner import SweepCell, run_many
+from repro.resilience.fabric import QueuePaths, read_events, run_many
+from repro.resilience.runner import SweepCell
 from repro.testing import (
     ChaosPlan,
     assert_chaos_equivalent,
@@ -18,6 +18,7 @@ from repro.testing import (
     assert_runners_exited,
     attempt_counts,
     normalize_report,
+    reference_report,
 )
 
 REFS = 3_000          # > checkpoint cadence, so kills land mid-simulation
@@ -25,8 +26,8 @@ CKPT = 500
 
 
 def chaos_cells():
-    # inject metadata rides in the cell dicts of BOTH runs, so the serial
-    # reference (which ignores fabric-only kinds) stays byte-comparable
+    # inject metadata rides in the cell dicts of BOTH reports, so the
+    # in-process reference (which injects nothing) stays byte-comparable
     return [SweepCell("split", "swim", refs=REFS, inject="kill9:1"),
             SweepCell("split", "gzip", refs=REFS, inject="killworker:1"),
             SweepCell("baseline", "swim", refs=REFS)]
@@ -35,16 +36,16 @@ def chaos_cells():
 class TestKillChaos:
     def test_sigkilled_workers_resume_and_match_serial(self, tmp_path):
         queue = str(tmp_path / "queue")
-        serial = run_many(chaos_cells())
-        assert serial.ok
+        reference = reference_report(chaos_cells())
+        assert reference.ok
 
-        chaotic = run_fabric(chaos_cells(), queue_dir=queue, parallelism=2,
-                             heartbeat_interval=0.2, lease_ttl=1.0,
-                             checkpoint_refs=CKPT, retries=2)
+        chaotic = run_many(chaos_cells(), queue_dir=queue, parallelism=2,
+                           heartbeat_interval=0.2, lease_ttl=1.0,
+                           checkpoint_refs=CKPT, retries=2)
         assert chaotic.ok, chaotic.to_dict()
 
         # headline: byte-identical modulo timing/attempt metadata
-        assert_chaos_equivalent(serial, chaotic)
+        assert_chaos_equivalent(reference, chaotic)
         # no completed (published) cell ever executed twice
         assert_no_duplicate_completions(queue)
         # no runner outlived the run, including the one whose worker
@@ -85,10 +86,10 @@ class TestFileVandalism:
         cells = [SweepCell("split", "swim", refs=1_500),
                  SweepCell("split", "gzip", refs=1_500),
                  SweepCell("baseline", "swim", refs=1_500)]
-        serial = run_many(cells)
-        first = run_fabric(cells, queue_dir=queue, parallelism=2,
-                           heartbeat_interval=0.2, lease_ttl=1.0,
-                           checkpoint_refs=CKPT)
+        reference = reference_report(cells)
+        first = run_many(cells, queue_dir=queue, parallelism=2,
+                         heartbeat_interval=0.2, lease_ttl=1.0,
+                         checkpoint_refs=CKPT)
         assert first.ok
         started_before = attempt_counts(queue)
 
@@ -102,12 +103,12 @@ class TestFileVandalism:
                 .skew_lease("0001-split-gzip"))
         plan.apply(queue)
 
-        second = run_fabric([], queue_dir=queue, parallelism=1,
-                            heartbeat_interval=0.2, lease_ttl=1.0,
-                            checkpoint_refs=CKPT, resume=True)
+        second = run_many([], queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=1.0,
+                          checkpoint_refs=CKPT, resume=True)
         assert second.ok, second.to_dict()
-        # the final report is still exactly the serial run's
-        assert_chaos_equivalent(serial, second)
+        # the final report is still exactly the reference
+        assert_chaos_equivalent(reference, second)
         # both torn results were quarantined, not trusted or crashed on
         assert len(plan.quarantined(queue)) == 2
         # both planted leases were reclaimed (stale + future-dated)
@@ -136,16 +137,3 @@ class TestNormalizeReport:
         assert '"status":"ok"' in normalized.replace(" ", "")
         # accepts dict form (a report loaded back from disk) identically
         assert normalize_report(report.to_dict()) == normalized
-
-    def test_v1_and_v2_shapes_compare_equal(self):
-        v2 = {"schema": "repro-sweep/2", "interrupted": False, "ok": True,
-              "counts": {"ok": 1}, "fabric": {"x": 1},
-              "cells": [{"cell": {"scheme": "s"}, "status": "ok",
-                         "attempts": 3, "elapsed": 9.9, "error": None,
-                         "result": {"ipc": 1.0}, "retried": True,
-                         "worker_id": "w0", "resumed_from_checkpoint": True}]}
-        v1 = {"interrupted": False, "ok": True, "counts": {"ok": 1},
-              "cells": [{"cell": {"scheme": "s"}, "status": "ok",
-                         "attempts": 1, "elapsed": 0.1, "error": None,
-                         "result": {"ipc": 1.0}, "retried": False}]}
-        assert normalize_report(v1) == normalize_report(v2)

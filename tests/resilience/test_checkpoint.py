@@ -21,14 +21,13 @@ from repro.resilience import (
     load_checkpoint,
     loads,
     restore_system,
-    run_fabric,
     run_many,
     save_checkpoint,
     trace_digest,
 )
 from repro.resilience.fabric import QueuePaths, cell_id, read_events
 from repro.sim.batched import LeanCache
-from repro.testing import assert_chaos_equivalent
+from repro.testing import assert_chaos_equivalent, reference_report
 from repro.workloads import spec_trace
 
 PROTECTED = 64 * 1024
@@ -199,16 +198,16 @@ class TestContainerVersion:
                 checkpoint_path=QueuePaths(queue).checkpoint(cid))
         monkeypatch.undo()
 
-        report = run_fabric(cells, queue_dir=queue, parallelism=1,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            checkpoint_refs=1_000)
+        report = run_many(cells, queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=1_000)
         assert report.ok, report.to_dict()
         quarantined = [event for event in read_events(queue)
                        if event["event"] == "checkpoint_quarantined"]
         assert [event["cell"] for event in quarantined] == [cid]
         assert "version 1" in quarantined[0]["error"]
         assert not report.cells[0].resumed_from_checkpoint
-        assert_chaos_equivalent(run_many(cells), report)
+        assert_chaos_equivalent(reference_report(cells), report)
 
 
 class TestTraceDigest:

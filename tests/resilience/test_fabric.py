@@ -30,15 +30,16 @@ from repro.resilience.fabric import (
     init_queue,
     lease_is_stale,
     read_events,
-    run_fabric,
-)
-from repro.resilience.runner import (
-    SWEEP_SCHEMA,
-    SweepCell,
-    load_sweep_report,
     run_many,
 )
-from repro.testing import assert_runners_exited, normalize_report, runner_pids
+from repro.resilience.runner import SWEEP_SCHEMA, SweepCell, load_sweep_report
+from repro.testing import (
+    assert_chaos_equivalent,
+    assert_runners_exited,
+    normalize_report,
+    reference_report,
+    runner_pids,
+)
 from repro.testing.chaos import _pid_running
 
 REFS = 1_500          # one cell finishes in well under a second
@@ -168,19 +169,22 @@ class TestReportSchema:
         payload = report.to_dict()
         assert payload["schema"] == SWEEP_SCHEMA
         cell = payload["cells"][0]
-        assert cell["worker_id"] is None          # serial runner
+        assert cell["worker_id"] is not None      # the fabric worker
         assert cell["resumed_from_checkpoint"] is False
+        assert report.fabric is not None
+        assert payload["fabric"]["metrics"]["fabric.cells_completed"] == 1
 
-    def test_v1_report_still_loads(self, tmp_path):
+    def test_v1_report_is_rejected(self, tmp_path):
+        # written before the schema key existed: read like any unknown
+        # schema, loudly, not normalized
         path = str(tmp_path / "v1.json")
         v1 = {"cells": [{"cell": {"scheme": "split"}, "status": "ok",
                          "attempts": 1}],
               "counts": {"ok": 1}, "interrupted": False, "ok": True}
         atomic_write_json(path, v1)
-        loaded = load_sweep_report(path)
-        assert loaded["schema"] == "repro-sweep/1"
-        assert loaded["cells"][0]["worker_id"] is None
-        assert loaded["cells"][0]["resumed_from_checkpoint"] is False
+        with pytest.raises(CheckpointError,
+                           match="unsupported schema None"):
+            load_sweep_report(path)
 
     def test_unknown_schema_is_rejected(self, tmp_path):
         path = str(tmp_path / "future.json")
@@ -204,9 +208,9 @@ class TestFabricEndToEnd:
         cells = tiny_cells()
         queue = str(tmp_path / "queue")
         out = str(tmp_path / "report.json")
-        report = run_fabric(cells, queue_dir=queue, parallelism=2,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            checkpoint_refs=500, out_path=out)
+        report = run_many(cells, queue_dir=queue, parallelism=2,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=500, out_path=out)
         assert report.ok
         assert report.counts() == {"ok": 2}
         payload = report.to_dict()
@@ -225,24 +229,23 @@ class TestFabricEndToEnd:
         names = {event["event"] for event in read_events(queue)}
         assert {"worker_started", "cell_claimed", "cell_started",
                 "cell_finished", "worker_stopped"} <= names
-        # simulation payloads are bit-identical to the serial runner's
-        serial = run_many(cells)
-        assert ([cell.result for cell in serial.cells]
-                == [cell.result for cell in report.cells])
+        # simulation payloads are bit-identical to the in-process
+        # reference's
+        assert_chaos_equivalent(reference_report(cells), report)
 
     def test_resume_skips_published_results_wholesale(self, tmp_path):
         cells = tiny_cells()
         queue = str(tmp_path / "queue")
-        first = run_fabric(cells, queue_dir=queue, parallelism=2,
-                           heartbeat_interval=0.2, lease_ttl=2.0,
-                           checkpoint_refs=500)
+        first = run_many(cells, queue_dir=queue, parallelism=2,
+                         heartbeat_interval=0.2, lease_ttl=2.0,
+                         checkpoint_refs=500)
         assert first.ok
         started_before = sum(
             1 for event in read_events(queue)
             if event["event"] == "cell_started")
-        second = run_fabric([], queue_dir=queue, parallelism=1,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            checkpoint_refs=500, resume=True)
+        second = run_many([], queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=500, resume=True)
         assert second.ok
         assert json.dumps([cell.result for cell in first.cells]) \
             == json.dumps([cell.result for cell in second.cells])
@@ -262,6 +265,38 @@ class TestFabricEndToEnd:
         assert report.cells[0].worker_id is not None
 
 
+class TestDefaultPath:
+    """``run_many`` with no queue dir runs the same fabric as a parallel
+    run on a queue dir, kill injects included."""
+
+    def test_parallelism_1_and_2_match_the_reference(self, tmp_path):
+        cells = [SweepCell("split", "swim", refs=REFS),
+                 SweepCell("split+gcm", "gzip", refs=REFS),
+                 SweepCell("baseline", "mcf", refs=REFS)]
+        default = run_many(cells)
+        parallel = run_many(cells, parallelism=2,
+                            queue_dir=str(tmp_path / "queue"),
+                            heartbeat_interval=0.2, lease_ttl=2.0)
+        assert default.ok, default.to_dict()
+        assert parallel.ok, parallel.to_dict()
+        reference = normalize_report(reference_report(cells))
+        assert normalize_report(default) == reference
+        assert normalize_report(parallel) == reference
+
+    def test_kill_inject_fires_without_a_queue_dir(self):
+        cell = SweepCell("split", "swim", refs=3_000, inject="kill9:1")
+        report = run_many([cell], checkpoint_refs=500, retries=1,
+                          retry_backoff=0.05)
+        assert report.ok, report.to_dict()
+        [killed] = report.cells
+        assert killed.resumed_from_checkpoint
+        assert killed.attempts == 2
+        # no checkpoint falls due at the default cadence, so the kill
+        # could never fire
+        with pytest.raises(ValueError, match="fires after checkpoint 1"):
+            run_many([cell])
+
+
 class TestWarmRunners:
     """Each worker simulates its cells in one long-lived runner process;
     a runner is replaced only when it dies, times out, or is terminated."""
@@ -270,10 +305,10 @@ class TestWarmRunners:
         queue = str(tmp_path / "queue")
         cells = [SweepCell("split", "swim", refs=REFS, inject="crash"),
                  SweepCell("split", "gzip", refs=REFS)]
-        report = run_fabric(cells, queue_dir=queue, parallelism=1,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            checkpoint_refs=500, retries=1,
-                            retry_backoff=0.05)
+        report = run_many(cells, queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=500, retries=1,
+                          retry_backoff=0.05)
         assert report.counts() == {"ok": 2}, report.to_dict()
         assert report.cells[0].attempts == 2
         assert report.cells[1].attempts == 1
@@ -287,9 +322,9 @@ class TestWarmRunners:
         queue = str(tmp_path / "queue")
         cells = [SweepCell("split", "swim", refs=REFS, inject="hang-always"),
                  SweepCell("split", "gzip", refs=REFS)]
-        report = run_fabric(cells, queue_dir=queue, parallelism=1,
-                            timeout=5.0, heartbeat_interval=0.2,
-                            lease_ttl=2.0, checkpoint_refs=500, retries=0)
+        report = run_many(cells, queue_dir=queue, parallelism=1,
+                          timeout=5.0, heartbeat_interval=0.2,
+                          lease_ttl=2.0, checkpoint_refs=500, retries=0)
         hung, after = report.cells
         assert hung.status == "timeout", hung.to_dict()
         assert "wall-clock" in hung.error
@@ -305,9 +340,9 @@ class TestWarmRunners:
         cells = [SweepCell(scheme, app, refs=REFS)
                  for scheme in ("split", "baseline", "direct")
                  for app in ("swim", "gzip")]
-        report = run_fabric(cells, queue_dir=queue, parallelism=2,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            checkpoint_refs=500)
+        report = run_many(cells, queue_dir=queue, parallelism=2,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=500)
         assert report.counts() == {"ok": 6}
         assert 1 <= len(runner_pids(queue)) <= 2
         assert all(cell.attempts == 1 for cell in report.cells)
@@ -399,9 +434,9 @@ class TestCheckpointCadence:
                            inject="killworker:1")]
         # the worker and its runner die right after checkpoint 1 (ref
         # 500), and with no restarts left the run stops there
-        interrupted = run_fabric(cells, queue_dir=queue, parallelism=1,
-                                 heartbeat_interval=0.2, lease_ttl=1.0,
-                                 checkpoint_refs=500, max_worker_restarts=0)
+        interrupted = run_many(cells, queue_dir=queue, parallelism=1,
+                               heartbeat_interval=0.2, lease_ttl=1.0,
+                               checkpoint_refs=500, max_worker_restarts=0)
         assert interrupted.counts() == {"skipped": 1}
         cid = "0000-split-swim"
         assert _checkpoint_files(queue) == [cid + ".ckpt"]
@@ -413,30 +448,31 @@ class TestCheckpointCadence:
         assert run_calls[-1]["resume_from"] == paths.checkpoint(cid)
         # the same through a resumed queue at the default cadence, where
         # the spent kill inject does not get the queue rejected
-        resumed = run_fabric([], queue_dir=queue, parallelism=1,
-                             heartbeat_interval=0.2, lease_ttl=1.0,
-                             resume=True)
+        resumed = run_many([], queue_dir=queue, parallelism=1,
+                           heartbeat_interval=0.2, lease_ttl=1.0,
+                           resume=True)
         assert resumed.ok, resumed.to_dict()
         cell = resumed.cells[0]
         assert cell.resumed_from_checkpoint
         assert cell.attempts == 2
         assert _same(cell.result, reply["result"])
-        assert normalize_report(resumed) == normalize_report(run_many(cells))
+        assert normalize_report(resumed) \
+            == normalize_report(reference_report(cells))
         assert_runners_exited(queue)
 
     def test_cell_one_ref_past_the_interval_checkpoints_once(
             self, tmp_path):
         refs = CHECKPOINT_REFS + 1
         with pytest.raises(ValueError, match="write 1 checkpoint"):
-            run_fabric([SweepCell("split", "gzip", refs=refs,
-                                  inject="kill9:2")],
-                       queue_dir=str(tmp_path / "rejected"))
+            run_many([SweepCell("split", "gzip", refs=refs,
+                                inject="kill9:2")],
+                     queue_dir=str(tmp_path / "rejected"))
         queue = str(tmp_path / "queue")
-        report = run_fabric([SweepCell("split", "gzip", refs=refs,
-                                       inject="kill9:1")],
-                            queue_dir=queue, parallelism=1,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            retries=1, retry_backoff=0.05)
+        report = run_many([SweepCell("split", "gzip", refs=refs,
+                                     inject="kill9:1")],
+                          queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          retries=1, retry_backoff=0.05)
         assert report.ok, report.to_dict()
         cell = report.cells[0]
         # killed after its only checkpoint, resumed on a fresh runner
@@ -458,7 +494,7 @@ class TestCheckpointCadence:
         cells = [SweepCell("split", "swim", refs=REFS), long_cell]
         long_id = cell_id(1, long_cell)
         reports = []
-        sweep = threading.Thread(target=lambda: reports.append(run_fabric(
+        sweep = threading.Thread(target=lambda: reports.append(run_many(
             cells, queue_dir=queue, parallelism=1, heartbeat_interval=0.2,
             lease_ttl=1.0)))
         sweep.start()
@@ -493,12 +529,12 @@ class TestKillInjectBoundary:
 
     def test_last_checkpoint_fires(self, tmp_path):
         queue = str(tmp_path / "queue")
-        report = run_fabric([SweepCell("split", "gzip", refs=20_000,
-                                       inject="kill9:9")],
-                            queue_dir=queue, parallelism=1,
-                            heartbeat_interval=0.2, lease_ttl=2.0,
-                            checkpoint_refs=2_000, retries=1,
-                            retry_backoff=0.05)
+        report = run_many([SweepCell("split", "gzip", refs=20_000,
+                                     inject="kill9:9")],
+                          queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=2_000, retries=1,
+                          retry_backoff=0.05)
         assert report.ok, report.to_dict()
         assert report.cells[0].attempts == 2
         assert report.cells[0].resumed_from_checkpoint
@@ -507,9 +543,9 @@ class TestKillInjectBoundary:
     def test_one_past_the_last_checkpoint_is_rejected(self, tmp_path):
         queue = str(tmp_path / "queue")
         with pytest.raises(ValueError) as raised:
-            run_fabric([SweepCell("split", "gzip", refs=20_000,
-                                  inject="kill9:10")],
-                       queue_dir=queue, parallelism=1, checkpoint_refs=2_000)
+            run_many([SweepCell("split", "gzip", refs=20_000,
+                                inject="kill9:10")],
+                     queue_dir=queue, parallelism=1, checkpoint_refs=2_000)
         message = str(raised.value)
         for part in ("0000-split-gzip", "kill9:10", "checkpoint 10",
                      "20000 refs", "cadence of 2000", "9 checkpoint"):

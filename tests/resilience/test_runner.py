@@ -1,4 +1,5 @@
-"""Supervised runner tests: real subprocess workers, crash/hang/SIGINT."""
+"""Sweep tests: ``run_many`` at its defaults (parallelism 1, a private
+temporary queue) on real subprocess workers — crash, hang, SIGINT."""
 
 import json
 import os
@@ -131,4 +132,4 @@ class TestSigintDrain:
         assert statuses.count("skipped") >= 2
         errors = {cell["error"] for cell in report["cells"]
                   if cell["status"] == "skipped"}
-        assert "interrupted before start" in errors
+        assert "interrupted before completion" in errors
