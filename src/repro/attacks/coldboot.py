@@ -60,19 +60,15 @@ def _bit_match_fraction(a: bytes, b: bytes) -> float:
 def _drop_all_caches(system: SecureMemorySystem) -> None:
     """Model the reboot: every on-chip cache is lost with power.
 
-    Invalidate-only (no write-back) — dirty on-chip state never reached
-    DRAM before the power cut, which is exactly what a reboot loses.
+    No write-back: each cache's flush returns its dirty lines and they
+    are dropped — dirty on-chip state never reached DRAM before the power
+    cut, which is exactly what a reboot loses.
     """
-    for address, _ in list(system.l2.resident_blocks()):
-        system.l2.invalidate(address)
+    system.l2.flush()
     if system.counter_cache is not None:
-        cache = system.counter_cache.cache
-        for cache_address, _ in list(cache.resident_blocks()):
-            cache.invalidate(cache_address)
+        system.counter_cache.cache.flush()
     if system.merkle is not None:
-        node_cache = system.merkle.node_cache
-        for address, _ in list(node_cache.resident_blocks()):
-            node_cache.invalidate(address)
+        system.merkle.node_cache.flush()
 
 
 def cold_boot_attack(system: SecureMemorySystem, address: int,

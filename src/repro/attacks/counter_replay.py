@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.attacks.base import AttackReport
 from repro.attacks.snoop import pad_reuse_probe
+from repro.attacks.tamper import _drop_from_l2
 from repro.auth.merkle import IntegrityViolation
 from repro.core.secure_memory import SecureMemorySystem
 
@@ -72,22 +73,10 @@ def prepare_scratch_pages(system: SecureMemorySystem, address: int,
         if data_address >= system.protected_bytes:
             raise RuntimeError("protected region too small for scratch pages")
         system.write_block(data_address, bytes(block))
-        _force_writeback(system, data_address)
+        _drop_from_l2(system, data_address)
         addresses.append(data_address)
         index += 1
     return addresses
-
-
-def _force_writeback(system: SecureMemorySystem, address: int) -> None:
-    """Push a block's current contents to DRAM and drop it from the L2."""
-    line = system.l2.lookup(address)
-    if line is None:
-        return
-    payload = bytes(line.payload)
-    dirty = line.dirty
-    system.l2.invalidate(address)
-    if dirty:
-        system._write_back(address, payload)
 
 
 def evict_counter_block(system: SecureMemorySystem, address: int,
@@ -100,9 +89,9 @@ def evict_counter_block(system: SecureMemorySystem, address: int,
     for data_address in scratch_pages:
         if not cache.contains(victim_index):
             break
-        _force_writeback(system, data_address)  # ensure the read will miss
+        _drop_from_l2(system, data_address)  # ensure the read will miss
         system.read_block(data_address)
-        _force_writeback(system, data_address)
+        _drop_from_l2(system, data_address)
     if cache.contains(victim_index):
         raise RuntimeError("could not evict victim counter block")
 

@@ -20,14 +20,9 @@ def _drop_from_l2(system: SecureMemorySystem, address: int) -> None:
     evicts it; a real attacker simply waits for natural eviction.  Dirty
     contents are written back first so the attack targets fresh ciphertext.
     """
-    line = system.l2.lookup(address)
-    if line is None:
-        return
-    if line.dirty:
-        system.l2.invalidate(address)
-        system._write_back(address, bytes(line.payload))
-    else:
-        system.l2.invalidate(address)
+    evicted = system.l2.invalidate(address)
+    if evicted is not None and evicted.dirty:
+        system._write_back(address, bytes(evicted.payload))
 
 
 def spoof_attack(system: SecureMemorySystem, address: int,

@@ -107,6 +107,19 @@ class MerkleStats:
         reset_fields(self)
 
 
+def mark_updated(node_cache: Cache, address: int) -> None:
+    """Mark a pinned node dirty after a child MAC was posted into it.
+
+    An explicit check, not an ``assert``: ``python -O`` strips asserts, and
+    losing this call evicts the node later without writing the new MAC
+    back, so the child then fails verification with no tampering anywhere.
+    """
+    if not node_cache.mark_dirty(address):
+        raise RuntimeError(
+            f"node {address:#x} left the node cache before its update "
+            "was marked dirty")
+
+
 class MerkleTree:
     """Cached K-ary Merkle tree with derivative counters and a root register."""
 
@@ -174,8 +187,7 @@ class MerkleTree:
     # -- trusted-node acquisition ---------------------------------------------
 
     def _cached_payload(self, level: int, index: int) -> bytearray | None:
-        line = self.node_cache.lookup(self.node_address(level, index))
-        return line.payload if line is not None else None
+        return self.node_cache.payload(self.node_address(level, index))
 
     def _expected_mac_from_parent(self, level: int, index: int) -> bytes:
         """Read this node's MAC from its (trusted) parent or the root."""
@@ -326,9 +338,8 @@ class MerkleTree:
             mb = self.geometry.mac_bytes
             parent_payload[slot * mb:(slot + 1) * mb] = new_mac
             if needs_dirty:
-                assert self.node_cache.mark_dirty(
-                    self.node_address(level + 1, parent)
-                )
+                mark_updated(self.node_cache,
+                             self.node_address(level + 1, parent))
         finally:
             del self._in_flight[key]
 
@@ -388,7 +399,7 @@ class MerkleTree:
             leaf_address, counter, content, precomputed=_precomputed_mac
         )
         if needs_dirty:
-            assert self.node_cache.mark_dirty(self.node_address(1, parent))
+            mark_updated(self.node_cache, self.node_address(1, parent))
 
     # -- batched leaf protocol --------------------------------------------------
     #
@@ -463,15 +474,14 @@ class MerkleTree:
         """
         # Repeatedly sweep: writing back level-l nodes dirties level l+1.
         while True:
-            dirty = [(addr, line) for addr, line in
-                     self.node_cache.dirty_blocks()]
+            dirty = list(self.node_cache.dirty_blocks())
             if not dirty:
                 return
             # Lowest levels first so parents absorb updates before their turn.
-            dirty.sort(key=lambda item: self._node_for_address(item[0])[0])
-            address, line = dirty[0]
-            line.dirty = False
-            self._write_back_node(address, line.payload)
+            address = min(dirty,
+                          key=lambda item: self._node_for_address(item)[0])
+            self.node_cache.clear_dirty(address)
+            self._write_back_node(address, self.node_cache.payload(address))
 
     # -- checkpoint support ------------------------------------------------------
 

@@ -31,7 +31,7 @@ whole memory image.
 from __future__ import annotations
 
 from repro.auth.codes import TreeGeometry
-from repro.auth.merkle import IntegrityViolation, MerkleStats
+from repro.auth.merkle import IntegrityViolation, MerkleStats, mark_updated
 from repro.auth.schemes import MACScheme
 from repro.crypto.gcm import constant_time_equal
 from repro.memory.cache import Cache
@@ -95,8 +95,7 @@ class SecDDRAuthenticator:
     # -- trusted-group acquisition --------------------------------------------
 
     def _cached_payload(self, index: int) -> bytearray | None:
-        line = self.node_cache.lookup(self.node_address(1, index))
-        return line.payload if line is not None else None
+        return self.node_cache.payload(self.node_address(1, index))
 
     def ensure_group_trusted(self, index: int,
                              _fetched: list | None = None) -> bytearray:
@@ -225,7 +224,7 @@ class SecDDRAuthenticator:
         payload[slot * mb:(slot + 1) * mb] = self.leaf_mac(
             leaf_address, counter, content, _precomputed_mac
         )
-        assert self.node_cache.mark_dirty(self.node_address(1, parent))
+        mark_updated(self.node_cache, self.node_address(1, parent))
 
     # -- batched leaf protocol (same regrouping contract as MerkleTree) --------
 
@@ -264,9 +263,9 @@ class SecDDRAuthenticator:
 
     def flush(self) -> None:
         """Write every dirty cached group back (single level, one sweep)."""
-        for address, line in list(self.node_cache.dirty_blocks()):
-            line.dirty = False
-            self._write_back_group(address, line.payload)
+        for address in list(self.node_cache.dirty_blocks()):
+            self.node_cache.clear_dirty(address)
+            self._write_back_group(address, self.node_cache.payload(address))
 
     # -- checkpoint support ------------------------------------------------------
 

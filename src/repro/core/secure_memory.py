@@ -656,7 +656,7 @@ class SecureMemorySystem:
         if self.recovery is not None:
             self.recovery.check_fence(address)
         if self.l2.access(address):
-            return bytes(self.l2.lookup(address).payload)
+            return bytes(self.l2.payload(address))
         plaintext = self._fetch_block(address)
         eviction = self.l2.fill(address, payload=plaintext)
         if eviction is not None and eviction.dirty:
@@ -671,7 +671,7 @@ class SecureMemorySystem:
         if self.recovery is not None:
             self.recovery.check_fence(address)
         if self.l2.access(address, write=True):
-            self.l2.lookup(address).payload[:] = data
+            self.l2.payload(address)[:] = data
             return
         self._fetch_block(address)  # write-allocate (fills nothing yet)
         eviction = self.l2.fill(address, dirty=True, payload=bytearray(data))
@@ -702,7 +702,7 @@ class SecureMemorySystem:
             if address in misses:
                 misses[address].append(slot)
             elif self.l2.access(address):
-                out[slot] = bytes(self.l2.lookup(address).payload)
+                out[slot] = bytes(self.l2.payload(address))
             else:
                 misses[address] = [slot]
         if misses:
@@ -739,7 +739,7 @@ class SecureMemorySystem:
             if address in staged:
                 staged[address] = data
             elif self.l2.access(address, write=True):
-                self.l2.lookup(address).payload[:] = data
+                self.l2.payload(address)[:] = data
             else:
                 staged[address] = data
         if staged:
@@ -788,15 +788,15 @@ class SecureMemorySystem:
         # sweep until everything is clean.
         while True:
             dirty_data = list(self.l2.dirty_blocks())
-            for address, line in dirty_data:
-                line.dirty = False
-                self._write_back(address, bytes(line.payload))
-            dirty_counters = (
-                list(self.counter_cache.cache.dirty_blocks())
-                if self.counter_cache is not None else []
-            )
-            for block_addr, line in dirty_counters:
-                line.dirty = False
+            for address in dirty_data:
+                self.l2.clear_dirty(address)
+                self._write_back(address, bytes(self.l2.payload(address)))
+            counter_cache = (self.counter_cache.cache
+                             if self.counter_cache is not None else None)
+            dirty_counters = (list(counter_cache.dirty_blocks())
+                              if counter_cache is not None else [])
+            for block_addr in dirty_counters:
+                counter_cache.clear_dirty(block_addr)
                 self._write_back_counter_block(block_addr // self.block_size)
             if not dirty_data and not dirty_counters:
                 break

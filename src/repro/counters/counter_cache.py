@@ -86,8 +86,10 @@ class CounterCache:
     def mark_dirty(self, counter_block_index: int) -> bool:
         return self.cache.mark_dirty(self._cache_address(counter_block_index))
 
-    def invalidate(self, counter_block_index: int) -> None:
-        self.cache.invalidate(self._cache_address(counter_block_index))
+    def invalidate(self, counter_block_index: int) -> Eviction | None:
+        """Drop a counter block without writing it back; returns what left
+        (see :meth:`Cache.invalidate`)."""
+        return self.cache.invalidate(self._cache_address(counter_block_index))
 
     @property
     def stats(self):

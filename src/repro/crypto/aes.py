@@ -193,16 +193,17 @@ def _add_round_key(state: list[int], round_key: list[int]) -> None:
 # through SubBytes, moves to column (c - r) mod 4 under ShiftRows, and
 # spreads over that column's four rows under MixColumns; the entire
 # per-byte contribution to the 128-bit round output is precomputed in
-# _ENC_BYTE[i][b].  The inverse cipher uses the *equivalent inverse cipher*
-# of FIPS-197 section 5.3.5 (InvSubBytes/InvShiftRows/InvMixColumns order
-# with InvMixColumns applied to the middle round keys), giving the same
-# one-lookup-per-byte structure via _DEC_BYTE[i][b].
+# ``enc[i][b]`` of _build_byte_tables.  The inverse cipher uses the
+# *equivalent inverse cipher* of FIPS-197 section 5.3.5 (InvSubBytes/
+# InvShiftRows/InvMixColumns order with InvMixColumns applied to the middle
+# round keys), giving the same one-lookup-per-byte structure via
+# ``dec[i][b]``.
 #
-# On first cipher use the byte tables are widened to pair tables indexed by
-# 16-bit halves of the state (8 lookups + 8 XORs per round instead of 16)
-# and the round function is generated fully unrolled.  The widening costs a
-# few hundred milliseconds and ~30MB once per process, which is why it is
-# deferred past import time.
+# On first cipher use the byte tables are built and widened to pair tables
+# indexed by 16-bit halves of the state (8 lookups + 8 XORs per round
+# instead of 16); the round function is generated fully unrolled.  Building
+# and widening cost a few hundred milliseconds and ~30MB once per process,
+# which is why both are deferred past import time.
 
 _MC_COEFF = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 _IMC_COEFF = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11),
@@ -236,8 +237,6 @@ def _build_byte_tables() -> tuple[list, list, list, list]:
             dec_final[i][b] = si << (8 * (15 - (4 * c_dec + r)))
     return enc, enc_final, dec, dec_final
 
-
-_ENC_BYTE, _ENC_FINAL_BYTE, _DEC_BYTE, _DEC_FINAL_BYTE = _build_byte_tables()
 
 _UNPACK_8H = struct.Struct(">8H").unpack
 
@@ -285,20 +284,26 @@ def _compile_kernel_code():
 
 _KERNEL_CODE, _KERNEL_GLOBALS = _compile_kernel_code()
 
-# Pair tables for each direction, built lazily by _pair_tables().
+# Byte tables and the pair tables of each direction, built lazily by
+# _pair_tables().
+_byte_tables: tuple[list, list, list, list] | None = None
 _enc_pair: tuple[list, list] | None = None
 _dec_pair: tuple[list, list] | None = None
 
 
 def _pair_tables(encrypt: bool) -> tuple[list, list]:
-    global _enc_pair, _dec_pair
+    global _byte_tables, _enc_pair, _dec_pair
+    pair = _enc_pair if encrypt else _dec_pair
+    if pair is not None:
+        return pair
+    if _byte_tables is None:
+        _byte_tables = _build_byte_tables()
+    enc, enc_final, dec, dec_final = _byte_tables
     if encrypt:
-        if _enc_pair is None:
-            _enc_pair = (_widen(_ENC_BYTE), _widen(_ENC_FINAL_BYTE))
-        return _enc_pair
-    if _dec_pair is None:
-        _dec_pair = (_widen(_DEC_BYTE), _widen(_DEC_FINAL_BYTE))
-    return _dec_pair
+        pair = _enc_pair = (_widen(enc), _widen(enc_final))
+    else:
+        pair = _dec_pair = (_widen(dec), _widen(dec_final))
+    return pair
 
 
 def _bind_kernel(rk_words: tuple[int, ...], encrypt: bool):

@@ -1,13 +1,12 @@
 """Memory-system substrate: caches, main memory, and the memory bus."""
 
 from repro.memory.bus import BusStats, MemoryBus
-from repro.memory.cache import Cache, CacheLine, CacheStats, Eviction
+from repro.memory.cache import Cache, CacheStats, Eviction
 from repro.memory.dram import DRAMStats, MainMemory
 
 __all__ = [
     "BusStats",
     "Cache",
-    "CacheLine",
     "CacheStats",
     "DRAMStats",
     "Eviction",

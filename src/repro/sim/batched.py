@@ -44,8 +44,12 @@ stream alone:
   histogram summary) lives in closure cells, synchronized with the real
   objects only at segment boundaries and around rare delegations (page
   re-encryption).  Everything else falls back to the real
-  :class:`~repro.sim.timing_memory.TimingSecureMemory` methods operating
-  on installed :class:`LeanCache` mirrors.
+  :class:`~repro.sim.timing_memory.TimingSecureMemory` methods.
+
+Every phase runs on the structural caches themselves: the kernels and
+drains below index :class:`~repro.memory.cache.Cache`'s per-set address
+lists and dirty set directly, and a cached classification's final line
+state is assigned straight into them at the end of the run.
 
 Bit-exactness contract: every cycle count, statistic, checkpoint, and
 PathTime record equals the scalar engine's, down to the last ulp.  Both
@@ -75,133 +79,10 @@ from repro.core.config import AuthMode, EncryptionMode
 from repro.counters.base import OverflowAction
 from repro.counters.prediction import CounterPredictionScheme
 from repro.counters.split import SplitCounterScheme
-from repro.memory.cache import Cache, CacheLine, Eviction, cache_state
+from repro.memory.cache import Cache
 
-__all__ = ["L1Classification", "L2Classification", "LeanCache",
-           "classification_nbytes", "run_batched"]
-
-
-class LeanCache:
-    """Drop-in stand-in for :class:`~repro.memory.cache.Cache` state.
-
-    Holds per-set lists of block *addresses* (MRU first) plus one dirty
-    set, instead of per-line :class:`CacheLine` objects — the same
-    true-LRU semantics at a fraction of the per-access cost.  Statistics
-    go straight into the donor cache's ``stats`` object so the metrics
-    registry, warmup resets, and snapshots keep working unchanged, and
-    ``state_dict()`` emits the donor's layout through the same
-    :func:`~repro.memory.cache.cache_state` so checkpoints taken mid-run
-    are byte-identical to scalar ones.
-
-    The batched engine installs instances over ``processor.l1/.l2``,
-    ``memory.l2``, ``memory.node_cache``, and the counter cache's inner
-    cache for the duration of a run, then flushes the line state back.
-    """
-
-    __slots__ = ("sets", "dirty", "stats", "assoc", "num_sets",
-                 "block_size", "_shift", "_mask")
-
-    def __init__(self, cache: Cache):
-        self.assoc = cache.assoc
-        self.num_sets = cache.num_sets
-        self.block_size = cache.block_size
-        self._shift = cache.block_size.bit_length() - 1
-        self._mask = cache.num_sets - 1
-        self.stats = cache.stats  # shared instance, not a copy
-        self.sets: list[list[int]] = []
-        self.dirty: set[int] = set()
-        for set_index, lines in enumerate(cache._sets):
-            addresses = []
-            for line in lines:
-                if line.payload is not None:
-                    raise ValueError(
-                        "LeanCache mirrors timing-layer caches only "
-                        "(payload-bearing lines belong to the functional "
-                        "layer)")
-                address = (line.tag * self.num_sets + set_index) \
-                    * self.block_size
-                addresses.append(address)
-                if line.dirty:
-                    self.dirty.add(address)
-            self.sets.append(addresses)
-
-    def flush_to(self, cache: Cache) -> None:
-        """Write the mirrored line state back into the donor cache."""
-        num_sets = self.num_sets
-        block_size = self.block_size
-        dirty = self.dirty
-        new = CacheLine.__new__
-        out = []
-        for addresses in self.sets:
-            lines = []
-            for address in addresses:
-                line = new(CacheLine)
-                line.tag = address // block_size // num_sets
-                line.dirty = address in dirty
-                line.payload = None
-                lines.append(line)
-            out.append(lines)
-        cache._sets = out
-
-    # -- Cache-compatible interface (the subset the timing layer uses) ----
-
-    def access(self, address: int, write: bool = False) -> bool:
-        lines = self.sets[(address >> self._shift) & self._mask]
-        if address in lines:
-            i = lines.index(address)
-            if i:
-                lines.insert(0, lines.pop(i))
-            if write:
-                self.dirty.add(address)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
-
-    def fill(self, address: int, dirty: bool = False,
-             payload=None) -> Eviction | None:
-        lines = self.sets[(address >> self._shift) & self._mask]
-        if address in lines:  # refill of a resident block: refresh it
-            i = lines.index(address)
-            if i:
-                lines.insert(0, lines.pop(i))
-            if dirty:
-                self.dirty.add(address)
-            return None
-        evicted = None
-        if len(lines) >= self.assoc:
-            victim = lines.pop()
-            victim_dirty = victim in self.dirty
-            if victim_dirty:
-                self.stats.writebacks += 1
-                self.dirty.discard(victim)
-            evicted = Eviction(address=victim, dirty=victim_dirty)
-        lines.insert(0, address)
-        if dirty:
-            self.dirty.add(address)
-        return evicted
-
-    def contains(self, address: int) -> bool:
-        return address in self.sets[(address >> self._shift) & self._mask]
-
-    def mark_dirty(self, address: int) -> bool:
-        if address in self.sets[(address >> self._shift) & self._mask]:
-            self.dirty.add(address)
-            return True
-        return False
-
-    def state_dict(self) -> dict:
-        """Checkpoint state identical to :meth:`Cache.state_dict` of the
-        donor cache holding the same lines."""
-        addresses = [address for per_set in self.sets
-                     for address in per_set]
-        dirty = self.dirty
-        tag_span = self.block_size * self.num_sets  # address bytes per tag
-        return cache_state(
-            [len(per_set) for per_set in self.sets],
-            [address // tag_span for address in addresses],
-            [address in dirty for address in addresses],
-            None, self.stats)
+__all__ = ["L1Classification", "L2Classification", "classification_nbytes",
+           "run_batched"]
 
 
 class _L2ResidencyShim:
@@ -257,17 +138,17 @@ def _run_masks(blocks: np.ndarray, writes: np.ndarray, start: int, stop: int):
     return positions + start, run_writes
 
 
-def _l1_kernel(mirror: LeanCache, blocks: list, block_set: list,
+def _l1_kernel(l1: Cache, blocks: list, block_set: list,
                writes: list, positions, run_writes, refs: int) -> list:
     """Exact L1 replay over one segment's collapsed reference runs.
 
     Emits the L2 event stream as ``(ref_index, block, is_write,
     dirty_l1_victim_or_None)`` tuples and accumulates the segment's L1
-    statistics into the mirror's (shared) stats object.
+    statistics into the cache's stats object.
     """
-    sets = mirror.sets
-    dirty = mirror.dirty
-    assoc = mirror.assoc
+    sets = l1.sets
+    dirty = l1.dirty
+    assoc = l1.assoc
     dirty_add = dirty.add
     dirty_discard = dirty.discard
     events = []
@@ -297,7 +178,7 @@ def _l1_kernel(mirror: LeanCache, blocks: list, block_set: list,
             append((i, block, writes[i], victim_dirty))
         if run_writes[k]:
             dirty_add(block)
-    stats = mirror.stats
+    stats = l1.stats
     stats.hits += hits
     stats.misses += misses
     stats.writebacks += writebacks
@@ -458,14 +339,13 @@ def _l1_classification(trace, l1: Cache, blocks_arr,
     shift = l1.block_size.bit_length() - 1
     block_set = ((blocks_arr >> shift)
                  & np.int64(l1.num_sets - 1)).tolist()
-    mirror = LeanCache(Cache(l1.size_bytes, l1.assoc, l1.block_size,
-                             name="scratch"))
+    replay = Cache(l1.size_bytes, l1.assoc, l1.block_size, name="l1-replay")
     positions, run_writes = _run_masks(blocks_arr, writes_arr, 0, len(trace))
-    events = _l1_kernel(mirror, blocks_arr.tolist(), block_set,
+    events = _l1_kernel(replay, blocks_arr.tolist(), block_set,
                         trace.writes, positions, run_writes, len(trace))
     wb_events = [k for k, event in enumerate(events)
                  if event[3] is not None]
-    set_flat, set_lens = _pack_sets(mirror.sets)
+    set_flat, set_lens = _pack_sets(replay.sets)
     packed = L1Classification(
         refs=_frozen(np.fromiter((e[0] for e in events), dtype=np.int32,
                                  count=len(events))),
@@ -473,7 +353,7 @@ def _l1_classification(trace, l1: Cache, blocks_arr,
         wb_blocks=_frozen(np.asarray([events[k][3] for k in wb_events],
                                      dtype=np.int64)),
         set_flat=set_flat, set_lens=set_lens,
-        dirty=_frozen(np.asarray(sorted(mirror.dirty), dtype=np.int64)))
+        dirty=_frozen(np.asarray(sorted(replay.dirty), dtype=np.int64)))
     trace.classifications[key] = packed
     return packed
 
@@ -606,8 +486,7 @@ def _fast_eligible(memory) -> bool:
             and memory.sha.copies == 1)
 
 
-def _make_fast_engine(memory, l2_mirror: LeanCache,
-                      cc_mirror: LeanCache | None, *, policy,
+def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                       insns_base, cum_cycles, cum_insns,
                       mshrs: int, rob_insns: int) -> _FastEngine:
     """Build drain loops specialized to one configuration.
@@ -676,21 +555,21 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
     inflight_get = counter_inflight.get
     written_add = memory._written.add
 
-    l2_sets = l2_mirror.sets
-    l2_dirty = l2_mirror.dirty
-    l2_stats = l2_mirror.stats
-    L2_SHIFT = l2_mirror._shift
-    L2_MASK = l2_mirror._mask
-    L2_ASSOC = l2_mirror.assoc
+    l2_sets = l2.sets
+    l2_dirty = l2.dirty
+    l2_stats = l2.stats
+    L2_SHIFT = l2.block_size.bit_length() - 1
+    L2_MASK = l2.num_sets - 1
+    L2_ASSOC = l2.assoc
 
-    HAS_CC = cc_mirror is not None
+    HAS_CC = cc is not None
     if HAS_CC:
-        cc_sets = cc_mirror.sets
-        cc_dirty = cc_mirror.dirty
-        cc_stats = cc_mirror.stats
-        CC_SHIFT = cc_mirror._shift
-        CC_MASK = cc_mirror._mask
-        CC_ASSOC = cc_mirror.assoc
+        cc_sets = cc.sets
+        cc_dirty = cc.dirty
+        cc_stats = cc.stats
+        CC_SHIFT = cc.block_size.bit_length() - 1
+        CC_MASK = cc.num_sets - 1
+        CC_ASSOC = cc.assoc
         CC_BS = memory.counter_cache.block_size
         AUTH_CTRS = HAS_NODE and config.authenticate_counters
     else:
@@ -1146,7 +1025,7 @@ def _make_fast_engine(memory, l2_mirror: LeanCache,
     # -- the serial drains ------------------------------------------------
 
     def drain_live(segment, cycle_base, writebacks, outstanding):
-        """Phase C over B1 events, with the L2 live (inline LeanCache).
+        """Phase C over B1 events, with the L2 live (inlined ``Cache``).
 
         The whole ``read_miss`` body is inlined into the loop — on the
         authenticated configurations this is the hottest code in the
@@ -1569,8 +1448,8 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
     config = processor.config
     memory = processor.memory
-    real_l1 = processor.l1
-    real_l2 = processor.l2
+    l1 = processor.l1
+    l2 = processor.l2
     policy = config.auth_policy
     cpi = 1.0 / processor.issue_width
     mshrs = processor.mshrs
@@ -1615,8 +1494,8 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     # Whole-trace cached classification applies only to the common case:
     # from-reset run, empty caches, no checkpoint observation points.
     use_cached = (start == 0 and not checkpointing
-                  and real_l1.occupancy() == 0)
-    node_is_l2 = memory.node_cache is memory.l2 and memory.l2 is real_l2
+                  and l1.occupancy() == 0)
+    node_is_l2 = memory.node_cache is memory.l2 and memory.l2 is l2
     fast_ok = (_fast_eligible(memory)
                and (memory.node_cache is None or node_is_l2))
     cached = None
@@ -1626,14 +1505,14 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     l2_dirty_live = False
     events = None  # the drained view's per-event tuples, whole trace
     if use_cached:
-        cached = _l1_classification(trace, real_l1, blocks_arr, writes_arr)
-        if real_l2.occupancy() == 0 and memory.node_cache is None:
+        cached = _l1_classification(trace, l1, blocks_arr, writes_arr)
+        if l2.occupancy() == 0 and memory.node_cache is None:
             l2_dirty_live = not _l2_preclass_ok(memory)
             if fast_ok or not l2_dirty_live:
-                cached_l2 = _l2_classification(trace, cached, real_l1,
-                                               real_l2, blocks_arr,
+                cached_l2 = _l2_classification(trace, cached, l1,
+                                               l2, blocks_arr,
                                                writes_arr)
-        geometry = _geometry(real_l1, real_l2)
+        geometry = _geometry(l1, l2)
         if cached_l2 is None:
             events = _event_view(
                 trace, ("b1",) + geometry[:3],
@@ -1651,24 +1530,9 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     if cached is None:
         blocks = blocks_arr.tolist()
         block_set = ((blocks_arr >> (block_size.bit_length() - 1))
-                     & np.int64(real_l1.num_sets - 1)).tolist()
+                     & np.int64(l1.num_sets - 1)).tolist()
         writes = trace.writes
 
-    # Install mirrors over every structural cache the run touches.
-    l1_mirror = LeanCache(real_l1)
-    l2_mirror = LeanCache(real_l2)
-    cc_mirror = None
-    counter_cache = memory.counter_cache
-    real_cc_inner = None
-    processor.l1 = l1_mirror
-    processor.l2 = l2_mirror
-    memory.l2 = l2_mirror
-    if memory.node_cache is not None and node_is_l2:
-        memory.node_cache = l2_mirror
-    if counter_cache is not None:
-        real_cc_inner = counter_cache.cache
-        cc_mirror = LeanCache(real_cc_inner)
-        counter_cache.cache = cc_mirror
     shim = None
     if cached_l2 is not None and l2_dirty_live:
         shim = _L2ResidencyShim()
@@ -1676,8 +1540,11 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
     fast = None
     if fast_ok:
+        counter_cache = memory.counter_cache
         fast = _make_fast_engine(
-            memory, l2_mirror, cc_mirror, policy=policy,
+            memory, l2,
+            counter_cache.cache if counter_cache is not None else None,
+            policy=policy,
             insns_base=insns_base, cum_cycles=cum_cycles,
             cum_insns=cum_insns, mshrs=mshrs, rob_insns=rob_insns)
 
@@ -1703,13 +1570,13 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
             if cached is not None:
                 lo, hi = _span(cached.refs, a, b)
                 misses = hi - lo
-                stats = l1_mirror.stats
+                stats = l1.stats
                 stats.hits += (b - a) - misses
                 stats.misses += misses
                 first, last = _span(cached.wb_events, lo, hi)
                 stats.writebacks += last - first
                 if cached_l2 is not None:
-                    l2stats = l2_mirror.stats
+                    l2stats = l2.stats
                     l2stats.hits += int(cached_l2.hit_d[lo:hi].sum())
                     l2stats.misses += int(cached_l2.miss_d[lo:hi].sum())
                     lo2, hi2 = _span(cached_l2.events, lo, hi)
@@ -1724,7 +1591,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
             else:
                 positions, run_writes = _run_masks(blocks_arr, writes_arr,
                                                    a, b)
-                segment = _l1_kernel(l1_mirror, blocks, block_set, writes,
+                segment = _l1_kernel(l1, blocks, block_set, writes,
                                      positions, run_writes, b - a)
 
             # phase C: serial replay
@@ -1741,7 +1608,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                         segment, cycle_base, writebacks, outstanding)
             elif cached_l2 is not None:
                 # generic drain over precomputed L2 events; the memory
-                # layer never touches the (idle) L2 mirror here
+                # layer never touches the (idle) L2 here
                 for i, block, is_write, dirty_victim in segment:
                     cycle = cycle_base + cum_cycles[i + 1]
                     insns = insns_base + cum_insns[i + 1]
@@ -1772,9 +1639,9 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                         policy, data_ready, auth_done)
                     outstanding.append((completion, insns))
             else:
-                # generic drain over B1 events with the L2 mirror live
-                l2_access = l2_mirror.access
-                l2_fill = l2_mirror.fill
+                # generic drain over B1 events with the L2 live
+                l2_access = l2.access
+                l2_fill = l2.fill
                 for i, block, is_write, l1_victim in segment:
                     if l1_victim is not None:
                         l2_access(l1_victim, write=True)
@@ -1811,33 +1678,23 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                         policy, data_ready, auth_done)
                     outstanding.append((completion, insns))
     finally:
-        # Flush mirrored line state back and restore the real objects.
-        if cached is not None:
-            # l1_mirror was never advanced; the cached final state is the
-            # truth (a cached run always covers [0, n))
-            l1_mirror.sets = _unpack_sets(cached.set_flat, cached.set_lens)
-            l1_mirror.dirty = set(cached.dirty.tolist())
-        if cached_l2 is not None:
-            l2_mirror.sets = _unpack_sets(cached_l2.set_flat,
-                                          cached_l2.set_lens)
-            if shim is not None:
-                # the dirty bits are the drain's live set plus the marks
-                # trailing the last miss
-                final_dirty = set(shim.dirty)
-                final_dirty.update(cached_l2.trailing_adds())
-            else:
-                final_dirty = set(cached_l2.dirty.tolist())
-            l2_mirror.dirty = final_dirty
-        l1_mirror.flush_to(real_l1)
-        l2_mirror.flush_to(real_l2)
-        processor.l1 = real_l1
-        processor.l2 = real_l2
-        memory.l2 = real_l2
-        if memory.node_cache is l2_mirror:
-            memory.node_cache = real_l2
-        if counter_cache is not None:
-            cc_mirror.flush_to(real_cc_inner)
-            counter_cache.cache = real_cc_inner
+        if shim is not None:
+            memory.l2 = l2
+    # A cached run never advanced the caches it classified ahead of time:
+    # the classification's final line state is the truth (a cached run
+    # always covers [0, n)).
+    if cached is not None:
+        l1.sets = _unpack_sets(cached.set_flat, cached.set_lens)
+        l1.dirty = set(cached.dirty.tolist())
+    if cached_l2 is not None:
+        l2.sets = _unpack_sets(cached_l2.set_flat, cached_l2.set_lens)
+        if shim is not None:
+            # the dirty bits are the drain's live set plus the marks
+            # trailing the last miss
+            l2.dirty = shim.dirty
+            l2.dirty.update(cached_l2.trailing_adds())
+        else:
+            l2.dirty = set(cached_l2.dirty.tolist())
 
     cycle = cycle_base + cum_cycles[n]
     insns = insns_base + cum_insns[n]
@@ -1849,10 +1706,10 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
         name=trace.name,
         instructions=insns - insns0,
         cycles=cycle - cycle0,
-        l1_hits=real_l1.stats.hits,
-        l1_misses=real_l1.stats.misses,
-        l2_hits=real_l2.stats.hits,
-        l2_misses=real_l2.stats.misses,
+        l1_hits=l1.stats.hits,
+        l1_misses=l1.stats.misses,
+        l2_hits=l2.stats.hits,
+        l2_misses=l2.stats.misses,
         writebacks=writebacks,
         memory=memory,
     )

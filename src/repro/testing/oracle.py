@@ -170,14 +170,9 @@ def build_system(scenario: Scenario, rng: random.Random
 
 def force_writeback(system: SecureMemorySystem, address: int) -> None:
     """Push a block's current contents to DRAM and drop it from the L2."""
-    line = system.l2.lookup(address)
-    if line is None:
-        return
-    data = bytes(line.payload)
-    dirty = line.dirty
-    system.l2.invalidate(address)
-    if dirty:
-        system._write_back(address, data)
+    evicted = system.l2.invalidate(address)
+    if evicted is not None and evicted.dirty:
+        system._write_back(address, bytes(evicted.payload))
 
 
 def force_counter_writeback(system: SecureMemorySystem,
@@ -192,13 +187,8 @@ def force_counter_writeback(system: SecureMemorySystem,
     if system.counter_scheme is None or system.counter_cache is None:
         return
     index = system.counter_scheme.counter_block_address(address)
-    cc = system.counter_cache
-    line = cc.cache.lookup(index * cc.block_size)
-    if line is None:
-        return
-    dirty = line.dirty
-    cc.invalidate(index)
-    if dirty:
+    evicted = system.counter_cache.invalidate(index)
+    if evicted is not None and evicted.dirty:
         system._write_back_counter_block(index)
 
 
@@ -211,16 +201,12 @@ def cold_sweep(system: SecureMemorySystem,
     the cold re-fetch path detects tampering.
     """
     system.flush()
-    for address, _ in list(system.l2.resident_blocks()):
-        system.l2.invalidate(address)
+    # Cache.flush drops every line; nothing it returns is written back
+    system.l2.flush()
     if system.counter_cache is not None:
-        cache = system.counter_cache.cache
-        for cache_address, _ in list(cache.resident_blocks()):
-            cache.invalidate(cache_address)
+        system.counter_cache.cache.flush()
     if system.merkle is not None:
-        node_cache = system.merkle.node_cache
-        for address, _ in list(node_cache.resident_blocks()):
-            node_cache.invalidate(address)
+        system.merkle.node_cache.flush()
     zeros = bytes(system.block_size)
     for address in sorted(model):
         observed = system.read_block(address)
@@ -408,8 +394,7 @@ def _diff_batched(rng: random.Random, preset: str = "split+gcm",
     # verify/decrypt paths, not just L2 hits.
     for system in (batched, scalar):
         system.flush()
-        for address, _ in list(system.l2.resident_blocks()):
-            system.l2.invalidate(address)
+        system.l2.flush()  # drops the (now clean) lines
     shuffled = list(addresses) + addresses[:3]   # include duplicates
     rng.shuffle(shuffled)
     got_batched = batched.read_blocks(shuffled)

@@ -25,9 +25,7 @@ def make_system(preset):
 
 
 def drop_from_l2(system, address):
-    line = system.l2.lookup(address)
-    if line is not None:
-        system.l2.invalidate(address)
+    system.l2.invalidate(address)
 
 
 class TestSecDDRAttacks:

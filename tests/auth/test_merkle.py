@@ -1,6 +1,14 @@
 """Functional Merkle tree: cached verification, lazy updates, detection."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.auth.codes import build_geometry
 from repro.auth.merkle import IntegrityViolation, MerkleTree
@@ -212,3 +220,40 @@ class TestBatchedLeaves:
         tree, _ = make_tree()
         assert tree.verify_leaves([]) == 0
         tree.update_leaves([])  # must not raise
+
+
+#: A clean seeded loop of 50/50 reads and writes over 4096 blocks with a
+#: 4 KiB L2 and a 1 KiB node cache: every write-back posts a MAC into a
+#: node that the tiny node cache soon evicts, so a node update that never
+#: got marked dirty is lost and a later read fails verification.
+_CLEAN_LOOP = textwrap.dedent("""
+    import random, sys
+    from repro import api
+    from repro.core.secure_memory import SecureMemorySystem
+
+    assert not __debug__, "run me under python -O"
+    config = api.get_config(sys.argv[1], node_cache_size=1024)
+    system = SecureMemorySystem(config, protected_bytes=256 * 1024,
+                                l2_size=4096)
+    rng = random.Random(1)
+    model = {}
+    for op in range(600):
+        address = rng.randrange(4096) * 64
+        if rng.random() < 0.5:
+            data = rng.randbytes(64)
+            system.write_block(address, data)
+            model[address] = data
+        elif system.read_block(address) != model.get(address, bytes(64)):
+            sys.exit(f"op {op}: wrong plaintext")
+""")
+
+
+@pytest.mark.parametrize("scheme", ["split+gcm", "secddr"])
+def test_node_updates_survive_python_O(scheme):
+    """``python -O`` strips asserts: no node update may hide in one."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-O", "-c", _CLEAN_LOOP, scheme],
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]

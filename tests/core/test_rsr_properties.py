@@ -50,11 +50,9 @@ class _EncryptSpy:
 
 
 def _force_writeback(system, address):
-    line = system.l2.lookup(address)
-    if line is not None and line.dirty:
-        data = bytes(line.payload)
-        system.l2.invalidate(address)
-        system._write_back(address, data)
+    if system.l2.is_dirty(address):
+        evicted = system.l2.invalidate(address)
+        system._write_back(address, bytes(evicted.payload))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -93,7 +91,7 @@ def test_reencrypted_page_readable_after_flush():
         _force_writeback(system, 0)
     assert system.stats.reencryption.page_reencryptions > 0
     system.flush()
-    for address, _ in list(system.l2.resident_blocks()):
+    for address in list(system.l2.resident_blocks()):
         system.l2.invalidate(address)
     for index in range(1, 4):
         assert system.read_block(index * block) == bytes([index]) * block

@@ -42,9 +42,9 @@ class TestBehaviour:
         """Consecutive counter blocks spread over the sets (no hot-set
         aliasing from the region base)."""
         cc = CounterCache(size_bytes=32 * 1024, assoc=8, block_size=64)
-        sets = {cc.cache._index_tag(cc._cache_address(i))[0]
-                for i in range(64)}
-        assert len(sets) == 64
+        for i in range(64):
+            cc.fill(i)
+        assert [len(lines) for lines in cc.cache.sets] == [1] * 64
 
     def test_default_geometry_matches_paper(self):
         cc = CounterCache()

@@ -1,8 +1,14 @@
 """AES-128 against FIPS-197 / SP 800-38A vectors plus properties."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.crypto.aes import (
     AES128,
     SBOX,
@@ -163,3 +169,23 @@ class TestProperties:
         a = AES128(bytes(16)).encrypt_block(block)
         b = AES128(bytes([1] + [0] * 15)).encrypt_block(block)
         assert a != b
+
+
+class TestLazyTables:
+    def test_tables_wait_for_the_first_cipher_call(self):
+        """Importing the API builds no cipher tables; the first block
+        encryption builds them."""
+        code = "\n".join([
+            "import repro.api",
+            "from repro.crypto import aes",
+            "assert aes._byte_tables is None, 'built at import'",
+            "assert aes._enc_pair is None and aes._dec_pair is None",
+            "aes.AES128(bytes(16)).encrypt_block(bytes(16))",
+            "assert aes._byte_tables is not None",
+            "assert aes._enc_pair is not None and aes._dec_pair is None",
+        ])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]

@@ -85,9 +85,8 @@ class TestFunctionalTimingAgreement:
         addresses = [i * 4096 for i in range(16)] * 3
         for address in addresses:
             functional.write_block(address, bytes(64))
-            line = functional.l2.lookup(address)
-            functional.l2.invalidate(address)
-            functional._write_back(address, bytes(line.payload))
+            evicted = functional.l2.invalidate(address)
+            functional._write_back(address, bytes(evicted.payload))
             timing.write_back(0.0, address)
         assert (functional.counter_cache.stats.misses
                 == timing.counter_cache.stats.misses)

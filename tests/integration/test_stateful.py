@@ -62,14 +62,9 @@ class SecureMemoryMachine(RuleBasedStateMachine):
     def evict_block(self, block):
         """Natural eviction stand-in: write back + drop from the L2."""
         address = block * 64
-        line = self.system.l2.lookup(address)
-        if line is None:
-            return
-        payload = bytes(line.payload)
-        dirty = line.dirty
-        self.system.l2.invalidate(address)
-        if dirty:
-            self.system._write_back(address, payload)
+        evicted = self.system.l2.invalidate(address)
+        if evicted is not None and evicted.dirty:
+            self.system._write_back(address, bytes(evicted.payload))
 
     @invariant()
     def no_spurious_violations(self):

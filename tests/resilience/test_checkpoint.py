@@ -1,6 +1,9 @@
 """Checkpoint container tests: codec, integrity, cross-preset round trips."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +29,6 @@ from repro.resilience import (
     trace_digest,
 )
 from repro.resilience.fabric import QueuePaths, cell_id, read_events
-from repro.sim.batched import LeanCache
 from repro.testing import assert_chaos_equivalent, reference_report
 from repro.workloads import spec_trace
 
@@ -153,9 +155,42 @@ def _cache_after(ops, *, payloads: bool) -> Cache:
 
 
 def _lines(cache: Cache) -> list:
-    return [(address, line.dirty,
-             None if line.payload is None else bytes(line.payload))
-            for address, line in cache.resident_blocks()]
+    return [(address, cache.is_dirty(address),
+             None if cache.payload(address) is None
+             else bytes(cache.payload(address)))
+            for address in cache.resident_blocks()]
+
+
+#: ``cache_state`` dicts of a seeded op sequence, emitted by the per-line
+#: object layout ``Cache`` had before it took the address-list layout
+CACHE_FIXTURE = Path(__file__).parent / "fixtures" / "cache_state.json"
+
+
+def _fixture_states(payloads: bool):
+    """Replay the fixture's ops; yield (fixture snapshot, live cache)."""
+    fixture = json.loads(CACHE_FIXTURE.read_text())
+    snapshots = iter(fixture["states"]["payloads" if payloads else "plain"])
+    snapshot = next(snapshots)
+    cache = Cache(*fixture["geometry"])
+    for count, (kind, address, write, payload) in enumerate(fixture["ops"],
+                                                            1):
+        if kind == "fill":
+            data = (bytearray.fromhex(payload)
+                    if payloads and payload is not None else None)
+            cache.fill(address, dirty=write, payload=data)
+        elif kind == "access":
+            cache.access(address, write=write)
+        elif kind == "mark_dirty":
+            cache.mark_dirty(address)
+        elif kind == "invalidate":
+            cache.invalidate(address)
+        else:
+            cache.flush()
+        if count == snapshot["after_ops"]:
+            yield snapshot, cache
+            snapshot = next(snapshots, None)
+            if snapshot is None:
+                return
 
 
 class TestCacheLayout:
@@ -171,11 +206,28 @@ class TestCacheLayout:
         assert restored.stats == cache.stats
         assert dumps(restored.state_dict(), kind="test") == blob
 
-    @settings(max_examples=80, deadline=None)
-    @given(ops=CACHE_OPS)
-    def test_lean_cache_emits_the_same_state(self, ops):
-        cache = _cache_after(ops, payloads=False)
-        assert LeanCache(cache).state_dict() == cache.state_dict()
+    @pytest.mark.parametrize("payloads", [False, True],
+                             ids=["plain", "payloads"])
+    def test_state_matches_the_committed_fixture(self, payloads):
+        """Checkpoints written before the address-list layout still load,
+        and the layout emits them byte for byte."""
+        seen = 0
+        for snapshot, cache in _fixture_states(payloads):
+            expected = snapshot["state"]
+            if expected["payloads"] is not None:
+                expected = dict(expected, payloads=[
+                    None if p is None else bytes.fromhex(p)
+                    for p in expected["payloads"]])
+            assert cache.state_dict() == expected
+            blob = dumps(cache.state_dict(), kind="cache")
+            assert hashlib.sha256(blob).hexdigest() == snapshot["sha256"]
+            restored = Cache(cache.size_bytes, cache.assoc,
+                             cache.block_size)
+            restored.load_state(expected)
+            assert _lines(restored) == _lines(cache)
+            assert restored.state_dict() == expected
+            seen += 1
+        assert seen == 6
 
 
 class TestContainerVersion:

@@ -229,7 +229,7 @@ def _populate(system, count=10):
                            bytes((address // BLOCK + i) & 0xFF
                                  for i in range(BLOCK)))
     system.flush()
-    for address, _ in list(system.l2.resident_blocks()):
+    for address in list(system.l2.resident_blocks()):
         system.l2.invalidate(address)
     return addresses
 
