@@ -21,10 +21,12 @@ Protocol invariants (the resume-correctness argument, also DESIGN.md
 section 17):
 
 * **Claims are exclusive-create.**  A worker owns a cell iff it created
-  ``leases/<cell>.json`` with ``O_CREAT | O_EXCL`` (or reclaimed a stale
+  ``leases/<cell>.json`` with ``O_CREAT | O_EXCL`` (or evicted a stale
   one and then won the exclusive re-create).  The lease carries a random
   nonce; renewal and release verify the nonce so a worker that lost its
-  lease can never clobber the new owner's.
+  lease can never clobber the new owner's.  The worker whose unlink
+  evicts a stale lease journals ``lease_reclaimed``, whoever then wins
+  the re-create, so each eviction is counted once.
 * **Heartbeats bound staleness in both directions.**  The owner rewrites
   its lease (atomically) every ``heartbeat_interval``.  Any worker may
   reclaim a lease whose heartbeat is older than ``lease_ttl`` — a worker
@@ -36,7 +38,8 @@ section 17):
   compute the identical deterministic result and the atomic
   ``os.replace`` publish makes the duplicate write invisible.
   Correctness rests on (a) deterministic cells, (b) atomic result
-  publication, (c) the completed-result check before every claim.
+  publication, (c) a check for a published result before and after
+  every claim.
 * **Checkpoints make reclaims cheap.**  A cell longer than
   ``checkpoint_refs`` references checkpoints through the versioned
   container every ``checkpoint_refs``; a reclaimed or retried cell
@@ -49,13 +52,25 @@ section 17):
 
 The coordinator (:func:`run_many`) spawns the local worker pool,
 streams completed cells into the report as they land, restarts crashed
-workers up to a budget, and aggregates the event journal into
-``fabric.*`` metrics through :class:`repro.obs.MetricsRegistry`.  Each
-worker simulates its cells in one long-lived spawned runner process
-that imports ``repro.api`` once; the worker supervises it over a pipe
-and replaces it only when it dies, passes its deadline, or is
-terminated.  The worker itself imports only this queue protocol (this
-module, :mod:`~repro.resilience.runner` and the atomic writers of
+workers up to a budget (a replacement keeps its predecessor's index),
+and aggregates the event journal into ``fabric.*`` metrics through
+:class:`repro.obs.MetricsRegistry`.  It waits on its workers' process
+sentinels and on a notice pipe: a worker that finds no unfinished cell
+says so once, before it stops its runner.  When its loop ends, with
+every manifest cell published or on an interrupt, the coordinator
+closes a second pipe, which wakes any worker idling on a peer's last
+cell.  ``_POLL_INTERVAL`` bounds the waits on both sides only for what
+no local process announces: a peer invocation's results and a stale
+lease.
+
+Each worker scans the manifest in :func:`_claim_order`, grouped by the
+runner's trace memo key, from a first cell of its own, so its runner
+works through one workload's cells before it moves on to the next.  It
+simulates its cells in one long-lived spawned runner process that
+imports ``repro.api`` once; the worker supervises it over a pipe and
+replaces it only when it dies, passes its deadline, or is terminated.
+The worker itself imports only this queue protocol (this module,
+:mod:`~repro.resilience.runner` and the atomic writers of
 :mod:`~repro.resilience.checkpoint`), never the simulator, so it is up
 while its runner still boots.
 """
@@ -95,8 +110,10 @@ MANIFEST_SCHEMA = "repro-sweep-manifest/1"
 #: terminal statuses a result file may carry; anything else is corrupt
 _TERMINAL = ("ok", "failed", "timeout")
 
-#: seconds the coordinator, and a worker that found every unfinished cell
-#: leased elsewhere, sleep between scans of the queue
+#: longest wait, in seconds, of the coordinator and of a worker that found
+#: every unfinished cell leased elsewhere between scans of the queue.
+#: Local workers announce their exit and the sweep's end, so only a peer
+#: invocation's results and a stale lease wait for it.
 _POLL_INTERVAL = 0.2
 
 #: bounds (seconds) for the heartbeat-age histogram — heartbeats are
@@ -154,7 +171,7 @@ class FabricStats:
     cells_total: int = 0
     cells_completed: int = 0
     cells_leased: int = 0          # successful claims
-    cells_reclaimed: int = 0       # claims that evicted a stale lease
+    cells_reclaimed: int = 0       # stale leases evicted
     cells_resumed: int = 0         # attempts resumed from a checkpoint
     cells_retried: int = 0         # in-claim retry after crash/timeout
     cells_lost: int = 0            # lease lost mid-cell (abandoned, no publish)
@@ -398,37 +415,43 @@ def _try_claim(paths: QueuePaths, cid: str, worker_id: str, nonce: str,
                ttl: float) -> tuple[bool, bool]:
     """Attempt to acquire the cell's lease.
 
-    Returns ``(claimed, reclaimed_stale)``.  The claim itself is the
-    ``O_CREAT | O_EXCL`` create; reclaiming first unlinks a lease that
-    :func:`lease_is_stale` and then races the re-create like everyone
-    else.
+    Returns ``(claimed, evicted)``.  The claim itself is the
+    ``O_CREAT | O_EXCL`` create.  A lease that :func:`lease_is_stale` is
+    first evicted, then the create is retried once, racing everyone
+    else.  The worker whose unlink removed the stale lease journals
+    ``lease_reclaimed``, whoever wins the re-create, so each eviction is
+    counted once.
     """
     path = paths.lease(cid)
     payload = json.dumps(_lease_payload(worker_id, nonce)).encode("utf-8")
-    for reclaimed in (False, True):
+    evicted = False
+    for retry in (False, True):
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
-            if reclaimed:
-                return False, False
+            if retry:
+                return False, evicted
             lease = _read_lease(path)
             try:
                 mtime = os.stat(path).st_mtime
             except OSError:
-                continue         # vanished: released or reclaimed; retry
+                continue         # vanished: released or evicted; retry
             if not lease_is_stale(lease, mtime, time.time(), ttl):
                 return False, False
             try:
                 os.unlink(path)
             except FileNotFoundError:
-                pass
+                continue         # evicted, and journaled, by another worker
+            _log_event(paths, event="lease_reclaimed", cell=cid,
+                       worker=worker_id)
+            evicted = True
             continue
         try:
             os.write(fd, payload)
         finally:
             os.close(fd)
-        return True, reclaimed
-    return False, False
+        return True, evicted
+    return False, evicted
 
 
 def _renew_lease(paths: QueuePaths, cid: str, worker_id: str,
@@ -455,6 +478,29 @@ def _release_lease(paths: QueuePaths, cid: str, nonce: str) -> None:
             os.unlink(path)
         except FileNotFoundError:
             pass
+
+
+def _claim(paths: QueuePaths, cid: str, worker_id: str,
+           ttl: float) -> str | None:
+    """Lease an unpublished cell and return the lease's nonce, or ``None``.
+
+    The caller has found no result for the cell.  Its owner may publish
+    and release its lease between that check and the create, which then
+    succeeds on a finished cell, so the result is read again once the
+    lease is won, and a cell found published is released, not run.
+    """
+    import secrets
+
+    nonce = secrets.token_hex(8)
+    claimed, evicted = _try_claim(paths, cid, worker_id, nonce, ttl)
+    if not claimed:
+        return None
+    if _load_result(paths, cid) is not None:
+        _release_lease(paths, cid, nonce)
+        return None
+    _log_event(paths, event="cell_claimed", cell=cid, worker=worker_id,
+               reclaimed=evicted)
+    return nonce
 
 
 # -- attempt metadata ---------------------------------------------------------
@@ -592,6 +638,28 @@ def _runner_main(conn, queue_dir: str) -> None:
 
 
 # -- worker loop (child process) ----------------------------------------------
+
+
+def _claim_order(entries: list[tuple[str, SweepCell]], index: int,
+                 parallelism: int) -> list[tuple[str, SweepCell]]:
+    """The order in which worker ``index`` of ``parallelism`` scans the
+    manifest for a cell to claim.
+
+    Cells are grouped by the runner's trace memo key (app, refs,
+    warmup_refs; DESIGN.md section 19), groups in order of first
+    appearance and cells in manifest order within a group.  Worker
+    ``index`` starts at cell ``index * len(entries) // parallelism`` of
+    that order and wraps around.  So fresh workers start on different
+    cells when there are at least as many cells as workers, and a runner
+    works through one workload's cells before it moves on to the next.
+    """
+    groups: dict[tuple, list[tuple[str, SweepCell]]] = {}
+    for cid, cell in entries:
+        key = (cell.app, cell.refs, cell.warmup_refs)
+        groups.setdefault(key, []).append((cid, cell))
+    order = [entry for group in groups.values() for entry in group]
+    start = index * len(order) // parallelism
+    return order[start:] + order[:start]
 
 
 class _Runner:
@@ -765,19 +833,24 @@ def _run_cell(runner: _Runner, paths: QueuePaths, cid: str,
                status=status, attempts=attempts, resumed=resumed)
 
 
-def _worker_main(queue_dir: str, worker_id: str, offset: int,
-                 settings_dict: dict) -> None:
+def _worker_main(queue_dir: str, worker_id: str, index: int,
+                 settings_dict: dict, notify, wake) -> None:
     """One pool worker: scan, claim, execute, repeat until drained/done.
 
     SIGINT is ignored (the coordinator owns interrupts); SIGTERM requests
     a graceful drain — the in-flight attempt is terminated (its last
     checkpoint survives), the lease released, and the worker exits 0.
-    ``offset`` rotates each worker's scan order so a freshly started pool
-    doesn't stampede the same first cell.  The worker's warm runner is
-    closed on the way out, however the loop ends.
+    The worker scans the manifest in :func:`_claim_order` for its
+    ``index`` (a restarted worker gets its predecessor's), so a fresh
+    pool starts on different cells and each runner works through one
+    workload at a time.  A scan that finds no unfinished cell sends one
+    notice on ``notify`` and ends the loop.  A scan that finds every
+    unfinished cell leased elsewhere waits up to ``_POLL_INTERVAL`` for
+    a peer's result or a stale lease, and ends the loop once the
+    coordinator closes the other end of ``wake``, which it does when
+    every cell is published (or the run is interrupted).  The worker's
+    warm runner is closed on the way out, however the loop ends.
     """
-    import secrets
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     drain = {"hit": False}
 
@@ -792,9 +865,8 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
                        "started": time.time()})
     _log_event(paths, event="worker_started", worker=worker_id,
                pid=os.getpid())
-    entries = load_manifest(queue_dir)
-    entries = entries[offset % max(1, len(entries)):] \
-        + entries[:offset % max(1, len(entries))]
+    entries = _claim_order(load_manifest(queue_dir), index,
+                           settings.parallelism)
     runner = _Runner(multiprocessing.get_context("spawn"), paths, worker_id)
     drained = False
     try:
@@ -808,25 +880,24 @@ def _worker_main(queue_dir: str, worker_id: str, offset: int,
                                 quarantine_by=worker_id) is not None:
                     continue
                 pending += 1
-                nonce = secrets.token_hex(8)
-                claimed, reclaimed = _try_claim(paths, cid, worker_id,
-                                                nonce, settings.lease_ttl)
-                if not claimed:
+                nonce = _claim(paths, cid, worker_id, settings.lease_ttl)
+                if nonce is None:
                     continue
-                if reclaimed:
-                    _log_event(paths, event="lease_reclaimed", cell=cid,
-                               worker=worker_id)
-                _log_event(paths, event="cell_claimed", cell=cid,
-                           worker=worker_id, reclaimed=reclaimed)
                 claimed_any = True
                 _run_cell(runner, paths, cid, cell, worker_id, nonce,
                           settings, drain)
-            if drain["hit"] or pending == 0:
+            if drain["hit"]:
                 break
-            if not claimed_any:
-                # every unfinished cell is leased elsewhere: wait for a
-                # result to land or a lease to go stale
-                time.sleep(_POLL_INTERVAL)
+            if pending == 0:
+                # before the runner's shutdown, so the coordinator's last
+                # scan overlaps it
+                try:
+                    notify.send_bytes(b"")
+                except OSError:
+                    pass                   # the coordinator is gone
+                break
+            if not claimed_any and wake.poll(_POLL_INTERVAL):
+                break        # the coordinator has every result, or is gone
         drained = drain["hit"]
     finally:
         runner.stop()
@@ -960,6 +1031,8 @@ def _coordinate(paths: QueuePaths, cells: list[SweepCell],
                 max_worker_restarts: int, progress,
                 out_path: str | None) -> SweepReport:
     """The coordinator behind :func:`run_many`, on one queue directory."""
+    from multiprocessing.connection import wait
+
     from repro.obs import MetricsRegistry
 
     checkpoint_refs = settings.checkpoint_refs
@@ -980,7 +1053,12 @@ def _coordinate(paths: QueuePaths, cells: list[SweepCell],
 
     context = multiprocessing.get_context("spawn")
     workers: dict[str, multiprocessing.Process] = {}
+    worker_index: dict[str, int] = {}
     worker_serial = 0
+    # workers -> coordinator: "no unfinished cell left", once per worker;
+    # coordinator -> workers: EOF once its loop ends
+    notices, notify = context.Pipe(duplex=False)
+    wake, sweep_over = context.Pipe(duplex=False)
 
     def spawn_worker(index: int) -> None:
         nonlocal worker_serial
@@ -990,9 +1068,10 @@ def _coordinate(paths: QueuePaths, cells: list[SweepCell],
                if worker_serial > parallelism else "")
         process = context.Process(
             target=_worker_main,
-            args=(paths.root, wid, index, settings.to_dict()))
+            args=(paths.root, wid, index, settings.to_dict(), notify, wake))
         process.start()
         workers[wid] = process
+        worker_index[wid] = index
 
     surfaced: dict[str, CellResult] = {}
     interrupted = False
@@ -1057,12 +1136,13 @@ def _coordinate(paths: QueuePaths, cells: list[SweepCell],
                 if process.is_alive():
                     continue
                 del workers[wid]
+                index = worker_index.pop(wid)
                 if process.exitcode != 0 and restarts_left > 0:
                     restarts_left -= 1
                     stats.worker_restarts += 1
                     _log_event(paths, event="worker_restarted", worker=wid,
                                exitcode=process.exitcode)
-                    spawn_worker(len(workers))
+                    spawn_worker(index)
             if not workers:
                 if restarts_left > 0:
                     # every local worker exited (e.g. all cells were
@@ -1073,19 +1153,29 @@ def _coordinate(paths: QueuePaths, cells: list[SweepCell],
                     spawn_worker(0)
                 else:
                     break
-            time.sleep(_POLL_INTERVAL)
+            # a worker's notice or exit ends the wait early; the timeout
+            # is for a peer invocation's results and a stale lease
+            ready = wait([notices, *(process.sentinel
+                                     for process in workers.values())],
+                         _POLL_INTERVAL)
+            if notices in ready:
+                while notices.poll():
+                    notices.recv_bytes()
     except KeyboardInterrupt:
         interrupted = True
         for process in workers.values():
             if process.is_alive():
                 process.terminate()        # SIGTERM: graceful drain
     finally:
+        sweep_over.close()     # wakes every worker idling on a peer's cell
         deadline = time.monotonic() + 30
         for process in workers.values():
             process.join(max(0.1, deadline - time.monotonic()))
             if process.is_alive():
                 process.kill()
                 process.join(5)
+        for end in (notices, notify, wake):
+            end.close()
     stats.cells_completed = sweep_results()
     sample_heartbeats()
     _aggregate_stats(paths.root, stats)

@@ -8,20 +8,25 @@ on a one-core CI box.
 import json
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.api import Experiment
 from repro.resilience import CHECKPOINT_REFS
 from repro.resilience.checkpoint import CheckpointError, atomic_write_json
+from repro.resilience import fabric
 from repro.resilience.fabric import (
     FabricSettings,
     QueuePaths,
+    _claim,
+    _claim_order,
     _execute_cell,
     _load_result,
     _Runner,
@@ -32,9 +37,15 @@ from repro.resilience.fabric import (
     read_events,
     run_many,
 )
-from repro.resilience.runner import SWEEP_SCHEMA, SweepCell, load_sweep_report
+from repro.resilience.runner import (
+    SWEEP_SCHEMA,
+    CellResult,
+    SweepCell,
+    load_sweep_report,
+)
 from repro.testing import (
     assert_chaos_equivalent,
+    assert_no_duplicate_completions,
     assert_runners_exited,
     normalize_report,
     reference_report,
@@ -112,6 +123,136 @@ class TestClaimProtocol:
                            "heartbeat": time.time() - 3600})
         claimed, reclaimed = _try_claim(paths, "c0", "w1", "n1", ttl=10)
         assert claimed and reclaimed
+
+    @staticmethod
+    def _plant_stale_lease(paths):
+        paths.ensure()
+        atomic_write_json(paths.lease("c0"),
+                          {"worker": "dead", "nonce": "x",
+                           "heartbeat": time.time() - 3600})
+
+    @staticmethod
+    def _reclaims(paths):
+        return [event["worker"] for event in read_events(paths.root)
+                if event["event"] == "lease_reclaimed"]
+
+    def test_eviction_is_journaled_once(self, tmp_path):
+        paths = QueuePaths(str(tmp_path))
+        self._plant_stale_lease(paths)
+        assert _try_claim(paths, "c0", "w1", "n1", ttl=10) == (True, True)
+        assert self._reclaims(paths) == ["w1"]
+
+    def test_eviction_raced_by_a_first_try_create_is_journaled(
+            self, tmp_path, monkeypatch):
+        """Worker A evicts a stale lease; worker B's first-try create
+        lands before A's re-create.  B owns the cell, and the eviction
+        is journaled once, by A."""
+        paths = QueuePaths(str(tmp_path))
+        self._plant_stale_lease(paths)
+        unlink = os.unlink
+        raced = []
+
+        def unlink_then_b_claims(path, *args, **kwargs):
+            unlink(path, *args, **kwargs)
+            if path == paths.lease("c0") and not raced:
+                raced.append(_try_claim(paths, "c0", "B", "nB", ttl=10))
+
+        monkeypatch.setattr(os, "unlink", unlink_then_b_claims)
+        claimed_a, _ = _try_claim(paths, "c0", "A", "nA", ttl=10)
+        monkeypatch.undo()
+        assert raced == [(True, False)]
+        assert not claimed_a
+        with open(paths.lease("c0"), encoding="utf-8") as handle:
+            assert json.load(handle)["nonce"] == "nB"
+        assert self._reclaims(paths) == ["A"]
+
+    def test_claim_rechecks_the_result_after_winning_the_lease(
+            self, tmp_path):
+        """A cell published, and its lease released, after the scan
+        found no result is released again, not run."""
+        paths = QueuePaths(str(tmp_path))
+        paths.ensure()
+        atomic_write_json(paths.result("c0"), CellResult(
+            cell=SweepCell("split", "swim", refs=REFS), status="ok",
+            attempts=1).to_dict())
+        assert _claim(paths, "c0", "w0", ttl=10) is None
+        assert not os.path.exists(paths.lease("c0"))
+        # an unpublished cell is claimed, and the claim journaled
+        nonce = _claim(paths, "c1", "w0", ttl=10)
+        assert nonce is not None
+        with open(paths.lease("c1"), encoding="utf-8") as handle:
+            assert json.load(handle)["nonce"] == nonce
+        claims = [event["cell"] for event in read_events(paths.root)
+                  if event["event"] == "cell_claimed"]
+        assert claims == ["c1"]
+
+
+def _manifest(apps, schemes=("split", "split+gcm", "mono+sha")):
+    """A shuffled scheme x app manifest, as perfbench's sweep batches
+    are."""
+    cells = [SweepCell(scheme, app, refs=REFS)
+             for scheme in schemes for app in apps]
+    random.Random(7).shuffle(cells)
+    return [(cell_id(index, cell), cell) for index, cell in enumerate(cells)]
+
+
+def _memo_keys(order):
+    return [(cell.app, cell.refs, cell.warmup_refs) for _, cell in order]
+
+
+class TestClaimOrder:
+    """Each worker's scan order is a pure function of (manifest, worker
+    index, parallelism)."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3, 5])
+    def test_each_order_is_the_manifest_grouped_by_memo_key(
+            self, parallelism):
+        entries = _manifest(("swim", "gzip", "mcf", "gcc"))
+        entries.append(("0012-split-swim",
+                        SweepCell("split", "swim", refs=REFS + 1)))
+        for index in range(parallelism):
+            order = _claim_order(entries, index, parallelism)
+            assert order == _claim_order(entries, index, parallelism)
+            assert sorted(cid for cid, _ in order) \
+                == sorted(cid for cid, _ in entries)
+            # each key forms one run, counting the wrap-around: a worker
+            # that starts inside a group finishes that group last
+            keys = _memo_keys(order)
+            runs = sum(keys[i] != keys[i - 1] for i in range(len(keys)))
+            assert runs == len(set(keys)) == 5
+
+    def test_workers_own_disjoint_workloads_until_theirs_run_out(self):
+        entries = _manifest(("swim", "gzip", "mcf", "gcc"))
+        owned = [_claim_order(entries, index, 2)[:6] for index in range(2)]
+        apps = [{cell.app for _, cell in cells} for cells in owned]
+        assert [len(held) for held in apps] == [2, 2]
+        assert not apps[0] & apps[1]
+        assert sorted(cid for cells in owned for cid, _ in cells) \
+            == sorted(cid for cid, _ in entries)
+
+    @pytest.mark.parametrize("entries, parallelism", [
+        (_manifest(("swim", "gzip", "mcf", "gcc")), 2),
+        (_manifest(("swim", "gzip", "mcf", "gcc")), 4),
+        (_manifest(("swim",)), 3),                  # a single workload
+        (_manifest(("swim", "gzip")), 3),           # fewer than workers
+        ([(f"{index:04d}", SweepCell("split", "gcc" if index == 0
+                                     else "swim", refs=REFS))
+          for index in range(12)], 3),              # one tiny group
+        ([(f"{index:04d}", SweepCell("split", app, refs=REFS))
+          for index, app in enumerate(["gcc", "mcf"] + ["swim"] * 10)],
+         3),                                        # unequal groups
+    ], ids=["4-apps-2-workers", "4-apps-4-workers", "1-app-3-workers",
+            "2-apps-3-workers", "1-and-11-cells-3-workers",
+            "1-1-and-10-cells-3-workers"])
+    def test_fresh_workers_start_on_different_cells(self, entries,
+                                                    parallelism):
+        firsts = [_claim_order(entries, index, parallelism)[0]
+                  for index in range(parallelism)]
+        assert len({cid for cid, _ in firsts}) == parallelism
+        sizes = Counter(_memo_keys(entries))
+        if len(set(sizes.values())) == 1 and len(sizes) >= parallelism:
+            # equal workloads, enough to go round: on different ones
+            assert len(set(_memo_keys(firsts))) == parallelism
 
 
 class TestQueueLifecycle:
@@ -263,6 +404,54 @@ class TestFabricEndToEnd:
         assert report.ok
         assert report.fabric is not None
         assert report.cells[0].worker_id is not None
+
+
+class TestSweepEnd:
+    """A sweep ends on its workers' notices and exits, not on the
+    coordinator's poll; a restarted worker keeps the dead one's index."""
+
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_return_does_not_wait_for_the_coordinators_poll(
+            self, tmp_path, monkeypatch, parallelism):
+        """With 4 workers on a small host, more workers than cores race
+        to claim, go idle and send their notices."""
+        # spawned workers import the module afresh and keep the default
+        monkeypatch.setattr(fabric, "_POLL_INTERVAL", 30.0)
+        queue = str(tmp_path / "queue")
+        cells = [SweepCell(scheme, app, refs=REFS)
+                 for scheme in ("split", "baseline")
+                 for app in ("swim", "gzip", "mcf")]
+        started = time.monotonic()
+        report = run_many(cells, queue_dir=queue, parallelism=parallelism,
+                          heartbeat_interval=0.2, lease_ttl=2.0)
+        elapsed = time.monotonic() - started
+        assert report.counts() == {"ok": 6}, report.to_dict()
+        assert all(cell.attempts == 1 for cell in report.cells)
+        # a coordinator that slept between scans saw nothing for 30 s
+        assert elapsed < 20, elapsed
+        assert_no_duplicate_completions(queue)
+        assert_runners_exited(queue)
+
+    def test_a_restarted_worker_keeps_the_dead_workers_index(self, tmp_path):
+        queue = str(tmp_path / "queue")
+        # worker 0 scans from the first cell, so it takes the kill
+        cells = [SweepCell("split", "swim", refs=3_000,
+                           inject="killworker:1"),
+                 SweepCell("split", "gzip", refs=REFS),
+                 SweepCell("baseline", "gzip", refs=REFS)]
+        report = run_many(cells, queue_dir=queue, parallelism=2,
+                          heartbeat_interval=0.2, lease_ttl=1.0,
+                          checkpoint_refs=500, retries=1)
+        assert report.ok, report.to_dict()
+        events = read_events(queue)
+        [dead] = [event["worker"] for event in events
+                  if event["event"] == "worker_restarted"]
+        [restarted] = [event["worker"] for event in events
+                       if event["event"] == "worker_started"
+                       and ".r" in event["worker"]]
+        # worker ids are w<index>.<coordinator pid>[.r<restart>]
+        assert restarted.split(".")[0] == dead.split(".")[0]
+        assert_runners_exited(queue)
 
 
 class TestDefaultPath:
