@@ -12,15 +12,13 @@ from repro.crypto.aes import AES128
 from repro.crypto.ctr import bulk_ctr_transform, ctr_transform
 from repro.crypto.gcm import AESGCM
 from repro.crypto.gf128 import GF128Table
-from repro.crypto.ghash import ghash, ghash_chunks
+from repro.crypto.ghash import GHASH, ghash, ghash_chunks
 from repro.crypto.mac import gcm_block_mac, gcm_block_macs
 from repro.crypto.sha1 import sha1
 from repro.crypto.vector import (
     bulk_ctr_transform_vector,
     gcm_block_macs_vector,
     ghash_chunks_many,
-    vector_aes,
-    vector_ghash,
 )
 
 KEY = bytes(range(16))
@@ -90,19 +88,19 @@ def test_gcm_seal_64B(benchmark):
 
 def test_gcm_block_mac(benchmark):
     aes = AES128(KEY)
-    h = aes.encrypt_block(b"\x00" * 16)
+    h = GHASH(aes.encrypt_block(b"\x00" * 16))
     tag = benchmark(gcm_block_mac, aes, h, 0x2000, 7, DATA64, 64)
     assert len(tag) == 8
 
 
 def test_ghash_64B(benchmark):
-    h = AES128(KEY).encrypt_block(b"\x00" * 16)
+    h = GHASH(AES128(KEY).encrypt_block(b"\x00" * 16))
     out = benchmark(ghash, h, b"", DATA64)
     assert len(out) == 16
 
 
 def test_ghash_chunks_4x16(benchmark):
-    h = AES128(KEY).encrypt_block(b"\x00" * 16)
+    h = GHASH(AES128(KEY).encrypt_block(b"\x00" * 16))
     chunks = [DATA64[i:i + 16] for i in range(0, 64, 16)]
     out = benchmark(ghash_chunks, h, chunks)
     assert len(out) == 16
@@ -127,12 +125,12 @@ def test_sha1_64B(benchmark):
 # Each vector bench has a table twin on identical inputs; the ratio of
 # their per-round times is the vector speed-up recorded in
 # results/crypto_micro.txt.  Warm-up is forced outside the timed region
-# (table/array construction is cached per key).
+# (table/array construction is kept on the AES128 / GHASH objects).
 
 
 def test_vector_aes_encrypt_1024_blocks(benchmark):
     blocks = [bytes([i & 0xFF]) * 16 for i in range(VEC_N)]
-    vaes = vector_aes(KEY)
+    vaes = AES128(KEY).vector()
     out = benchmark(vaes.encrypt_blocks, blocks)
     assert out[0] == AES128(KEY).encrypt_block(blocks[0])
 
@@ -145,7 +143,7 @@ def test_table_aes_encrypt_1024_blocks(benchmark):
 
 
 def test_vector_pad_generation_1024_blocks(benchmark):
-    out = benchmark(bulk_ctr_transform_vector, KEY, VEC_ITEMS)
+    out = benchmark(bulk_ctr_transform_vector, AES128(KEY), VEC_ITEMS)
     addr, ctr, data = VEC_ITEMS[0]
     assert out[0] == ctr_transform(AES128(KEY), addr, ctr, data)
 
@@ -157,14 +155,14 @@ def test_table_pad_generation_1024_blocks(benchmark):
 
 
 def test_vector_ghash_1024_messages(benchmark):
-    h = AES128(KEY).encrypt_block(b"\x00" * 16)
-    vector_ghash(h)  # build the table outside the timed region
+    h = GHASH(AES128(KEY).encrypt_block(b"\x00" * 16))
+    h.vector()  # build the table outside the timed region
     out = benchmark(ghash_chunks_many, h, VEC_MESSAGES)
     assert len(out) == VEC_N
 
 
 def test_table_ghash_1024_messages(benchmark):
-    h = AES128(KEY).encrypt_block(b"\x00" * 16)
+    h = GHASH(AES128(KEY).encrypt_block(b"\x00" * 16))
 
     def run():
         return [
@@ -177,13 +175,14 @@ def test_table_ghash_1024_messages(benchmark):
 
 
 def test_vector_leaf_macs_1024_blocks(benchmark):
-    h = AES128(KEY).encrypt_block(b"\x00" * 16)
-    out = benchmark(gcm_block_macs_vector, KEY, h, VEC_ITEMS, 64)
+    aes = AES128(KEY)
+    h = GHASH(aes.encrypt_block(b"\x00" * 16))
+    out = benchmark(gcm_block_macs_vector, aes, h, VEC_ITEMS, 64)
     assert len(out) == VEC_N and len(out[0]) == 8
 
 
 def test_table_leaf_macs_1024_blocks(benchmark):
     aes = AES128(KEY)
-    h = aes.encrypt_block(b"\x00" * 16)
+    h = GHASH(aes.encrypt_block(b"\x00" * 16))
     out = benchmark(gcm_block_macs, aes, h, VEC_ITEMS, 64, kernel="table")
     assert len(out) == VEC_N and len(out[0]) == 8

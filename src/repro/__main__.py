@@ -372,6 +372,13 @@ def _cmd_bench(args) -> int:
             vec = speed.get("vector", float("nan"))
             print(f"  {name:<15} {entry['units']:>5} {entry['unit']:<9} "
                   f"table {table:6.1f}x  vector {vec:6.1f}x  (vs scalar)")
+        crossover = report["crossover"]
+        print(f"  crossover, us per call at {crossover['sizes']} "
+              f"cache blocks:")
+        for path, row in crossover["seconds_per_call"].items():
+            for kernel, seconds in row.items():
+                print(f"    {path:<5} {kernel:<7}"
+                      + "".join(f"{s * 1e6:9.0f}" for s in seconds))
         sim = report["sim"]
         print(f"  sim ({sim['app']}, {sim['refs']} refs): "
               f"geomean normalized IPC "

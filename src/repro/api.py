@@ -26,14 +26,13 @@ Example::
 
 from __future__ import annotations
 
-import difflib
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
-from repro.core.config import PRESETS, SecureMemoryConfig
+from repro.core.config import PRESETS, SecureMemoryConfig, lookup_preset
 from repro.core.results import (
     RESULT_SCHEMA,
     ResultBase,
@@ -98,19 +97,7 @@ def get_config(name: str | None = None, *, preset: str | None = None,
         raise TypeError(
             "get_config takes exactly one scheme label: positional name or "
             "preset=")
-    label = name if name is not None else preset
-    try:
-        config = PRESETS[label]
-    except KeyError:
-        suggestions = difflib.get_close_matches(label, PRESETS, n=3)
-        hint = (
-            f"; did you mean {' or '.join(repr(s) for s in suggestions)}?"
-            if suggestions else ""
-        )
-        raise KeyError(
-            f"unknown config {label!r}{hint} "
-            f"(choose from: {', '.join(PRESETS)})"
-        ) from None
+    config = lookup_preset(name if name is not None else preset)
     return config.with_updates(**overrides) if overrides else config
 
 

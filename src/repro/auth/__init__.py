@@ -1,29 +1,32 @@
-"""Memory authentication: MAC schemes, Merkle tree, and strictness policies."""
+"""Memory authentication: MAC schemes, Merkle tree, and strictness policies.
 
-from repro.auth.codes import (
-    TreeGeometry,
-    build_geometry,
-    merkle_levels_for_memory,
-)
-from repro.auth.merkle import IntegrityViolation, MerkleStats, MerkleTree
-from repro.auth.policies import (
-    COMMIT_HIDE_CYCLES,
-    AuthPolicy,
-    exposed_auth_latency,
-)
-from repro.auth.schemes import GCMMACScheme, MACScheme, SHAMACScheme
+Every public name resolves lazily (PEP 562), so importing one submodule
+loads only what that submodule needs: the configuration layer reads
+:class:`AuthPolicy` without loading the Merkle tree or the MAC kernels.
+"""
 
-__all__ = [
-    "AuthPolicy",
-    "COMMIT_HIDE_CYCLES",
-    "GCMMACScheme",
-    "IntegrityViolation",
-    "MACScheme",
-    "MerkleStats",
-    "MerkleTree",
-    "SHAMACScheme",
-    "TreeGeometry",
-    "build_geometry",
-    "exposed_auth_latency",
-    "merkle_levels_for_memory",
-]
+from __future__ import annotations
+
+import importlib
+
+_SUBMODULE_NAMES = {
+    "codes": ("TreeGeometry", "build_geometry", "merkle_levels_for_memory"),
+    "merkle": ("IntegrityViolation", "MerkleStats", "MerkleTree"),
+    "policies": ("COMMIT_HIDE_CYCLES", "AuthPolicy", "exposed_auth_latency"),
+    "schemes": ("GCMMACScheme", "MACScheme", "SHAMACScheme"),
+}
+_MODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

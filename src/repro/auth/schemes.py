@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.crypto.aes import AES128
+from repro.crypto.ghash import GHASH
 from repro.crypto.mac import gcm_block_mac, gcm_block_macs, sha_block_mac
 
 
@@ -49,21 +50,26 @@ class MACScheme(ABC):
 
 
 class GCMMACScheme(MACScheme):
-    """GCM authentication codes sharing the AES engine with encryption."""
+    """GCM authentication codes sharing the AES engine with encryption.
+
+    The scheme owns its key's cipher and GHASH subkey objects, and with
+    them every table and vector twin they build, so MACs under this key
+    never rebuild that state however many other keys are in use.
+    """
 
     def __init__(self, key: bytes, mac_bits: int = 64,
                  kernel: str = "table"):
         super().__init__(mac_bits)
         self._aes = AES128(key)
-        self._ghash_key = self._aes.encrypt_block(b"\x00" * 16)
+        self._ghash = GHASH(self._aes.encrypt_block(b"\x00" * 16))
         self.kernel = kernel
 
     def compute(self, address: int, counter: int, content: bytes) -> bytes:
-        return gcm_block_mac(self._aes, self._ghash_key, address, counter,
+        return gcm_block_mac(self._aes, self._ghash, address, counter,
                              content, self.mac_bits)
 
     def compute_many(self, items: list[tuple[int, int, bytes]]) -> list[bytes]:
-        return gcm_block_macs(self._aes, self._ghash_key, items,
+        return gcm_block_macs(self._aes, self._ghash, items,
                               self.mac_bits, kernel=self.kernel)
 
     @property

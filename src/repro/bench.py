@@ -46,8 +46,16 @@ from typing import Any, Callable
 
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import bulk_ctr_transform
+from repro.crypto.ghash import GHASH
 from repro.crypto.mac import gcm_block_macs
-from repro.crypto.vector import ghash_chunks_kernel, ghash_chunks_many
+from repro.crypto.vector import (
+    VECTOR_MIN_CTR_BLOCKS,
+    VECTOR_MIN_MAC_BLOCKS,
+    bulk_ctr_transform_vector,
+    gcm_block_macs_vector,
+    ghash_chunks_kernel,
+    ghash_chunks_many,
+)
 from repro.sim.metrics import geometric_mean
 
 __all__ = [
@@ -135,7 +143,7 @@ def _micro_benchmarks(seed: int, blocks: int,
     rng = random.Random(seed)
     key = bytes(rng.randrange(256) for _ in range(16))
     aes = AES128(key)
-    ghash_key = aes.encrypt_block(b"\x00" * 16)
+    ghash_key = GHASH(aes.encrypt_block(b"\x00" * 16))
 
     ctr_items = [
         (index * 64, rng.randrange(1 << 40), rng.randbytes(64))
@@ -176,6 +184,67 @@ def _micro_benchmarks(seed: int, blocks: int,
         "leaf_macs": _micro_entry(
             "leaf_macs", blocks, "macs",
             {k: mac_runner(k) for k in _MICRO_KERNELS}, repeats),
+    }
+
+
+#: batch sizes, in 64-byte cache blocks, of the table/vector crossover sweep
+_CROSSOVER_BLOCKS = (1, 2, 4, 8, 16, 32, 64, 1024)
+#: timed calls per pass at each size: enough to lift a one-block call well
+#: above the clock's resolution
+_CROSSOVER_CALLS = 64
+
+
+def _crossover(seed: int, repeats: int,
+               sizes: tuple[int, ...] = _CROSSOVER_BLOCKS) -> dict[str, Any]:
+    """Seconds per call of the table and vector kernels at each batch size.
+
+    Recorded, never gated: the dispatch thresholds
+    (:data:`~repro.crypto.vector.VECTOR_MIN_CTR_BLOCKS`,
+    :data:`~repro.crypto.vector.VECTOR_MIN_MAC_BLOCKS`) cite this table.
+    Each size gets fresh seeded random blocks at random addresses and
+    counters, so the table kernel sees the cache behaviour of real
+    traffic rather than one block over and over; both kernels run on
+    the same key objects, whose tables the untimed warm-up call builds.
+    """
+    rng = random.Random(seed ^ 0xC805)
+    aes = AES128(rng.randbytes(16))
+    ghash_key = GHASH(aes.encrypt_block(b"\x00" * 16))
+    kernels = {
+        "ctr": {
+            "table": lambda items: bulk_ctr_transform(aes, items,
+                                                      kernel="table"),
+            "vector": lambda items: bulk_ctr_transform_vector(aes, items),
+        },
+        "macs": {
+            "table": lambda items: gcm_block_macs(aes, ghash_key, items,
+                                                  kernel="table"),
+            "vector": lambda items: gcm_block_macs_vector(aes, ghash_key,
+                                                          items),
+        },
+    }
+    seconds: dict[str, dict[str, list[float]]] = {
+        path: {kernel: [] for kernel in runners}
+        for path, runners in kernels.items()}
+    for blocks in sizes:
+        items = [(rng.randrange(1 << 30) * 64, rng.randrange(1 << 40),
+                  rng.randbytes(64)) for _ in range(blocks)]
+        calls = max(1, _CROSSOVER_CALLS // blocks)
+        for path, runners in kernels.items():
+            if runners["table"](items) != runners["vector"](items):
+                raise AssertionError(
+                    f"crossover {path}: kernels diverged at {blocks} blocks")
+            for kernel, fn in runners.items():
+                def batch(fn=fn, items=items):
+                    for _ in range(calls):
+                        fn(items)
+                seconds[path][kernel].append(
+                    _best_of(batch, repeats) / calls)
+    return {
+        "unit": "cache blocks",
+        "sizes": list(sizes),
+        "seconds_per_call": seconds,
+        "thresholds": {"ctr_aes_blocks": VECTOR_MIN_CTR_BLOCKS,
+                       "mac_cache_blocks": VECTOR_MIN_MAC_BLOCKS},
     }
 
 
@@ -331,6 +400,10 @@ def run_bench(*, seed: int = 0, blocks: int = 1024, repeats: int = 3,
     note = progress if progress is not None else (lambda _msg: None)
     note(f"bench: timing crypto micros ({blocks} blocks x {repeats} repeats)")
     micro = _micro_benchmarks(seed, blocks, repeats)
+    sizes = tuple(n for n in _CROSSOVER_BLOCKS if n <= blocks)
+    note(f"bench: timing the table/vector crossover at {list(sizes)} "
+         f"cache blocks")
+    crossover = _crossover(seed, repeats, sizes)
     note(f"bench: simulating {len(_SIM_PRESETS) + len(_RECORD_PRESETS)} "
          f"presets ({refs} refs)")
     sim = _sim_benchmarks(refs, app)
@@ -346,6 +419,7 @@ def run_bench(*, seed: int = 0, blocks: int = 1024, repeats: int = 3,
         "quick": quick,
         "seed": seed,
         "micro": micro,
+        "crossover": crossover,
         "sim": sim,
         "engine": engine,
         "serve": serve,
@@ -382,6 +456,17 @@ def validate_report(report: Any) -> None:
             if kernel not in entry["seconds"]:
                 raise ValueError(f"micro entry {name!r} missing kernel "
                                  f"{kernel!r}")
+    if "crossover" in report:   # the BENCH_8 baseline predates it
+        crossover = report["crossover"]
+        sizes = crossover["sizes"]
+        for path in ("ctr", "macs"):
+            for kernel in ("table", "vector"):
+                row = crossover["seconds_per_call"][path][kernel]
+                if len(row) != len(sizes) or not all(
+                        isinstance(v, (int, float)) and v > 0 for v in row):
+                    raise ValueError(
+                        f"crossover {path}/{kernel} must hold one positive "
+                        f"time per size {sizes}, got {row!r}")
     sim = report["sim"]
     for field in ("app", "refs", "presets", "geomean_normalized_ipc"):
         if field not in sim:

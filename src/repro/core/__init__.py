@@ -1,73 +1,61 @@
-"""The paper's contribution: split counters + GCM auth, tied together."""
+"""The paper's contribution: split counters + GCM auth, tied together.
 
-from repro.core.config import (
-    AuthMode,
-    CounterOrg,
-    EncryptionMode,
-    IntegrityMode,
-    PRESETS,
-    SecureMemoryConfig,
-    baseline_config,
-    direct_config,
-    gcm_auth_config,
-    make_counter_config,
-    mono_config,
-    mono_gcm_config,
-    mono_sha_config,
-    prediction_config,
-    scattered_config,
-    secddr_config,
-    sha_auth_config,
-    split_config,
-    split_gcm_config,
-    split_sha_config,
-    xom_sha_config,
-)
-from repro.core.response import (
-    ResponseMode,
-    SystemHalted,
-    ViolationResponder,
-    expected_forgery_stall_cycles,
-)
-from repro.core.rsr import RSR, RSRFile
-from repro.core.secure_memory import SecureMemorySystem, make_counter_scheme
-from repro.core.stats import (
-    PadStats,
-    ReencryptionStats,
-    SecureMemoryStats,
-)
+Every public name resolves lazily (PEP 562), so importing one submodule
+loads only what that submodule needs: the service front end reads
+:mod:`repro.core.config` without loading the functional memory system, its
+crypto kernels, or NumPy.
+"""
 
-__all__ = [
-    "AuthMode",
-    "CounterOrg",
-    "EncryptionMode",
-    "IntegrityMode",
-    "PRESETS",
-    "PadStats",
-    "RSR",
-    "RSRFile",
-    "ResponseMode",
-    "SystemHalted",
-    "ViolationResponder",
-    "expected_forgery_stall_cycles",
-    "ReencryptionStats",
-    "SecureMemoryConfig",
-    "SecureMemoryStats",
-    "SecureMemorySystem",
-    "baseline_config",
-    "direct_config",
-    "gcm_auth_config",
-    "make_counter_config",
-    "make_counter_scheme",
-    "mono_config",
-    "mono_gcm_config",
-    "mono_sha_config",
-    "prediction_config",
-    "scattered_config",
-    "secddr_config",
-    "sha_auth_config",
-    "split_config",
-    "split_gcm_config",
-    "split_sha_config",
-    "xom_sha_config",
-]
+from __future__ import annotations
+
+import importlib
+
+_SUBMODULE_NAMES = {
+    "config": (
+        "AuthMode",
+        "CounterOrg",
+        "EncryptionMode",
+        "IntegrityMode",
+        "PRESETS",
+        "SecureMemoryConfig",
+        "baseline_config",
+        "direct_config",
+        "gcm_auth_config",
+        "make_counter_config",
+        "mono_config",
+        "mono_gcm_config",
+        "mono_sha_config",
+        "prediction_config",
+        "scattered_config",
+        "secddr_config",
+        "sha_auth_config",
+        "split_config",
+        "split_gcm_config",
+        "split_sha_config",
+        "xom_sha_config",
+    ),
+    "response": (
+        "ResponseMode",
+        "SystemHalted",
+        "ViolationResponder",
+        "expected_forgery_stall_cycles",
+    ),
+    "rsr": ("RSR", "RSRFile"),
+    "secure_memory": ("SecureMemorySystem", "make_counter_scheme"),
+    "stats": ("PadStats", "ReencryptionStats", "SecureMemoryStats"),
+}
+_MODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,13 +16,14 @@ authentication-only ``gcm_auth`` / ``sha_auth``.
 
 from __future__ import annotations
 
+import difflib
 import enum
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.auth.policies import AuthPolicy
+from repro.crypto import KERNELS
 from repro.crypto.mac import VALID_MAC_BITS
-from repro.crypto.vector import KERNELS
 
 #: accepted values of :attr:`SecureMemoryConfig.sim_engine`
 SIM_ENGINES = ("auto", "scalar", "batched")
@@ -392,12 +393,38 @@ def scattered_config(**kwargs) -> SecureMemoryConfig:
 PRESETS: Mapping[str, SecureMemoryConfig]
 
 
-def __getattr__(name: str):
-    if name == "PRESETS":
+def _presets() -> Mapping[str, SecureMemoryConfig]:
+    presets = globals().get("PRESETS")
+    if presets is None:
         from repro.schemes import preset_configs
 
-        presets = preset_configs()
-        globals()["PRESETS"] = presets
-        return presets
+        presets = globals()["PRESETS"] = preset_configs()
+    return presets
+
+
+def lookup_preset(label: str) -> SecureMemoryConfig:
+    """The preset named ``label``.
+
+    Unknown labels raise :class:`KeyError` with close-match suggestions
+    (``lookup_preset("spilt")`` → *did you mean 'split'?*).
+    """
+    presets = _presets()
+    try:
+        return presets[label]
+    except KeyError:
+        suggestions = difflib.get_close_matches(label, presets, n=3)
+        hint = (
+            f"; did you mean {' or '.join(repr(s) for s in suggestions)}?"
+            if suggestions else ""
+        )
+        raise KeyError(
+            f"unknown config {label!r}{hint} "
+            f"(choose from: {', '.join(presets)})"
+        ) from None
+
+
+def __getattr__(name: str):
+    if name == "PRESETS":
+        return _presets()
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}")

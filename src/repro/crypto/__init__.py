@@ -8,87 +8,50 @@ Contents:
 * :mod:`repro.crypto.sha1` — SHA-1 and HMAC-SHA1
 * :mod:`repro.crypto.ctr` — counter-mode seeds and pads for memory encryption
 * :mod:`repro.crypto.mac` — per-block authentication codes (GCM and SHA)
+* :mod:`repro.crypto.vector` — NumPy batch kernels and kernel dispatch
+
+Every public name resolves lazily (PEP 562), so importing one submodule
+loads only what that submodule needs: the configuration layer reads
+:data:`KERNELS` and ``VALID_MAC_BITS`` without loading NumPy.
 """
 
-from repro.crypto.aes import AES128, decrypt_blocks, encrypt_blocks
-from repro.crypto.ctr import (
-    AUTHENTICATION_IV,
-    CHUNK_SIZE,
-    ENCRYPTION_IV,
-    bulk_ctr_transform,
-    ctr_transform,
-    generate_pads,
-    make_seed,
-    make_seeds,
-    xor_bytes,
-)
-from repro.crypto.gcm import AESGCM, AuthenticationError, constant_time_equal
-from repro.crypto.gf128 import GF128Element, GF128Table, gf128_mul
-from repro.crypto.ghash import GHASH, ghash, ghash_chunks
-from repro.crypto.mac import (
-    gcm_block_mac,
-    gcm_block_macs,
-    macs_per_block,
-    sha_block_mac,
-)
-from repro.crypto.sha1 import hmac_sha1, sha1
-from repro.crypto.vector import (
-    KERNELS,
-    VECTOR_MIN_BLOCKS,
-    VectorAES128,
-    VectorGHASH,
-    bulk_ctr_transform_vector,
-    decrypt_blocks_kernel,
-    encrypt_blocks_kernel,
-    gcm_block_macs_vector,
-    ghash_chunks_kernel,
-    ghash_chunks_many,
-    make_seeds_array,
-    resolve_kernel,
-    vector_aes,
-    vector_ghash,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AES128",
-    "AESGCM",
-    "AuthenticationError",
-    "AUTHENTICATION_IV",
-    "CHUNK_SIZE",
-    "ENCRYPTION_IV",
-    "GF128Element",
-    "GF128Table",
-    "GHASH",
-    "KERNELS",
-    "VECTOR_MIN_BLOCKS",
-    "VectorAES128",
-    "VectorGHASH",
-    "bulk_ctr_transform",
-    "bulk_ctr_transform_vector",
-    "constant_time_equal",
-    "ctr_transform",
-    "decrypt_blocks",
-    "decrypt_blocks_kernel",
-    "encrypt_blocks",
-    "encrypt_blocks_kernel",
-    "generate_pads",
-    "gf128_mul",
-    "ghash",
-    "ghash_chunks",
-    "ghash_chunks_kernel",
-    "ghash_chunks_many",
-    "gcm_block_mac",
-    "gcm_block_macs",
-    "gcm_block_macs_vector",
-    "hmac_sha1",
-    "macs_per_block",
-    "make_seed",
-    "make_seeds",
-    "make_seeds_array",
-    "resolve_kernel",
-    "sha1",
-    "sha_block_mac",
-    "vector_aes",
-    "vector_ghash",
-    "xor_bytes",
-]
+import importlib
+
+#: kernel names accepted by the dispatch helpers and ``Config.kernel``
+KERNELS = ("scalar", "table", "vector")
+
+_SUBMODULE_NAMES = {
+    "aes": ("AES128", "decrypt_blocks", "encrypt_blocks"),
+    "ctr": ("AUTHENTICATION_IV", "CHUNK_SIZE", "ENCRYPTION_IV",
+            "bulk_ctr_transform", "ctr_transform", "generate_pads",
+            "make_seed", "make_seeds", "xor_bytes"),
+    "gcm": ("AESGCM", "AuthenticationError", "constant_time_equal"),
+    "gf128": ("GF128Element", "GF128Table", "gf128_mul"),
+    "ghash": ("GHASH", "ghash", "ghash_chunks", "ghash_of"),
+    "mac": ("VALID_MAC_BITS", "gcm_block_mac", "gcm_block_macs",
+            "macs_per_block", "sha_block_mac"),
+    "sha1": ("hmac_sha1", "sha1"),
+    "vector": ("VECTOR_MIN_BLOCKS", "VECTOR_MIN_CTR_BLOCKS",
+               "VECTOR_MIN_MAC_BLOCKS", "VectorAES128", "VectorGHASH",
+               "bulk_ctr_transform_vector", "decrypt_blocks_kernel",
+               "encrypt_blocks_kernel", "gcm_block_macs_vector",
+               "ghash_chunks_kernel", "ghash_chunks_many",
+               "make_seeds_array", "resolve_kernel"),
+}
+_MODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
+              for name in names}
+
+__all__ = sorted({"KERNELS", *_MODULE_OF})
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

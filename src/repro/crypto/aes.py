@@ -1,20 +1,26 @@
 """AES-128 block cipher (FIPS-197), implemented from scratch.
 
 This module provides the functional encryption substrate for the secure
-memory system.  Two implementations coexist:
+memory system.  Two implementations coexist here, and a third beside it:
 
-* A **table-driven kernel** — the hot path.  SubBytes, ShiftRows, and
-  MixColumns are folded into precomputed lookup tables (the classic
-  "T-table" construction, widened here to 16-bit *pair* tables so one round
-  is eight lookups and eight XORs over the whole 128-bit state held as a
-  Python int).  The round function is fully unrolled.  Pair tables are
-  built lazily on first cipher use so that importing the module (or running
-  the timing simulator, which never touches functional crypto) stays cheap.
+* A **table-driven kernel** — the hot path for single blocks and small
+  batches.  SubBytes, ShiftRows, and MixColumns are folded into
+  precomputed lookup tables (the classic "T-table" construction, one
+  256-entry table per state byte, so one round is sixteen lookups and
+  sixteen XORs over the whole 128-bit state held as a Python int).  The
+  round function is fully unrolled.  Tables are built on first cipher use
+  so that importing the module (or running the timing simulator, which
+  never touches functional crypto) stays cheap.
 
 * A **scalar reference** — the original per-byte round loops, kept as
   ``encrypt_block_scalar`` / ``decrypt_block_scalar``.  The test suite
   cross-checks the table kernel against it, and the micro-benchmarks use it
   as the before/after baseline.
+
+* The **vector kernel** (:mod:`repro.crypto.vector`) runs large batches as
+  NumPy array programs.  :meth:`AES128.vector` returns a cipher's vector
+  twin, built on first use and kept on the cipher object, so a key's batch
+  state lives exactly as long as the key does.
 
 Bulk entry points (:meth:`AES128.encrypt_blocks`, :func:`encrypt_blocks`)
 amortize the key schedule, round-key unpacking, and Python dispatch across
@@ -29,7 +35,6 @@ only by direct encryption) are provided.
 
 from __future__ import annotations
 
-import struct
 import types
 from typing import Iterable, Sequence
 
@@ -193,88 +198,67 @@ def _add_round_key(state: list[int], round_key: list[int]) -> None:
 # through SubBytes, moves to column (c - r) mod 4 under ShiftRows, and
 # spreads over that column's four rows under MixColumns; the entire
 # per-byte contribution to the 128-bit round output is precomputed in
-# ``enc[i][b]`` of _build_byte_tables.  The inverse cipher uses the
+# ``rounds[i][b]`` of _build_tables.  The inverse cipher uses the
 # *equivalent inverse cipher* of FIPS-197 section 5.3.5 (InvSubBytes/
 # InvShiftRows/InvMixColumns order with InvMixColumns applied to the middle
-# round keys), giving the same one-lookup-per-byte structure via
-# ``dec[i][b]``.
+# round keys), giving the same one-lookup-per-byte structure.
 #
-# On first cipher use the byte tables are built and widened to pair tables
-# indexed by 16-bit halves of the state (8 lookups + 8 XORs per round
-# instead of 16); the round function is generated fully unrolled.  Building
-# and widening cost a few hundred milliseconds and ~30MB once per process,
-# which is why both are deferred past import time.
+# One round is sixteen lookups into 256-entry tables and sixteen XORs; the
+# round function is generated fully unrolled.  Each direction's tables
+# (2 x 16 x 256 ints, ~0.4 MiB) are built from the GF(2^8) product tables
+# above on that direction's first cipher call, in a few milliseconds, and
+# stay cache-resident across calls: per random block the kernel costs about
+# what it costs on one block encrypted over and over.  (Widening them to
+# 65536-entry tables indexed by byte pairs halves the lookups but took
+# 55 MiB and 0.2 s per direction to build, and missed the CPU cache on
+# every lookup: 26-38 us per random block against 11-16 us here.)
 
 _MC_COEFF = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 _IMC_COEFF = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11),
               (11, 13, 9, 14))
+#: GF(2^8) product tables by coefficient, for the (Inv)MixColumns matrices
+_MUL = {1: list(range(256)), 2: _MUL2, 3: _MUL3, 9: _MUL9, 11: _MUL11,
+        13: _MUL13, 14: _MUL14}
 
 
-def _build_byte_tables() -> tuple[list, list, list, list]:
-    enc = [[0] * 256 for _ in range(16)]
-    enc_final = [[0] * 256 for _ in range(16)]
-    dec = [[0] * 256 for _ in range(16)]
-    dec_final = [[0] * 256 for _ in range(16)]
+def _build_tables(encrypt: bool) -> tuple[list, list]:
+    """One direction's round and final-round tables, 16 x 256 ints each."""
+    box, coeff = (SBOX, _MC_COEFF) if encrypt else (INV_SBOX, _IMC_COEFF)
+    rounds, finals = [], []
     for i in range(16):
         c_in, r = divmod(i, 4)
-        c_enc = (c_in - r) % 4   # ShiftRows destination column
-        c_dec = (c_in + r) % 4   # InvShiftRows destination column
-        for b in range(256):
-            s = SBOX[b]
-            si = INV_SBOX[b]
-            v_enc = 0
-            v_dec = 0
-            for r_out in range(4):
-                v_enc |= gf_mul(s, _MC_COEFF[r_out][r]) << (
-                    8 * (15 - (4 * c_enc + r_out))
-                )
-                v_dec |= gf_mul(si, _IMC_COEFF[r_out][r]) << (
-                    8 * (15 - (4 * c_dec + r_out))
-                )
-            enc[i][b] = v_enc
-            dec[i][b] = v_dec
-            enc_final[i][b] = s << (8 * (15 - (4 * c_enc + r)))
-            dec_final[i][b] = si << (8 * (15 - (4 * c_dec + r)))
-    return enc, enc_final, dec, dec_final
-
-
-_UNPACK_8H = struct.Struct(">8H").unpack
-
-
-def _widen(byte_tables: list) -> list:
-    """Combine adjacent byte tables into 65536-entry pair tables."""
-    out = []
-    for i in range(8):
-        hi, lo = byte_tables[2 * i], byte_tables[2 * i + 1]
-        out.append([hi[p >> 8] ^ lo[p & 255] for p in range(65536)])
-    return out
+        # (Inv)ShiftRows destination column
+        c = (c_in - r) % 4 if encrypt else (c_in + r) % 4
+        m0, m1, m2, m3 = (_MUL[coeff[r_out][r]] for r_out in range(4))
+        shift = 8 * (12 - 4 * c)   # bit offset of the column's row 3
+        rounds.append([(m0[s] << 24 | m1[s] << 16 | m2[s] << 8 | m3[s])
+                       << shift for s in box])
+        finals.append([s << (shift + 8 * (3 - r)) for s in box])
+    return rounds, finals
 
 
 def _compile_kernel_code():
     """Compile the fully-unrolled ten-round cipher, once.
 
-    Every name the body uses — helper callables, the sixteen pair tables,
-    and the eleven round-key words — is a *parameter with a default*, so
-    per-key kernels are stamped out by rebinding ``__defaults__`` on the
-    shared code object (no exec, no compile, and no per-call tuple unpack:
-    the bound kernel takes the block as its sole argument and resolves
-    everything else as a local).
+    Every name the body uses — ``int.from_bytes``, the thirty-two byte
+    tables, and the eleven round-key words — is a *parameter with a
+    default*, so per-key kernels are stamped out by rebinding
+    ``__defaults__`` on the shared code object (no exec, no compile, and no
+    per-call tuple unpack: the bound kernel takes the block as its sole
+    argument and resolves everything else as a local).
     """
-    params = ["block", "frombytes=None", "unpack=None"]
-    params += [f"V{i}=None" for i in range(8)]
-    params += [f"F{i}=None" for i in range(8)]
+    params = ["block", "frombytes=None"]
+    params += [f"T{i}=None" for i in range(16)]
+    params += [f"F{i}=None" for i in range(16)]
     params += [f"rk{r}=0" for r in range(NUM_ROUNDS + 1)]
     body = [f"def _rounds({', '.join(params)}):",
             "    s = frombytes(block, 'big') ^ rk0"]
-    lookups = " ^ ".join(f"V{i}[p{i}]" for i in range(8))
-    finals = " ^ ".join(f"F{i}[p{i}]" for i in range(8))
-    for rnd in range(1, NUM_ROUNDS):
-        body.append("    p0, p1, p2, p3, p4, p5, p6, p7 = "
-                    "unpack(s.to_bytes(16, 'big'))")
+    state_bytes = ", ".join(f"b{i}" for i in range(16))
+    for rnd in range(1, NUM_ROUNDS + 1):
+        table = "T" if rnd < NUM_ROUNDS else "F"
+        lookups = " ^ ".join(f"{table}{i}[b{i}]" for i in range(16))
+        body.append(f"    {state_bytes} = s.to_bytes(16, 'big')")
         body.append(f"    s = rk{rnd} ^ {lookups}")
-    body.append("    p0, p1, p2, p3, p4, p5, p6, p7 = "
-                "unpack(s.to_bytes(16, 'big'))")
-    body.append(f"    s = rk10 ^ {finals}")
     body.append("    return s.to_bytes(16, 'big')")
     namespace: dict = {}
     exec("\n".join(body), namespace)  # noqa: S102 - static generated source
@@ -284,32 +268,27 @@ def _compile_kernel_code():
 
 _KERNEL_CODE, _KERNEL_GLOBALS = _compile_kernel_code()
 
-# Byte tables and the pair tables of each direction, built lazily by
-# _pair_tables().
-_byte_tables: tuple[list, list, list, list] | None = None
-_enc_pair: tuple[list, list] | None = None
-_dec_pair: tuple[list, list] | None = None
+# Each direction's (round, final-round) tables, built on that direction's
+# first cipher call by _tables().
+_enc_tables: tuple[list, list] | None = None
+_dec_tables: tuple[list, list] | None = None
 
 
-def _pair_tables(encrypt: bool) -> tuple[list, list]:
-    global _byte_tables, _enc_pair, _dec_pair
-    pair = _enc_pair if encrypt else _dec_pair
-    if pair is not None:
-        return pair
-    if _byte_tables is None:
-        _byte_tables = _build_byte_tables()
-    enc, enc_final, dec, dec_final = _byte_tables
+def _tables(encrypt: bool) -> tuple[list, list]:
+    global _enc_tables, _dec_tables
     if encrypt:
-        pair = _enc_pair = (_widen(enc), _widen(enc_final))
-    else:
-        pair = _dec_pair = (_widen(dec), _widen(dec_final))
-    return pair
+        if _enc_tables is None:
+            _enc_tables = _build_tables(True)
+        return _enc_tables
+    if _dec_tables is None:
+        _dec_tables = _build_tables(False)
+    return _dec_tables
 
 
 def _bind_kernel(rk_words: tuple[int, ...], encrypt: bool):
     """Stamp a per-key single-argument round function from the shared code."""
-    pair, pair_final = _pair_tables(encrypt)
-    defaults = (int.from_bytes, _UNPACK_8H, *pair, *pair_final, *rk_words)
+    rounds, finals = _tables(encrypt)
+    defaults = (int.from_bytes, *rounds, *finals, *rk_words)
     return types.FunctionType(_KERNEL_CODE, _KERNEL_GLOBALS, "_rounds",
                               defaults)
 
@@ -323,13 +302,14 @@ class AES128:
     """
 
     __slots__ = ("key", "_round_keys", "_rk_enc", "_rk_dec",
-                 "_enc_kernel", "_dec_kernel")
+                 "_enc_kernel", "_dec_kernel", "_vector")
 
     def __init__(self, key: bytes):
         self._round_keys = expand_key(key)
         self.key = bytes(key)
         self._enc_kernel = None
         self._dec_kernel = None
+        self._vector = None
         self._rk_enc = tuple(
             int.from_bytes(bytes(rk), "big") for rk in self._round_keys
         )
@@ -344,6 +324,20 @@ class AES128:
         self._rk_dec = tuple(
             int.from_bytes(bytes(rk), "big") for rk in dec_keys
         )
+
+    def vector(self):
+        """This key's :class:`~repro.crypto.vector.VectorAES128`.
+
+        Built on the first call and kept on this object, so a key used
+        again costs no second key schedule, however many other keys are in
+        use between the calls.
+        """
+        twin = self._vector
+        if twin is None:
+            from repro.crypto.vector import VectorAES128
+
+            twin = self._vector = VectorAES128(self.key)
+        return twin
 
     # -- table-driven hot path ------------------------------------------------
 

@@ -94,14 +94,15 @@ def bulk_ctr_transform(aes: AES128, items: list[tuple[int, int, bytes]],
     first and encrypted in a single batch call — the software analogue of
     the paper's multi-engine pad pipeline.  ``kernel`` selects the AES
     backend (``"scalar"``, ``"table"``, or ``"vector"``); all three are
-    byte-identical, differing only in throughput.
+    byte-identical, differing only in throughput.  ``"vector"`` runs the
+    table kernel below ``VECTOR_MIN_CTR_BLOCKS`` chunks per call.
     """
     if kernel == "vector":
         from repro.crypto import vector as _vector
 
         total_chunks = sum(len(data) // CHUNK_SIZE for _, _, data in items)
-        if total_chunks >= _vector.VECTOR_MIN_BLOCKS:
-            return _vector.bulk_ctr_transform_vector(aes.key, items, iv_tag)
+        if total_chunks >= _vector.VECTOR_MIN_CTR_BLOCKS:
+            return _vector.bulk_ctr_transform_vector(aes, items, iv_tag)
     seeds: list[bytes] = []
     spans: list[tuple[int, int]] = []
     for block_address, counter, data in items:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.aes import AES128
-from repro.crypto.ghash import ghash
+from repro.crypto.ghash import GHASH
 
 
 class AuthenticationError(Exception):
@@ -48,13 +48,13 @@ class AESGCM:
         if not 4 <= tag_length <= 16:
             raise ValueError("tag_length must be between 4 and 16 bytes")
         self._aes = AES128(key)
-        self._h = self._aes.encrypt_block(b"\x00" * 16)
+        self._ghash = GHASH(self._aes.encrypt_block(b"\x00" * 16))
         self.tag_length = tag_length
 
     def _initial_counter(self, iv: bytes) -> bytes:
         if len(iv) == 12:
             return iv + b"\x00\x00\x00\x01"
-        return ghash(self._h, b"", iv)
+        return self._ghash(b"", iv)
 
     def _ctr_transform(self, counter0: bytes, data: bytes) -> bytes:
         """Counter-mode keystream XOR, starting from inc32(counter0)."""
@@ -68,7 +68,7 @@ class AESGCM:
         return bytes(output)
 
     def _tag(self, counter0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        s = ghash(self._h, aad, ciphertext)
+        s = self._ghash(aad, ciphertext)
         full = _xor_bytes(s, self._aes.encrypt_block(counter0))
         return full[: self.tag_length]
 

@@ -11,30 +11,18 @@ which is why GCM authentication latency is dominated by the (overlappable)
 AES pad generation rather than the hash itself.
 
 Every multiplication in the chain is by the same subkey H, so the hot path
-runs on a per-key :class:`~repro.crypto.gf128.GF128Table` (Shoup's 8-bit
+runs on a per-subkey :class:`~repro.crypto.gf128.GF128Table` (Shoup's 8-bit
 table method: 16 lookups per multiply instead of 128 shift-and-add steps).
-Tables are cached per subkey — construct a :class:`GHASH` object to hold
-one explicitly, or call the module functions, which share a bounded cache.
+A :class:`GHASH` object holds one subkey's table, and its NumPy batch twin
+once :meth:`GHASH.vector` is first called; whoever owns the subkey (a MAC
+scheme, an AES-GCM instance) keeps the object, so the tables live exactly
+as long as the key.  The module functions take a subkey or such an object;
+given raw bytes they build a table for that call only.
 """
 
 from __future__ import annotations
 
 from repro.crypto.gf128 import GF128Table, block_to_int, int_to_block
-
-# Subkey -> GF128Table.  One entry per distinct hash subkey seen; bounded
-# defensively so pathological callers (e.g. key-sweep tests) cannot grow it
-# without limit.  A full reset on overflow is fine: rebuild costs ~1 ms.
-_TABLE_CACHE: dict[bytes, GF128Table] = {}
-_TABLE_CACHE_MAX = 64
-
-
-def _table_for(h: bytes) -> GF128Table:
-    table = _TABLE_CACHE.get(h)
-    if table is None:
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-            _TABLE_CACHE.clear()
-        table = _TABLE_CACHE[h] = GF128Table(block_to_int(h))
-    return table
 
 
 def _pad16(data: bytes) -> bytes:
@@ -48,51 +36,62 @@ def _pad16(data: bytes) -> bytes:
 class GHASH:
     """GHASH bound to one hash subkey, holding its multiplication table."""
 
-    __slots__ = ("h", "_table")
+    __slots__ = ("h", "_table", "_vector")
 
     def __init__(self, h: bytes):
         self.h = bytes(h)
-        self._table = _table_for(self.h)
+        self._table = GF128Table(block_to_int(self.h))
+        self._vector = None
+
+    def vector(self):
+        """This subkey's :class:`~repro.crypto.vector.VectorGHASH`, built on
+        the first call and kept on this object."""
+        twin = self._vector
+        if twin is None:
+            from repro.crypto.vector import VectorGHASH
+
+            twin = self._vector = VectorGHASH(self.h)
+        return twin
 
     def hash_chunks(self, chunks: list[bytes]) -> bytes:
         """GHASH over pre-split 16-byte chunks without a length block."""
         mul = self._table.multiply
+        frombytes = int.from_bytes
         y = 0
         for chunk in chunks:
             if len(chunk) != 16:
                 raise ValueError("GHASH chunks must be 16 bytes")
-            y = mul(y ^ int.from_bytes(chunk, "big"))
-        return int_to_block(y)
+            y = mul(y ^ frombytes(chunk, "big"))
+        return y.to_bytes(16, "big")
 
     def __call__(self, aad: bytes, ciphertext: bytes) -> bytes:
         """Full GHASH_H(aad, ciphertext) per SP 800-38D section 6.4."""
         mul = self._table.multiply
+        frombytes = int.from_bytes
         y = 0
         for data in (_pad16(aad), _pad16(ciphertext)):
             for offset in range(0, len(data), 16):
-                y = mul(y ^ int.from_bytes(data[offset:offset + 16], "big"))
+                y = mul(y ^ frombytes(data[offset:offset + 16], "big"))
         length_block = (len(aad) * 8) << 64 | (len(ciphertext) * 8)
         y = mul(y ^ length_block)
         return int_to_block(y)
 
 
-def ghash(h: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+def ghash_of(h: bytes | GHASH) -> GHASH:
+    """``h`` if it is a :class:`GHASH`, else a new one for subkey ``h``."""
+    return h if isinstance(h, GHASH) else GHASH(h)
+
+
+def ghash(h: bytes | GHASH, aad: bytes, ciphertext: bytes) -> bytes:
     """Compute GHASH_H(aad, ciphertext) per SP 800-38D section 6.4.
 
-    ``h`` is the 16-byte hash subkey.  Returns the 16-byte hash.
+    ``h`` is the 16-byte hash subkey, or the :class:`GHASH` object that
+    keeps its table.  Returns the 16-byte hash.
     """
-    mul = _table_for(h).multiply
-    frombytes = int.from_bytes
-    y = 0
-    for data in ((aad, ciphertext) if aad else (ciphertext,)):
-        data = _pad16(data)
-        for offset in range(0, len(data), 16):
-            y = mul(y ^ frombytes(data[offset:offset + 16], "big"))
-    length_block = (len(aad) * 8) << 64 | (len(ciphertext) * 8)
-    return int_to_block(mul(y ^ length_block))
+    return ghash_of(h)(aad, ciphertext)
 
 
-def ghash_chunks(h: bytes, chunks: list[bytes]) -> bytes:
+def ghash_chunks(h: bytes | GHASH, chunks: list[bytes]) -> bytes:
     """GHASH over pre-split 16-byte chunks without a length block.
 
     This matches the memory-authentication datapath in Figure 2 of the
@@ -100,11 +99,4 @@ def ghash_chunks(h: bytes, chunks: list[bytes]) -> bytes:
     no length encoding is needed) and there is no additional authenticated
     data.  Each step is ``y = (y XOR chunk) * H``.
     """
-    mul = _table_for(h).multiply
-    frombytes = int.from_bytes
-    y = 0
-    for chunk in chunks:
-        if len(chunk) != 16:
-            raise ValueError("GHASH chunks must be 16 bytes")
-        y = mul(y ^ frombytes(chunk, "big"))
-    return int_to_block(y)
+    return ghash_of(h).hash_chunks(chunks)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AUTHENTICATION_IV, CHUNK_SIZE, make_seed, xor_bytes
-from repro.crypto.ghash import ghash_chunks
+from repro.crypto.ghash import GHASH, ghash_of
 from repro.crypto.sha1 import hmac_sha1
 
 VALID_MAC_BITS = (32, 64, 128)
@@ -33,19 +33,23 @@ def _split_chunks(data: bytes) -> list[bytes]:
     return [data[i : i + CHUNK_SIZE] for i in range(0, len(data), CHUNK_SIZE)]
 
 
-def gcm_block_mac(aes: AES128, ghash_key: bytes, block_address: int,
+def gcm_block_mac(aes: AES128, ghash_key: bytes | GHASH, block_address: int,
                   counter: int, ciphertext: bytes, mac_bits: int = 64) -> bytes:
-    """Compute the (truncated) GCM authentication code for one block."""
+    """Compute the (truncated) GCM authentication code for one block.
+
+    ``ghash_key`` is the hash subkey, or the :class:`GHASH` object that
+    keeps its table (a raw subkey builds one for this call only).
+    """
     if mac_bits not in VALID_MAC_BITS:
         raise ValueError(f"mac_bits must be one of {VALID_MAC_BITS}")
-    digest = ghash_chunks(ghash_key, _split_chunks(ciphertext))
+    digest = ghash_of(ghash_key).hash_chunks(_split_chunks(ciphertext))
     auth_pad = aes.encrypt_block(
         make_seed(block_address, counter, AUTHENTICATION_IV)
     )
     return xor_bytes(digest, auth_pad)[: mac_bits // 8]
 
 
-def gcm_block_macs(aes: AES128, ghash_key: bytes,
+def gcm_block_macs(aes: AES128, ghash_key: bytes | GHASH,
                    items: list[tuple[int, int, bytes]],
                    mac_bits: int = 64, kernel: str = "table") -> list[bytes]:
     """Compute GCM codes for many blocks, batched through one kernel.
@@ -54,30 +58,34 @@ def gcm_block_macs(aes: AES128, ghash_key: bytes,
     preserve order and are byte-identical to :func:`gcm_block_mac` per item
     under every kernel.  The vector kernel hashes all same-length
     ciphertexts in one GHASH chain and generates all authentication pads in
-    one AES batch — the bulk path behind Merkle ``verify_leaves``.
+    one AES batch — the bulk path behind Merkle ``verify_leaves`` — from
+    ``VECTOR_MIN_MAC_BLOCKS`` blocks on; smaller batches take the table
+    kernel.
     """
     if mac_bits not in VALID_MAC_BITS:
         raise ValueError(f"mac_bits must be one of {VALID_MAC_BITS}")
     if kernel == "vector":
         from repro.crypto import vector as _vector
 
-        if len(items) >= _vector.VECTOR_MIN_BLOCKS:
+        if len(items) >= _vector.VECTOR_MIN_MAC_BLOCKS:
             return _vector.gcm_block_macs_vector(
-                aes.key, ghash_key, items, mac_bits
+                aes, ghash_key, items, mac_bits
             )
     if kernel == "scalar":
         from repro.crypto.vector import _ghash_chunks_scalar
 
         out = []
         for block_address, counter, ciphertext in items:
-            digest = _ghash_chunks_scalar(ghash_key, _split_chunks(ciphertext))
+            digest = _ghash_chunks_scalar(ghash_key,
+                                          _split_chunks(ciphertext))
             auth_pad = aes.encrypt_block_scalar(
                 make_seed(block_address, counter, AUTHENTICATION_IV)
             )
             out.append(xor_bytes(digest, auth_pad)[: mac_bits // 8])
         return out
+    ghash = ghash_of(ghash_key)
     return [
-        gcm_block_mac(aes, ghash_key, block_address, counter, ciphertext,
+        gcm_block_mac(aes, ghash, block_address, counter, ciphertext,
                       mac_bits)
         for block_address, counter, ciphertext in items
     ]

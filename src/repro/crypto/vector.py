@@ -1,33 +1,44 @@
 """NumPy-vectorized bulk crypto kernels — the batch hot path.
 
 The table-driven kernels in :mod:`repro.crypto.aes` and
-:mod:`repro.crypto.gf128` made *single-block* operations fast; this module
-makes *batches* fast.  The paper's hardware argument is that pad generation
-and GHASH are embarrassingly parallel across blocks (a multi-engine AES
-pipeline, one GF(2^128) multiply per cycle), and the software analogue is
-the same computation expressed as NumPy array programs:
+:mod:`repro.crypto.gf128` cost a fixed amount per 16-byte block; this
+module makes a *batch* cost little more than one block.  The paper's
+hardware argument is that pad generation and GHASH are embarrassingly
+parallel across blocks (a multi-engine AES pipeline, one GF(2^128)
+multiply per cycle), and the software analogue is the same computation
+expressed as NumPy array programs whose call count does not grow with the
+batch:
 
-* **AES-128** — the batch state is an ``(N, 16)`` uint8 array in the same
-  column-major byte order as the scalar kernel.  SubBytes is one fancy-index
-  gather through the S-box, ShiftRows a fixed column permutation, and
-  MixColumns eight xtime-table gathers plus XORs per round, all over the
-  whole batch at once.  The key schedule is computed once per key and
-  broadcast.
+* **AES-128** — one round for the whole batch is one gather and one XOR
+  reduction.  The gather reads the four classic T-tables (SubBytes and
+  MixColumns fused: entry ``(r, b)`` is the ``<u4`` column that byte ``b``
+  contributes when it arrives in row ``r``); ShiftRows is folded into the
+  ``take`` that lays the state out for the next gather, one row per state
+  byte.  Decryption follows the equivalent inverse cipher of FIPS-197
+  section 5.3.5 with InvSubBytes/InvMixColumns tables.  The tables are
+  built on the first vector cipher use of each direction, never at import.
 * **GHASH** — Shoup's 8-bit-window method vectorized: the per-subkey table
-  becomes two ``(16, 256)`` uint64 arrays (high/low halves of each 128-bit
-  product), and one chain step for N lanes is 32 gathers plus XOR
-  reductions.  Lanes advance in lockstep, so a batch of same-length
-  messages (the leaf-MAC case: every message is one cache block) costs one
-  chain, not N.
+  is two flat ``16 * 256`` uint64 arrays (high/low halves of each 128-bit
+  product), and one chain step for N lanes is one gather per half for all
+  sixteen byte positions, XOR-reduced over the contiguous byte axis.
+  Lanes advance in lockstep, so a batch of same-length messages (the
+  leaf-MAC case: every message is one cache block) costs one chain, not N.
 * **Leaf MACs / CTR pads** — compositions of the two, with the per-chunk
   seeds themselves built as array programs.
+
+Per-key state lives on the object that owns the key:
+:meth:`repro.crypto.aes.AES128.vector` and
+:meth:`repro.crypto.ghash.GHASH.vector` build it on first use and keep it,
+so a service holding many tenants' keys never rebuilds a key's state while
+the key is alive.  The functions below accept those objects, or raw key
+bytes for one-off calls (which then build the state for that call only).
 
 Everything here is *bit-identical* to the table and scalar kernels — the
 Hypothesis suite in ``tests/crypto/test_vector_equivalence.py`` and the
 fuzz harness's differential oracle prove it on every run.  Callers select a
 kernel through the ``kernel=`` arguments (or ``Config.kernel``); the
-dispatch helpers fall back to the table kernel automatically when the batch
-is too small to amortize array overhead.
+dispatchers fall back to the table kernel below a measured batch size
+(``VECTOR_MIN_*``), where the fixed cost of a vector call would lose.
 """
 
 from __future__ import annotations
@@ -36,30 +47,39 @@ from typing import Iterable, Sequence
 
 import numpy as _np
 
+from repro.crypto import KERNELS
 from repro.crypto.aes import (
     AES128,
     INV_SBOX,
     NUM_ROUNDS,
     SBOX,
+    _IMC_COEFF,
+    _MC_COEFF,
+    _MUL,
     _inv_mix_columns,
-    _MUL2,
-    _MUL3,
-    _MUL9,
-    _MUL11,
-    _MUL13,
-    _MUL14,
     expand_key,
 )
 from repro.crypto.ctr import AUTHENTICATION_IV, CHUNK_SIZE, ENCRYPTION_IV
 from repro.crypto.gf128 import _mulx, _RED8, block_to_int, gf128_mul
-from repro.crypto.ghash import ghash_chunks
+from repro.crypto.ghash import GHASH, ghash_of
 
-#: kernel names accepted by the dispatch helpers and ``Config.kernel``
-KERNELS = ("scalar", "table", "vector")
+# Dispatch thresholds: the smallest batch, in the unit each dispatcher
+# counts, from which the vector kernel beats the table kernel on seeded
+# random inputs.  ``repro bench`` records the crossover at 1-1024 cache
+# blocks (its ``crossover`` section); the finer sweep that places each
+# threshold between two sizes is in EXPERIMENTS.md, "Per-request cost:
+# serve crypto kernels" (2-vCPU VM, Python 3.11.7, NumPy 2.4.6; median
+# vector/table time over five interleaved runs).
 
-#: below this many 16-byte blocks the per-call array overhead outweighs the
-#: vector win and the dispatchers silently use the table kernel instead
-VECTOR_MIN_BLOCKS = 8
+#: :func:`encrypt_blocks_kernel` / :func:`decrypt_blocks_kernel`: 16-byte
+#: AES blocks per call (vector/table 1.13-1.16 at 8 blocks, 0.78-0.86 at 12)
+VECTOR_MIN_BLOCKS = 10
+#: :func:`repro.crypto.ctr.bulk_ctr_transform`: 16-byte AES blocks, one
+#: pad per chunk, per call (1.10 at 8 blocks, 0.85 at 10)
+VECTOR_MIN_CTR_BLOCKS = 10
+#: :func:`repro.crypto.mac.gcm_block_macs`: cache blocks, one MAC each,
+#: per call (1.03 at 7 blocks, 0.97 at 8)
+VECTOR_MIN_MAC_BLOCKS = 8
 
 _MASK48 = (1 << 48) - 1
 _MASK64 = (1 << 64) - 1
@@ -80,28 +100,6 @@ def resolve_kernel(name: str) -> str:
     return name
 
 
-# -- numpy lookup tables (tiny; built eagerly at import) ----------------------
-
-_SBOX_NP = _np.array(SBOX, dtype=_np.uint8)
-_INV_SBOX_NP = _np.array(INV_SBOX, dtype=_np.uint8)
-_MUL2_NP = _np.array(_MUL2, dtype=_np.uint8)
-_MUL3_NP = _np.array(_MUL3, dtype=_np.uint8)
-_MUL9_NP = _np.array(_MUL9, dtype=_np.uint8)
-_MUL11_NP = _np.array(_MUL11, dtype=_np.uint8)
-_MUL13_NP = _np.array(_MUL13, dtype=_np.uint8)
-_MUL14_NP = _np.array(_MUL14, dtype=_np.uint8)
-# ShiftRows / InvShiftRows as column permutations of the flat state
-# (byte i = column i//4, row i%4 — identical to the scalar kernel).
-_SHIFT_NP = _np.array(
-    [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11],
-    dtype=_np.intp,
-)
-_INV_SHIFT_NP = _np.array(
-    [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3],
-    dtype=_np.intp,
-)
-
-
 def _blocks_to_array(blocks) -> "_np.ndarray":
     """Pack 16-byte blocks into an ``(N, 16)`` uint8 array."""
     if isinstance(blocks, _np.ndarray):
@@ -120,6 +118,82 @@ def _array_to_blocks(arr: "_np.ndarray") -> list[bytes]:
 
 
 # -- vectorized AES-128 -------------------------------------------------------
+#
+# The state between rounds is the previous round's output: four ``<u4``
+# column words per lane, laid out ``(4, N)``, so its bytes sit in memory as
+# [column][lane][row].  Slot ``j = 4c + r`` of the next round reads state
+# byte ``P[j]`` (P = ShiftRows, or InvShiftRows when decrypting) of every
+# lane; one ``take`` with a per-call flat index gathers all sixteen slots as
+# a ``(16, N)`` array, and slot j looks up T-table row ``j % 4``.  The four
+# looked-up columns of output column c are slots 4c..4c+3, so the round's
+# MixColumns is one XOR reduction over axis 1 of a ``(4, 4, N)`` view.
+
+_SBOX_NP = _np.array(SBOX, dtype=_np.uint8)
+_INV_SBOX_NP = _np.array(INV_SBOX, dtype=_np.uint8)
+# ShiftRows / InvShiftRows as the state byte each slot reads
+# (byte i = column i//4, row i%4 — identical to the scalar kernel).
+_SHIFT_NP = _np.array(
+    [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11],
+    dtype=_np.intp,
+)
+_INV_SHIFT_NP = _np.array(
+    [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3],
+    dtype=_np.intp,
+)
+#: flat T-table offset of each slot: slot 4c + r reads the row-r table
+_ROW_OFFSETS = (_np.arange(16, dtype=_np.intp) % 4 * 256).reshape(16, 1)
+
+# Each direction's flat (4 * 256,) ``<u4`` T-table, built on that
+# direction's first batch by _round_table().
+_enc_round: "_np.ndarray | None" = None
+_dec_round: "_np.ndarray | None" = None
+
+
+def _build_round_table(encrypt: bool) -> "_np.ndarray":
+    box, coeff = (SBOX, _MC_COEFF) if encrypt else (INV_SBOX, _IMC_COEFF)
+    rows = []
+    for r in range(4):
+        m0, m1, m2, m3 = (_MUL[coeff[r_out][r]] for r_out in range(4))
+        # little-endian word: byte k is output row k
+        rows.append([m0[s] | m1[s] << 8 | m2[s] << 16 | m3[s] << 24
+                     for s in box])
+    return _np.array(rows, dtype="<u4").reshape(-1)
+
+
+def _round_table(encrypt: bool) -> "_np.ndarray":
+    global _enc_round, _dec_round
+    if encrypt:
+        if _enc_round is None:
+            _enc_round = _build_round_table(True)
+        return _enc_round
+    if _dec_round is None:
+        _dec_round = _build_round_table(False)
+    return _dec_round
+
+
+def _rounds(state: "_np.ndarray", slot_keys: "_np.ndarray",
+            last_key: "_np.ndarray", table: "_np.ndarray",
+            shift: "_np.ndarray", box: "_np.ndarray") -> "_np.ndarray":
+    """Ten rounds over an ``(N, 16)`` batch; returns a new ``(N, 16)``.
+
+    ``slot_keys[k]`` is round key k permuted into slot order (it is XORed
+    after the ``take`` that applies the permutation, which commutes with
+    the XOR); ``last_key`` is the final round key in byte order.
+    """
+    n = state.shape[0]
+    lanes = 4 * _np.arange(n, dtype=_np.intp)
+    between = (shift // 4 * (4 * n) + shift % 4)[:, None] + lanes
+    s = _np.ascontiguousarray(state).reshape(-1).take(
+        shift[:, None] + 4 * lanes)
+    for rnd in range(NUM_ROUNDS - 1):
+        s ^= slot_keys[rnd, :, None]
+        words = _np.bitwise_xor.reduce(
+            table[s + _ROW_OFFSETS].reshape(4, 4, n), axis=1)
+        s = words.view(_np.uint8).reshape(-1).take(between)
+    out = s.T ^ slot_keys[NUM_ROUNDS - 1]
+    out = box[out]
+    out ^= last_key
+    return out
 
 
 class VectorAES128:
@@ -128,15 +202,14 @@ class VectorAES128:
     Byte-identical to :class:`repro.crypto.aes.AES128`: same column-major
     state order, same (equivalent-inverse-cipher) decryption key schedule.
     Construction costs one key expansion; per-batch work is ten rounds of
-    whole-array gathers and XORs.
+    one gather and one XOR reduction each.
     """
 
-    __slots__ = ("key", "_rk_enc", "_rk_dec")
+    __slots__ = ("key", "_enc_keys", "_enc_last", "_dec_keys", "_dec_last")
 
     def __init__(self, key: bytes):
         round_keys = expand_key(key)
         self.key = bytes(key)
-        self._rk_enc = _np.array(round_keys, dtype=_np.uint8)
         # Equivalent inverse cipher: reversed round keys with InvMixColumns
         # applied to the nine middle ones (FIPS-197 section 5.3.5).
         dec_keys = [round_keys[NUM_ROUNDS]]
@@ -145,71 +218,22 @@ class VectorAES128:
             _inv_mix_columns(mixed)
             dec_keys.append(mixed)
         dec_keys.append(round_keys[0])
-        self._rk_dec = _np.array(dec_keys, dtype=_np.uint8)
-
-    # The MixColumns matrix rows are cyclic shifts of (2 3 1 1), so one
-    # round's column mix is eight gathers (xtime and xtime^3 of each input
-    # row) plus twelve XORs over the whole batch.
-
-    @staticmethod
-    def _mix_columns(cols: "_np.ndarray") -> "_np.ndarray":
-        a0 = cols[:, :, 0]
-        a1 = cols[:, :, 1]
-        a2 = cols[:, :, 2]
-        a3 = cols[:, :, 3]
-        m0 = _MUL2_NP[a0]
-        m1 = _MUL2_NP[a1]
-        m2 = _MUL2_NP[a2]
-        m3 = _MUL2_NP[a3]
-        n0 = _MUL3_NP[a0]
-        n1 = _MUL3_NP[a1]
-        n2 = _MUL3_NP[a2]
-        n3 = _MUL3_NP[a3]
-        out = _np.empty_like(cols)
-        out[:, :, 0] = m0 ^ n1 ^ a2 ^ a3
-        out[:, :, 1] = a0 ^ m1 ^ n2 ^ a3
-        out[:, :, 2] = a0 ^ a1 ^ m2 ^ n3
-        out[:, :, 3] = n0 ^ a1 ^ a2 ^ m3
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(cols: "_np.ndarray") -> "_np.ndarray":
-        a0 = cols[:, :, 0]
-        a1 = cols[:, :, 1]
-        a2 = cols[:, :, 2]
-        a3 = cols[:, :, 3]
-        out = _np.empty_like(cols)
-        out[:, :, 0] = (_MUL14_NP[a0] ^ _MUL11_NP[a1]
-                        ^ _MUL13_NP[a2] ^ _MUL9_NP[a3])
-        out[:, :, 1] = (_MUL9_NP[a0] ^ _MUL14_NP[a1]
-                        ^ _MUL11_NP[a2] ^ _MUL13_NP[a3])
-        out[:, :, 2] = (_MUL13_NP[a0] ^ _MUL9_NP[a1]
-                        ^ _MUL14_NP[a2] ^ _MUL11_NP[a3])
-        out[:, :, 3] = (_MUL11_NP[a0] ^ _MUL13_NP[a1]
-                        ^ _MUL9_NP[a2] ^ _MUL14_NP[a3])
-        return out
+        enc = _np.array(round_keys, dtype=_np.uint8)
+        dec = _np.array(dec_keys, dtype=_np.uint8)
+        self._enc_keys = enc[:NUM_ROUNDS, _SHIFT_NP]
+        self._enc_last = enc[NUM_ROUNDS]
+        self._dec_keys = dec[:NUM_ROUNDS, _INV_SHIFT_NP]
+        self._dec_last = dec[NUM_ROUNDS]
 
     def encrypt_array(self, state: "_np.ndarray") -> "_np.ndarray":
         """Encrypt an ``(N, 16)`` uint8 batch; returns a new array."""
-        rk = self._rk_enc
-        s = state ^ rk[0]
-        for rnd in range(1, NUM_ROUNDS):
-            s = _SBOX_NP[s][:, _SHIFT_NP]
-            s = self._mix_columns(s.reshape(-1, 4, 4)).reshape(-1, 16)
-            s ^= rk[rnd]
-        s = _SBOX_NP[s][:, _SHIFT_NP]
-        return s ^ rk[NUM_ROUNDS]
+        return _rounds(state, self._enc_keys, self._enc_last,
+                       _round_table(True), _SHIFT_NP, _SBOX_NP)
 
     def decrypt_array(self, state: "_np.ndarray") -> "_np.ndarray":
         """Decrypt an ``(N, 16)`` uint8 batch (equivalent inverse cipher)."""
-        rk = self._rk_dec
-        s = state ^ rk[0]
-        for rnd in range(1, NUM_ROUNDS):
-            s = _INV_SBOX_NP[s][:, _INV_SHIFT_NP]
-            s = self._inv_mix_columns(s.reshape(-1, 4, 4)).reshape(-1, 16)
-            s ^= rk[rnd]
-        s = _INV_SBOX_NP[s][:, _INV_SHIFT_NP]
-        return s ^ rk[NUM_ROUNDS]
+        return _rounds(state, self._dec_keys, self._dec_last,
+                       _round_table(False), _INV_SHIFT_NP, _INV_SBOX_NP)
 
     def encrypt_blocks(self, blocks) -> list[bytes]:
         """Encrypt many 16-byte blocks in one batch."""
@@ -226,34 +250,28 @@ class VectorAES128:
         return _array_to_blocks(self.decrypt_array(arr))
 
 
-# Per-key instance caches, bounded like the GHASH table cache: a full reset
-# on overflow is fine (rebuild = one key expansion / one 8 KB table pair).
-_VECTOR_AES_CACHE: dict[bytes, VectorAES128] = {}
-_VECTOR_GHASH_CACHE: dict[bytes, "VectorGHASH"] = {}
-_CACHE_MAX = 64
-
-
-def vector_aes(key: bytes) -> VectorAES128:
-    """Per-key :class:`VectorAES128`, cached across calls."""
-    key = bytes(key)
-    cipher = _VECTOR_AES_CACHE.get(key)
-    if cipher is None:
-        if len(_VECTOR_AES_CACHE) >= _CACHE_MAX:
-            _VECTOR_AES_CACHE.clear()
-        cipher = _VECTOR_AES_CACHE[key] = VectorAES128(key)
-    return cipher
+def _vector_cipher(aes: AES128 | bytes) -> VectorAES128:
+    """The vector twin a cipher keeps, or a one-off one for a raw key."""
+    if isinstance(aes, AES128):
+        return aes.vector()
+    return VectorAES128(aes)
 
 
 # -- vectorized GHASH ---------------------------------------------------------
+
+#: flat table offset of each byte position of a GHASH chain input
+_BYTE_OFFSETS = _np.arange(16, dtype=_np.intp) * 256
 
 
 class VectorGHASH:
     """Batched multiply-by-H chains for one GHASH subkey.
 
-    Shoup's 8-bit-window tables, stored as two ``(16, 256)`` uint64 arrays
-    (high/low halves of each precomputed 128-bit product).  One chain step
-    for the whole batch is: XOR the incoming chunks into the running
-    digests, gather the 32 half-products per byte position, XOR-reduce.
+    Shoup's 8-bit-window tables, stored as two flat ``16 * 256`` uint64
+    arrays (high/low halves of each precomputed 128-bit product; entry
+    ``256 * i + b`` is the product for byte value b at position i).  One
+    chain step for the whole batch is: XOR the incoming chunks into the
+    running digests, gather all sixteen high and sixteen low half-products
+    per lane, XOR-reduce each over the byte axis.
     """
 
     __slots__ = ("h", "_th", "_tl")
@@ -275,10 +293,9 @@ class VectorGHASH:
         for _ in range(15):
             prev = rows[-1]
             rows.append([(v >> 8) ^ _RED8[v & 0xFF] for v in prev])
-        self._th = _np.array([[v >> 64 for v in r] for r in rows],
-                             dtype=_np.uint64)
-        self._tl = _np.array([[v & _MASK64 for v in r] for r in rows],
-                             dtype=_np.uint64)
+        flat = [v for r in rows for v in r]
+        self._th = _np.array([v >> 64 for v in flat], dtype=_np.uint64)
+        self._tl = _np.array([v & _MASK64 for v in flat], dtype=_np.uint64)
 
     def chain(self, chunks: "_np.ndarray") -> "_np.ndarray":
         """Run ``y = (y ^ chunk) * H`` over an ``(N, m, 16)`` chunk array.
@@ -288,65 +305,55 @@ class VectorGHASH:
         """
         n, m, _ = chunks.shape
         th, tl = self._th, self._tl
-        y = _np.zeros((n, 16), dtype=_np.uint8)
-        packed = _np.empty((n, 2), dtype=">u8")
+        packed = _np.zeros((n, 2), dtype=">u8")
+        # ``y`` views ``packed``; each step's gather index materializes
+        # before ``packed`` is overwritten
+        y = packed.view(_np.uint8)
         for j in range(m):
-            # ``x`` materializes before ``packed`` (which ``y`` views) is
-            # overwritten, so reusing the buffer across chunks is safe and
-            # avoids an (n, 16) copy per chain step.
-            x = y ^ chunks[:, j, :]
-            hi = th[0, x[:, 0]]
-            lo = tl[0, x[:, 0]]
-            for i in range(1, 16):
-                col = x[:, i]
-                hi ^= th[i, col]
-                lo ^= tl[i, col]
-            packed[:, 0] = hi
-            packed[:, 1] = lo
-            y = packed.view(_np.uint8).reshape(n, 16)
-        return y.copy() if m else y
+            index = (y ^ chunks[:, j, :]) + _BYTE_OFFSETS
+            packed[:, 0] = _np.bitwise_xor.reduce(th[index], axis=1)
+            packed[:, 1] = _np.bitwise_xor.reduce(tl[index], axis=1)
+        return y
 
 
-def vector_ghash(h: bytes) -> VectorGHASH:
-    """Per-subkey :class:`VectorGHASH`, cached across calls."""
-    h = bytes(h)
-    table = _VECTOR_GHASH_CACHE.get(h)
-    if table is None:
-        if len(_VECTOR_GHASH_CACHE) >= _CACHE_MAX:
-            _VECTOR_GHASH_CACHE.clear()
-        table = _VECTOR_GHASH_CACHE[h] = VectorGHASH(h)
-    return table
+def _digest_array(table: VectorGHASH,
+                  messages: Sequence[bytes]) -> "_np.ndarray":
+    """``(len(messages), 16)`` digests; equal-length messages share a chain."""
+    lengths = {len(message) for message in messages}
+    for length in lengths:
+        if length % 16:
+            raise ValueError("GHASH messages must be whole 16-byte chunks")
+    if len(lengths) == 1:
+        (length,) = lengths
+        return table.chain(_np.frombuffer(
+            b"".join(messages), dtype=_np.uint8
+        ).reshape(len(messages), length // 16, 16))
+    out = _np.zeros((len(messages), 16), dtype=_np.uint8)
+    groups: dict[int, list[int]] = {}
+    for index, message in enumerate(messages):
+        groups.setdefault(len(message) // 16, []).append(index)
+    for num_chunks, indices in groups.items():
+        if num_chunks:
+            out[indices] = table.chain(_np.frombuffer(
+                b"".join(messages[i] for i in indices), dtype=_np.uint8
+            ).reshape(len(indices), num_chunks, 16))
+    return out
 
 
-def ghash_chunks_many(h: bytes, messages: Sequence[bytes]) -> list[bytes]:
+def ghash_chunks_many(h: bytes | GHASH,
+                      messages: Sequence[bytes]) -> list[bytes]:
     """GHASH many chunk streams under one subkey, batched by length.
 
     Each message must be a whole number of 16-byte chunks; a message is
     hashed exactly as :func:`repro.crypto.ghash.ghash_chunks` hashes its
     chunk list (no length block).  Messages of equal chunk count share one
     vector chain, so the common case — every message is one cache block —
-    is a single batch.
+    is a single batch.  ``h`` is the subkey, or the :class:`GHASH` object
+    that keeps its tables.
     """
-    out: list[bytes | None] = [None] * len(messages)
-    groups: dict[int, list[int]] = {}
-    for index, message in enumerate(messages):
-        if len(message) % 16:
-            raise ValueError("GHASH messages must be whole 16-byte chunks")
-        groups.setdefault(len(message) // 16, []).append(index)
-    table = vector_ghash(h)
-    zero = bytes(16)
-    for num_chunks, indices in groups.items():
-        if num_chunks == 0:
-            for index in indices:
-                out[index] = zero
-            continue
-        arr = _np.frombuffer(
-            b"".join(messages[i] for i in indices), dtype=_np.uint8
-        ).reshape(len(indices), num_chunks, 16)
-        digests = table.chain(arr).tobytes()
-        for slot, index in enumerate(indices):
-            out[index] = digests[slot * 16:(slot + 1) * 16]
-    return out  # type: ignore[return-value]
+    if not messages:
+        return []
+    return _array_to_blocks(_digest_array(ghash_of(h).vector(), messages))
 
 
 # -- seed construction as an array program ------------------------------------
@@ -362,47 +369,39 @@ def make_seeds_array(block_addresses: Sequence[int],
     big-endian, ``num_chunks`` consecutive chunk seeds per block.  Returns
     shape ``(len(block_addresses) * num_chunks, 16)``.
     """
-    # Counters may exceed 64 bits (split: major||minor); mask in Python
-    # ints first — np.asarray would overflow on >64-bit values.
-    base = _np.asarray(
-        [(a // CHUNK_SIZE) & _MASK48 for a in block_addresses],
-        dtype=_np.uint64,
-    )
-    ctrs = _np.asarray([c & _MASK64 for c in counters], dtype=_np.uint64)
-    idx = (_np.repeat(base, num_chunks)
-           + _np.tile(_np.arange(num_chunks, dtype=_np.uint64), len(base)))
-    idx &= _np.uint64(_MASK48)
-    total = idx.shape[0]
-    seeds = _np.empty((total, 16), dtype=_np.uint8)
-    seeds[:, 0:6] = idx.astype(">u8").view(_np.uint8).reshape(total, 8)[:, 2:]
-    seeds[:, 6:14] = (_np.repeat(ctrs, num_chunks)
-                      .astype(">u8").view(_np.uint8).reshape(total, 8))
-    seeds[:, 14] = (iv_tag >> 8) & 0xFF
-    seeds[:, 15] = iv_tag & 0xFF
-    return seeds
+    # Each block's first seed as two 64-bit halves, in Python ints (a
+    # split counter may exceed 64 bits and is masked first).  The chunk
+    # index fills the high half's top 48 bits, so a later chunk's seed
+    # adds its offset << 16 there, and uint64 wraparound is the 48-bit
+    # wrap of the index.
+    iv = iv_tag & 0xFFFF
+    heads = []
+    for address, counter in zip(block_addresses, counters):
+        counter &= _MASK64
+        heads.append(((address // CHUNK_SIZE) << 16 | counter >> 48) & _MASK64)
+        heads.append((counter & _MASK48) << 16 | iv)
+    steps = _np.zeros((num_chunks, 2), dtype=_np.uint64)
+    steps[:, 0] = _np.arange(num_chunks, dtype=_np.uint64) << _np.uint64(16)
+    seeds = _np.array(heads, dtype=_np.uint64).reshape(-1, 1, 2) + steps
+    return seeds.astype(">u8").view(_np.uint8).reshape(-1, 16)
 
 
-def _chunk_seeds_for_items(items) -> tuple["_np.ndarray", list[int]]:
+def _item_seeds(items, iv_tag: int) -> tuple["_np.ndarray", list[int]]:
     """Flat seed array + per-item chunk counts for (addr, counter, data)."""
-    addresses: list[int] = []
-    counters: list[int] = []
     counts: list[int] = []
-    uniform = True
-    for block_address, counter, data in items:
+    for block_address, _, data in items:
         if len(data) % CHUNK_SIZE:
             raise ValueError("data must be a whole number of 16-byte chunks")
         if block_address % CHUNK_SIZE:
             raise ValueError("chunk address must be 16-byte aligned")
-        addresses.append(block_address)
-        counters.append(counter)
         counts.append(len(data) // CHUNK_SIZE)
-        uniform = uniform and counts[-1] == counts[0]
-    if uniform and counts:
-        return (make_seeds_array(addresses, counters, counts[0],
-                                 ENCRYPTION_IV), counts)
+    if counts and counts.count(counts[0]) == len(counts):
+        return (make_seeds_array([a for a, _, _ in items],
+                                 [c for _, c, _ in items], counts[0],
+                                 iv_tag), counts)
     pieces = [
-        make_seeds_array([address], [counter], count, ENCRYPTION_IV)
-        for address, counter, count in zip(addresses, counters, counts)
+        make_seeds_array([address], [counter], count, iv_tag)
+        for (address, counter, _), count in zip(items, counts)
         if count
     ]
     if not pieces:
@@ -410,29 +409,20 @@ def _chunk_seeds_for_items(items) -> tuple["_np.ndarray", list[int]]:
     return _np.concatenate(pieces), counts
 
 
-def bulk_ctr_transform_vector(key: bytes, items, iv_tag: int = ENCRYPTION_IV
-                              ) -> list[bytes]:
+def bulk_ctr_transform_vector(aes: AES128 | bytes, items,
+                              iv_tag: int = ENCRYPTION_IV) -> list[bytes]:
     """Counter-mode transform many blocks with the vector AES kernel.
 
     Drop-in peer of :func:`repro.crypto.ctr.bulk_ctr_transform`:
     ``items`` is ``(block_address, counter, data)`` triples, output order
     is input order, and the result is byte-identical to the table path.
+    ``aes`` is the cipher (whose vector state it keeps) or a raw key.
     """
-    if iv_tag == ENCRYPTION_IV:
-        seeds, counts = _chunk_seeds_for_items(items)
-    else:
-        triples = [(a, c, d) for a, c, d in items]
-        addresses = [a for a, _, _ in triples]
-        counters = [c for _, c, _ in triples]
-        counts = [len(d) // CHUNK_SIZE for _, _, d in triples]
-        seeds = _np.concatenate([
-            make_seeds_array([address], [counter], count, iv_tag)
-            for address, counter, count in zip(addresses, counters, counts)
-            if count
-        ]) if any(counts) else _np.empty((0, 16), dtype=_np.uint8)
+    items = list(items)
+    seeds, counts = _item_seeds(items, iv_tag)
     if seeds.shape[0] == 0:
         return [b"" for _ in counts]
-    pads = vector_aes(key).encrypt_array(seeds)
+    pads = _vector_cipher(aes).encrypt_array(seeds)
     data_flat = _np.frombuffer(
         b"".join(data for _, _, data in items), dtype=_np.uint8
     ).reshape(-1, 16)
@@ -445,27 +435,28 @@ def bulk_ctr_transform_vector(key: bytes, items, iv_tag: int = ENCRYPTION_IV
     return out
 
 
-def gcm_block_macs_vector(key: bytes, ghash_key: bytes, items,
-                          mac_bits: int = 64) -> list[bytes]:
+def gcm_block_macs_vector(aes: AES128 | bytes, ghash_key: bytes | GHASH,
+                          items, mac_bits: int = 64) -> list[bytes]:
     """Batched GCM block MACs (digest XOR authentication pad, truncated).
 
     ``items`` is ``(block_address, counter, ciphertext)`` triples; each
     result is byte-identical to
-    :func:`repro.crypto.mac.gcm_block_mac` on the same inputs.
+    :func:`repro.crypto.mac.gcm_block_mac` on the same inputs.  ``aes``
+    and ``ghash_key`` are the objects that keep their vector state, or raw
+    key bytes.
     """
     triples = list(items)
     if not triples:
         return []
-    digests = ghash_chunks_many(ghash_key, [ct for _, _, ct in triples])
+    digests = _digest_array(ghash_of(ghash_key).vector(),
+                            [ct for _, _, ct in triples])
     seeds = make_seeds_array([a for a, _, _ in triples],
                              [c for _, c, _ in triples], 1,
                              AUTHENTICATION_IV)
-    pads = vector_aes(key).encrypt_array(seeds)
-    digest_arr = _np.frombuffer(b"".join(digests),
-                                dtype=_np.uint8).reshape(-1, 16)
-    macs = (digest_arr ^ pads)[:, : mac_bits // 8].tobytes()
     width = mac_bits // 8
-    return [macs[i * width:(i + 1) * width] for i in range(len(triples))]
+    macs = (digests ^ _vector_cipher(aes).encrypt_array(seeds))[:, :width]
+    flat = macs.tobytes()
+    return [flat[i * width:(i + 1) * width] for i in range(len(triples))]
 
 
 # -- kernel dispatch helpers --------------------------------------------------
@@ -481,7 +472,7 @@ def encrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
                           kernel: str = "table") -> list[bytes]:
     """Encrypt many 16-byte blocks with the named kernel."""
     if kernel == "vector" and len(blocks) >= VECTOR_MIN_BLOCKS:
-        return vector_aes(aes.key).encrypt_blocks(blocks)
+        return aes.vector().encrypt_blocks(blocks)
     if kernel == "scalar":
         return [aes.encrypt_block_scalar(block) for block in blocks]
     return aes.encrypt_blocks(blocks)
@@ -491,15 +482,15 @@ def decrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
                           kernel: str = "table") -> list[bytes]:
     """Decrypt many 16-byte blocks with the named kernel."""
     if kernel == "vector" and len(blocks) >= VECTOR_MIN_BLOCKS:
-        return vector_aes(aes.key).decrypt_blocks(blocks)
+        return aes.vector().decrypt_blocks(blocks)
     if kernel == "scalar":
         return [aes.decrypt_block_scalar(block) for block in blocks]
     return aes.decrypt_blocks(blocks)
 
 
-def _ghash_chunks_scalar(h: bytes, chunks: Iterable[bytes]) -> bytes:
+def _ghash_chunks_scalar(h: bytes | GHASH, chunks: Iterable[bytes]) -> bytes:
     """Bit-serial GHASH chain (the scalar reference, no tables)."""
-    hval = block_to_int(h)
+    hval = block_to_int(h.h if isinstance(h, GHASH) else h)
     y = 0
     for chunk in chunks:
         if len(chunk) != 16:
@@ -508,11 +499,15 @@ def _ghash_chunks_scalar(h: bytes, chunks: Iterable[bytes]) -> bytes:
     return y.to_bytes(16, "big")
 
 
-def ghash_chunks_kernel(h: bytes, chunks: list[bytes],
+def ghash_chunks_kernel(h: bytes | GHASH, chunks: list[bytes],
                         kernel: str = "table") -> bytes:
-    """GHASH one chunk list with the named kernel."""
+    """GHASH one chunk list with the named kernel.
+
+    ``h`` is the subkey, or the :class:`GHASH` object that keeps its
+    tables (pass that when hashing repeatedly under one subkey).
+    """
     if kernel == "scalar":
         return _ghash_chunks_scalar(h, chunks)
     if kernel == "vector":
         return ghash_chunks_many(h, [b"".join(chunks)])[0]
-    return ghash_chunks(h, chunks)
+    return ghash_of(h).hash_chunks(chunks)

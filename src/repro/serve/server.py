@@ -99,11 +99,11 @@ class SecureMemoryService:
     """The server: lifecycle, tenant registry, op dispatch, lanes."""
 
     def __init__(self, config: ServeConfig):
-        from repro.api import get_config
+        from repro.core.config import lookup_preset
         from repro.obs.metrics import MetricsRegistry
 
         self.config = config
-        self.memory_config = get_config(config.scheme)
+        self.memory_config = lookup_preset(config.scheme)
         self.block_size = self.memory_config.block_size
         if config.tenant_bytes % (self.block_size * config.num_shards):
             raise ValueError(

@@ -172,20 +172,39 @@ class TestProperties:
 
 
 class TestLazyTables:
-    def test_tables_wait_for_the_first_cipher_call(self):
-        """Importing the API builds no cipher tables; the first block
-        encryption builds them."""
-        code = "\n".join([
-            "import repro.api",
-            "from repro.crypto import aes",
-            "assert aes._byte_tables is None, 'built at import'",
-            "assert aes._enc_pair is None and aes._dec_pair is None",
-            "aes.AES128(bytes(16)).encrypt_block(bytes(16))",
-            "assert aes._byte_tables is not None",
-            "assert aes._enc_pair is not None and aes._dec_pair is None",
-        ])
+    @staticmethod
+    def _run(code: str) -> None:
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr[-2000:]
+
+    def test_tables_wait_for_the_first_cipher_call(self):
+        """Importing the API builds no cipher tables; the first block
+        encryption builds the encryption direction's only."""
+        self._run("\n".join([
+            "import repro.api",
+            "from repro.crypto import aes",
+            "assert aes._enc_tables is None, 'built at import'",
+            "assert aes._dec_tables is None, 'built at import'",
+            "aes.AES128(bytes(16)).encrypt_block(bytes(16))",
+            "assert aes._enc_tables is not None",
+            "assert aes._dec_tables is None",
+        ]))
+
+    def test_vector_round_tables_wait_for_the_first_batch(self):
+        """Importing the API (or the vector module) builds no vector round
+        table; the first vector batch builds its direction's only."""
+        self._run("\n".join([
+            "import repro.api",
+            "from repro.crypto import aes, vector",
+            "assert vector._enc_round is None, 'built at import'",
+            "assert vector._dec_round is None, 'built at import'",
+            "cipher = aes.AES128(bytes(16)).vector()",
+            "assert vector._enc_round is None, 'built with the key'",
+            "cipher.encrypt_blocks([bytes(16)])",
+            "assert vector._enc_round is not None",
+            "assert vector._dec_round is None",
+            "assert aes._enc_tables is None and aes._dec_tables is None",
+        ]))

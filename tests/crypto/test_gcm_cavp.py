@@ -11,11 +11,7 @@ import pytest
 from repro.crypto.aes import AES128
 from repro.crypto.gcm import AESGCM, AuthenticationError
 from repro.crypto.ghash import GHASH, ghash, ghash_chunks
-from repro.crypto.vector import (
-    _ghash_chunks_scalar,
-    ghash_chunks_many,
-    vector_aes,
-)
+from repro.crypto.vector import _ghash_chunks_scalar, ghash_chunks_many
 
 # (key, iv, plaintext, aad, ciphertext, tag) — all hex
 CAVP_ENCRYPT_VECTORS = [
@@ -142,7 +138,7 @@ def _encrypt_one(key: bytes, block: bytes, kernel: str) -> bytes:
     if kernel == "scalar":
         return aes.encrypt_block_scalar(block)
     if kernel == "vector":
-        return vector_aes(key).encrypt_blocks([block])[0]
+        return aes.vector().encrypt_blocks([block])[0]
     return aes.encrypt_block(block)
 
 
@@ -188,7 +184,7 @@ class TestCAVPAllKernels:
 
 
 class TestGHASHObject:
-    """The cached-table GHASH object must agree with the functional API."""
+    """The table-holding GHASH object must agree with the functional API."""
 
     def test_call_matches_module_function(self):
         h = bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
@@ -201,8 +197,15 @@ class TestGHASHObject:
         chunks = [bytes([i]) * 16 for i in range(6)]
         assert GHASH(h).hash_chunks(chunks) == ghash_chunks(h, chunks)
 
-    def test_repeated_keys_share_cached_tables(self):
+    def test_an_object_keeps_its_tables(self):
+        """The object that owns a subkey keeps its table and vector twin:
+        the module functions reuse them rather than building new ones."""
         h = bytes(range(16))
-        first = GHASH(h)
-        second = GHASH(h)
-        assert first._table is second._table
+        owner = GHASH(h)
+        table, twin = owner._table, owner.vector()
+        chunks = [bytes([i]) * 16 for i in range(4)]
+        assert ghash_chunks(owner, chunks) == GHASH(h).hash_chunks(chunks)
+        assert ghash(owner, b"aad", b"ct") == GHASH(h)(b"aad", b"ct")
+        assert ghash_chunks_many(owner, [b"".join(chunks)]) == [
+            ghash_chunks(h, chunks)]
+        assert owner._table is table and owner.vector() is twin
