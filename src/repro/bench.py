@@ -313,9 +313,9 @@ def _engine_benchmarks(refs: int, app: str, repeats: int) -> dict[str, Any]:
     host-relative.  ``_best_of``'s untimed warmup call also absorbs the
     batched engine's one-time trace-preclassification cache build, so the
     timed passes measure steady-state throughput for both engines.  The
-    trace is 4x the sim section's — per-run fixed costs (processor
-    construction, cache mirroring) otherwise dominate the batched side
-    and understate the steady-state ratio.
+    trace is 4x the sim section's — per-run fixed costs such as
+    processor construction otherwise dominate the batched side and
+    understate the steady-state ratio.
     """
     from repro.api import get_config
     from repro.sim.processor import Processor

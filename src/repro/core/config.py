@@ -171,18 +171,21 @@ class SecureMemoryConfig:
     memory_latency: int = DEFAULT_MEMORY_LATENCY
 
     #: software crypto backend for the functional layer: ``"auto"`` picks
-    #: the NumPy vector kernel when available (table otherwise); explicit
+    #: the NumPy vector kernel, which calls the table kernel below a
+    #: measured batch size per path; explicit
     #: ``"vector"``/``"table"``/``"scalar"`` pin a backend.  All backends
     #: are byte-identical — this knob trades host-side speed only and has
     #: no effect on simulated timing or statistics.
     kernel: str = "auto"
 
-    #: timing-loop implementation: ``"auto"`` picks the NumPy event-batch
-    #: engine when available (per-reference scalar loop otherwise);
-    #: explicit ``"scalar"``/``"batched"`` pin one.  Both engines are
-    #: bit-identical on every cycle count and statistic (enforced by the
-    #: golden-trace and differential suites) — this knob trades host-side
-    #: speed only, exactly like ``kernel``.
+    #: timing-loop implementation: ``"auto"`` and ``"batched"`` run the
+    #: NumPy event-batch engine on every configuration it supports and
+    #: the per-reference scalar oracle on the rest (an enabled tracer,
+    #: counter prediction, secret shares, several AES/SHA copies);
+    #: ``"scalar"`` pins the oracle.  Both engines are bit-identical on
+    #: every cycle count and statistic (enforced by the golden-trace and
+    #: differential suites) — this knob trades host-side speed only,
+    #: exactly like ``kernel``.
     sim_engine: str = "auto"
 
     aes_latency: float = 80.0

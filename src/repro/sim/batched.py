@@ -37,14 +37,16 @@ stream alone:
 * **phase C** — the genuinely serial remainder, kept in Python: the
   MSHR/ROB window drain, the FCFS bus schedule, counter half-miss
   in-flight ordering, Merkle chain walks, and RSR stall conditions.
-  Eligible configurations (no counter prediction, no secret shares,
-  single-copy engines, tracing off) drain through a *monomorphized
-  closure engine* built by :func:`_make_fast_engine`: every hot mutable
-  scalar (bus free slot, engine issue slots, statistic counters,
-  histogram summary) lives in closure cells, synchronized with the real
-  objects only at segment boundaries and around rare delegations (page
-  re-encryption).  Everything else falls back to the real
-  :class:`~repro.sim.timing_memory.TimingSecureMemory` methods.
+  Misses drain through a *monomorphized closure engine* built by
+  :func:`_make_fast_engine`: every hot mutable scalar (bus free slot,
+  engine issue slots, statistic counters, histogram summary) lives in
+  closure cells, synchronized with the real objects only at segment
+  boundaries and around rare delegations (page re-encryption).  It has
+  two drains: ``drain_live`` over B1 events with the L2 live, and
+  ``drain_pre`` over B2 or B2p events.  The engine runs only what
+  :func:`supports` accepts (no counter prediction, no secret shares,
+  single-copy engines, tracing off); ``Processor.resolved_sim_engine``
+  sends every other run to the scalar oracle.
 
 Every phase runs on the structural caches themselves: the kernels and
 drains below index :class:`~repro.memory.cache.Cache`'s per-set address
@@ -65,16 +67,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.auth.policies import (
-    COMMIT_HIDE_CYCLES,
-    AuthPolicy,
-    exposed_auth_latency,
-)
+from repro.auth.policies import COMMIT_HIDE_CYCLES, AuthPolicy
 from repro.core.config import AuthMode, EncryptionMode
 from repro.counters.base import OverflowAction
 from repro.counters.prediction import CounterPredictionScheme
@@ -82,7 +80,7 @@ from repro.counters.split import SplitCounterScheme
 from repro.memory.cache import Cache
 
 __all__ = ["L1Classification", "L2Classification", "classification_nbytes",
-           "run_batched"]
+           "run_batched", "supports"]
 
 
 class _L2ResidencyShim:
@@ -292,12 +290,13 @@ class L2Classification(NamedTuple):
 
     def unpack(self, l1: L1Classification, blocks_arr, writes_arr):
         """Every phase-B2 event as a ``(ref_index, block, is_write,
-        dirty_victim_or_None)`` tuple."""
+        dirty_victim_or_None, ())`` tuple: a B2p event's shape, with the
+        victim's dirtiness decided ahead of time and no dirty marks."""
         refs = l1.refs[self.events]
         victims = _scatter(len(refs), self.dirty_wb,
                            self.victims[self.dirty_wb])
         return zip(refs.tolist(), blocks_arr[refs].tolist(),
-                   writes_arr[refs].tolist(), victims)
+                   writes_arr[refs].tolist(), victims, repeat(()))
 
     def unpack_placement(self, l1: L1Classification, blocks_arr,
                          writes_arr):
@@ -462,23 +461,16 @@ def _event_view(trace, key: tuple, unpack) -> list:
     return view
 
 
-def _l2_preclass_ok(memory) -> bool:
-    """Phase-B2 structural eligibility (see :func:`_l2_classification`)."""
-    return (memory.node_cache is None
-            and not isinstance(memory.scheme, SplitCounterScheme))
-
-
 # -- phase C: the monomorphized closure engine --------------------------------
 
 
-class _FastEngine:
-    """Holder for the closures built by :func:`_make_fast_engine`."""
+def supports(memory) -> bool:
+    """Whether the closure engine runs this timing memory bit-exactly.
 
-    __slots__ = ("drain_live", "drain_pre", "drain_pre_dirty", "sync",
-                 "reload")
-
-
-def _fast_eligible(memory) -> bool:
+    It models neither counter prediction, secret shares, several copies
+    of an engine, nor tracer records; ``Processor.resolved_sim_engine``
+    sends those runs to the scalar oracle.
+    """
     return (not memory.tracer.enabled
             and not isinstance(memory.scheme, CounterPredictionScheme)
             and memory.config.encryption is not EncryptionMode.SHARES
@@ -488,8 +480,9 @@ def _fast_eligible(memory) -> bool:
 
 def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                       insns_base, cum_cycles, cum_insns,
-                      mshrs: int, rob_insns: int) -> _FastEngine:
-    """Build drain loops specialized to one configuration.
+                      mshrs: int, rob_insns: int):
+    """Build the two drain loops, ``(drain_live, drain_pre)``,
+    specialized to one configuration.
 
     Mirrors :class:`TimingSecureMemory` float-op for float-op, but keeps
     every hot mutable scalar (bus free slot, engine issue slots,
@@ -1182,126 +1175,20 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         sync()
         return cycle_base, writebacks
 
-    def drain_pre(segment, cycle_base, writebacks, outstanding):
-        """Phase C over precomputed L2 events (phase-B2 configurations).
+    def drain_pre(segment, cycle_base, writebacks, outstanding, shim):
+        """Phase C over precomputed L2 events (phases B2 and B2p).
 
         Callers guarantee there is no Merkle node cache (phase B2 is only
         valid then), so ``read_miss`` specializes to counter resolution,
         pad generation, and the bus read — inlined here wholesale.  With
         no authentication, ``auth_done == data_ready`` and the exposed
         latency collapses to ``data_ready + 0.0`` under every policy.
-        """
-        nonlocal m_reads, p_req, p_timely
-        nonlocal h_count, h_total, h_min, h_max
-        nonlocal cc_h, m_half
-        nonlocal bus_free, bus_tx, bus_by, bus_busy, bus_q
-        reload()
-        popleft = outstanding.popleft
-        append = outstanding.append
-        for i, block, is_write, dirty_victim in segment:
-            cycle = cycle_base + CCL[i + 1]
-            insns = INSNS_BASE + CIL[i + 1]
-            while outstanding and outstanding[0][0] <= cycle:
-                popleft()
-            while outstanding and (
-                len(outstanding) >= MSHRS
-                or insns - outstanding[0][1] >= ROB
-            ):
-                head = outstanding[0][0]
-                if head > cycle:
-                    cycle = head
-                popleft()
 
-            # read_miss, no-node specialization, inlined
-            m_reads += 1
-            if HAS_CC:
-                e = cba_get(block)
-                if e is None:
-                    index = CBA(block)
-                    e = (index, index * CC_BS)
-                    cba_memo[block] = e
-                index, caddr = e
-                lines = cc_sets[(caddr >> CC_SHIFT) & CC_MASK]
-                if caddr in lines:
-                    j = lines.index(caddr)
-                    if j:
-                        lines.insert(0, lines.pop(j))
-                    cc_h += 1
-                    inflight = inflight_get(index)
-                    if inflight is not None and inflight > cycle:
-                        m_half += 1
-                        counter_ready = inflight
-                    else:
-                        counter_ready = cycle
-                else:
-                    counter_ready = resolve_miss(cycle, index, caddr,
-                                                 lines)
-            else:
-                counter_ready = cycle
-            if IS_COUNTER:
-                pad_done = aes_pads(cycle, counter_ready)
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                arrive = end + MEM
-                p_req += 1
-                if pad_done <= arrive:
-                    p_timely += 1
-                data_ready = (arrive if arrive > pad_done else pad_done) \
-                    + 1
-            elif IS_NONE_MODE:
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                data_ready = end + MEM
-            else:  # DIRECT
-                start = bus_free if bus_free > cycle else cycle
-                end = start + OCC
-                bus_free = end
-                bus_tx += 1
-                bus_by += BS
-                bus_busy += OCC
-                bus_q += start - cycle
-                data_ready = aes_pads(cycle, end + MEM)
-            value = data_ready - cycle
-            h_count += 1
-            h_total += value
-            if value < h_min:
-                h_min = value
-            if value > h_max:
-                h_max = value
-            h_buckets[_bisect(H_BOUNDS, value)] += 1
-
-            if dirty_victim is not None:
-                writebacks += 1
-                stall = write_back(cycle, dirty_victim)
-                if stall > cycle:
-                    cycle = stall
-            cycle_base = cycle - CCL[i + 1]
-
-            if is_write:
-                continue
-            append((data_ready + 0.0, insns))
-        sync()
-        return cycle_base, writebacks
-
-    def drain_pre_dirty(segment, cycle_base, writebacks, outstanding,
-                        resident, live_dirty):
-        """Phase C over placement-preclassified L2 events (phase B2p).
-
-        Same inlined no-node miss path as :func:`drain_pre`, but the
-        dirty bits stay live: each event applies the gap's L1-victim
-        dirty marks first, then decides whether the precomputed victim
-        actually needs a write-back.  ``resident``/``live_dirty`` back
-        the :class:`_L2ResidencyShim` installed as ``memory.l2``, so a
+        A B2 event's victim is its dirty victim, decided ahead of time.
+        Under B2p, ``shim`` is the :class:`_L2ResidencyShim` installed as
+        ``memory.l2`` and the dirty bits stay live in it: each event
+        applies the gap's L1-victim dirty marks first, then decides
+        whether the precomputed victim actually needs a write-back, so a
         split-counter page re-encryption probes exact current state.
         """
         nonlocal m_reads, p_req, p_timely
@@ -1311,10 +1198,13 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         reload()
         popleft = outstanding.popleft
         append = outstanding.append
-        resident_discard = resident.discard
-        resident_add = resident.add
-        dirty_add = live_dirty.add
-        dirty_discard = live_dirty.discard
+        live = shim is not None
+        if live:
+            resident_discard = shim.resident.discard
+            resident_add = shim.resident.add
+            live_dirty = shim.dirty
+            dirty_add = live_dirty.add
+            dirty_discard = live_dirty.discard
         for i, block, is_write, victim, adds in segment:
             if adds:
                 for address in adds:
@@ -1400,19 +1290,20 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                 h_max = value
             h_buckets[_bisect(H_BOUNDS, value)] += 1
 
-            dirty_victim = None
+            if live:
+                if victim is not None:
+                    resident_discard(victim)
+                    if victim in live_dirty:
+                        l2_w += 1
+                        dirty_discard(victim)
+                    else:
+                        victim = None
+                resident_add(block)
+                if is_write:
+                    dirty_add(block)
             if victim is not None:
-                resident_discard(victim)
-                if victim in live_dirty:
-                    l2_w += 1
-                    dirty_discard(victim)
-                    dirty_victim = victim
-            resident_add(block)
-            if is_write:
-                dirty_add(block)
-            if dirty_victim is not None:
                 writebacks += 1
-                stall = write_back(cycle, dirty_victim)
+                stall = write_back(cycle, victim)
                 if stall > cycle:
                     cycle = stall
             cycle_base = cycle - CCL[i + 1]
@@ -1423,13 +1314,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         sync()
         return cycle_base, writebacks
 
-    engine = _FastEngine()
-    engine.drain_live = drain_live
-    engine.drain_pre = drain_pre
-    engine.drain_pre_dirty = drain_pre_dirty
-    engine.sync = sync
-    engine.reload = reload
-    return engine
+    return drain_live, drain_pre
 
 
 # -- the batched run ----------------------------------------------------------
@@ -1448,6 +1333,9 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
     config = processor.config
     memory = processor.memory
+    if not supports(memory):
+        raise ValueError("the batched engine does not support this "
+                         "configuration; run it on the scalar engine")
     l1 = processor.l1
     l2 = processor.l2
     policy = config.auth_policy
@@ -1495,29 +1383,23 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     # from-reset run, empty caches, no checkpoint observation points.
     use_cached = (start == 0 and not checkpointing
                   and l1.occupancy() == 0)
-    node_is_l2 = memory.node_cache is memory.l2 and memory.l2 is l2
-    fast_ok = (_fast_eligible(memory)
-               and (memory.node_cache is None or node_is_l2))
-    cached = None
-    cached_l2 = None
-    # phase B2p: split-counter scheme, placement is still precomputable,
-    # dirty bits stay live
-    l2_dirty_live = False
+    cached = cached_l2 = shim = None
     events = None  # the drained view's per-event tuples, whole trace
     if use_cached:
         cached = _l1_classification(trace, l1, blocks_arr, writes_arr)
         if l2.occupancy() == 0 and memory.node_cache is None:
-            l2_dirty_live = not _l2_preclass_ok(memory)
-            if fast_ok or not l2_dirty_live:
-                cached_l2 = _l2_classification(trace, cached, l1,
-                                               l2, blocks_arr,
-                                               writes_arr)
+            cached_l2 = _l2_classification(trace, cached, l1, l2,
+                                           blocks_arr, writes_arr)
         geometry = _geometry(l1, l2)
         if cached_l2 is None:
             events = _event_view(
                 trace, ("b1",) + geometry[:3],
                 lambda: cached.unpack(blocks_arr, writes_arr))
-        elif l2_dirty_live:
+        elif isinstance(memory.scheme, SplitCounterScheme):
+            # phase B2p: placement is still precomputable, but page
+            # re-encryption marks L2 blocks dirty mid-run, so the dirty
+            # bits stay live in a shim the memory layer sees as its L2
+            shim = _L2ResidencyShim()
             events = _event_view(
                 trace, ("b2p",) + geometry,
                 lambda: cached_l2.unpack_placement(cached, blocks_arr,
@@ -1533,21 +1415,16 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                      & np.int64(l1.num_sets - 1)).tolist()
         writes = trace.writes
 
-    shim = None
-    if cached_l2 is not None and l2_dirty_live:
-        shim = _L2ResidencyShim()
+    counter_cache = memory.counter_cache
+    drain_live, drain_pre = _make_fast_engine(
+        memory, l2,
+        counter_cache.cache if counter_cache is not None else None,
+        policy=policy,
+        insns_base=insns_base, cum_cycles=cum_cycles,
+        cum_insns=cum_insns, mshrs=mshrs, rob_insns=rob_insns)
+
+    if shim is not None:
         memory.l2 = shim
-
-    fast = None
-    if fast_ok:
-        counter_cache = memory.counter_cache
-        fast = _make_fast_engine(
-            memory, l2,
-            counter_cache.cache if counter_cache is not None else None,
-            policy=policy,
-            insns_base=insns_base, cum_cycles=cum_cycles,
-            cum_insns=cum_insns, mshrs=mshrs, rob_insns=rob_insns)
-
     try:
         for a, b in zip(bounds, bounds[1:]):
             if (checkpointing and a and a != start
@@ -1582,7 +1459,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                     lo2, hi2 = _span(cached_l2.events, lo, hi)
                     # phase B2p: the write-backs accumulate live in the
                     # drain
-                    if not l2_dirty_live:
+                    if shim is None:
                         first, last = _span(cached_l2.dirty_wb, lo2, hi2)
                         l2stats.writebacks += last - first
                     segment = events[lo2:hi2]
@@ -1595,88 +1472,12 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                                      positions, run_writes, b - a)
 
             # phase C: serial replay
-            if fast is not None:
-                if shim is not None:
-                    cycle_base, writebacks = fast.drain_pre_dirty(
-                        segment, cycle_base, writebacks, outstanding,
-                        shim.resident, shim.dirty)
-                elif cached_l2 is not None:
-                    cycle_base, writebacks = fast.drain_pre(
-                        segment, cycle_base, writebacks, outstanding)
-                else:
-                    cycle_base, writebacks = fast.drain_live(
-                        segment, cycle_base, writebacks, outstanding)
-            elif cached_l2 is not None:
-                # generic drain over precomputed L2 events; the memory
-                # layer never touches the (idle) L2 here
-                for i, block, is_write, dirty_victim in segment:
-                    cycle = cycle_base + cum_cycles[i + 1]
-                    insns = insns_base + cum_insns[i + 1]
-                    while outstanding and outstanding[0][0] <= cycle:
-                        outstanding.popleft()
-                    while outstanding and (
-                        len(outstanding) >= mshrs
-                        or insns - outstanding[0][1] >= rob_insns
-                    ):
-                        head = outstanding[0][0]
-                        if head > cycle:
-                            cycle = head
-                        outstanding.popleft()
-
-                    timing = memory.read_miss(cycle, block)
-                    data_ready = timing.data_ready
-                    auth_done = timing.auth_done
-                    if dirty_victim is not None:
-                        writebacks += 1
-                        stall = memory.write_back(cycle, dirty_victim)
-                        if stall > cycle:
-                            cycle = stall
-                    cycle_base = cycle - cum_cycles[i + 1]
-
-                    if is_write:
-                        continue
-                    completion = data_ready + exposed_auth_latency(
-                        policy, data_ready, auth_done)
-                    outstanding.append((completion, insns))
+            if cached_l2 is not None:
+                cycle_base, writebacks = drain_pre(
+                    segment, cycle_base, writebacks, outstanding, shim)
             else:
-                # generic drain over B1 events with the L2 live
-                l2_access = l2.access
-                l2_fill = l2.fill
-                for i, block, is_write, l1_victim in segment:
-                    if l1_victim is not None:
-                        l2_access(l1_victim, write=True)
-                    if l2_access(block, write=False):
-                        continue
-
-                    cycle = cycle_base + cum_cycles[i + 1]
-                    insns = insns_base + cum_insns[i + 1]
-                    while outstanding and outstanding[0][0] <= cycle:
-                        outstanding.popleft()
-                    while outstanding and (
-                        len(outstanding) >= mshrs
-                        or insns - outstanding[0][1] >= rob_insns
-                    ):
-                        head = outstanding[0][0]
-                        if head > cycle:
-                            cycle = head
-                        outstanding.popleft()
-
-                    timing = memory.read_miss(cycle, block)
-                    data_ready = timing.data_ready
-                    auth_done = timing.auth_done
-                    eviction = l2_fill(block, dirty=is_write)
-                    if eviction is not None and eviction.dirty:
-                        writebacks += 1
-                        stall = memory.write_back(cycle, eviction.address)
-                        if stall > cycle:
-                            cycle = stall
-                    cycle_base = cycle - cum_cycles[i + 1]
-
-                    if is_write:
-                        continue
-                    completion = data_ready + exposed_auth_latency(
-                        policy, data_ready, auth_done)
-                    outstanding.append((completion, insns))
+                cycle_base, writebacks = drain_live(
+                    segment, cycle_base, writebacks, outstanding)
     finally:
         if shim is not None:
             memory.l2 = l2

@@ -160,10 +160,17 @@ class Processor:
     def resolved_sim_engine(self) -> str:
         """The timing-loop implementation this processor will run.
 
-        ``config.sim_engine="auto"`` picks the NumPy event-batch engine.
+        ``config.sim_engine="scalar"`` pins the per-reference oracle.
+        ``"auto"`` and ``"batched"`` pick the NumPy event-batch engine
+        for every configuration it supports, and the oracle for the
+        rest: an enabled tracer, counter prediction, secret shares, or
+        more than one AES/SHA copy (:func:`repro.sim.batched.supports`).
         """
-        choice = self.config.sim_engine
-        return "batched" if choice == "auto" else choice
+        if self.config.sim_engine == "scalar":
+            return "scalar"
+        from repro.sim.batched import supports
+
+        return "batched" if supports(self.memory) else "scalar"
 
     def run(self, trace: Trace, warmup_refs: int = 0, *,
             resume: LoopState | None = None,
@@ -184,12 +191,12 @@ class Processor:
         executes, so a resumed run replays the exact remaining stream and
         finishes with bit-identical statistics.
 
-        The loop itself runs on the engine named by ``config.sim_engine``
-        — the per-reference scalar oracle below, or the NumPy event-batch
-        engine of :mod:`repro.sim.batched`.  Both produce bit-identical
-        cycles, statistics, and checkpoints (the golden-trace and
-        differential suites enforce this), so the knob is purely a
-        host-speed choice.
+        The loop itself runs on the engine :meth:`resolved_sim_engine`
+        names — the per-reference scalar oracle below, or the NumPy
+        event-batch engine of :mod:`repro.sim.batched`.  Both produce
+        bit-identical cycles, statistics, and checkpoints (the
+        golden-trace and differential suites enforce this), so
+        ``config.sim_engine`` is purely a host-speed choice.
         """
         if self.resolved_sim_engine() == "batched":
             from repro.sim.batched import run_batched

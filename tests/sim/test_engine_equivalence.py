@@ -8,10 +8,12 @@ per-miss PathTime records.  Three layers enforce it:
 
 * a deterministic sweep over every registered preset on two fixed traces
   (one cold, one with warmup),
-* a Hypothesis differential over random short traces x random presets,
-* a tracer differential comparing the full ``MissRecord``/event streams
-  on the authenticated presets (the tracer forces the generic drain, so
-  this also covers the instrumented path).
+* a Hypothesis differential over random short traces x the presets the
+  batched engine runs,
+* the routing that decides which presets those are: the closure engine
+  runs every preset it models, and the rest (counter prediction, secret
+  shares, two AES copies) and every traced run go to the scalar oracle,
+  so per-miss ``MissRecord``/event streams always come from the oracle.
 
 A fourth group pins the RNG contract from the recovery subsystem: the
 simulator never consults the module-level ``random`` state, so a global
@@ -25,19 +27,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import get_config
-from repro.core.config import PRESETS, RecoveryConfig
+from repro.core.config import PRESETS, SIM_ENGINES, RecoveryConfig
 from repro.obs.tracer import RecordingTracer
+from repro.sim.batched import run_batched
 from repro.sim.processor import Processor
 from repro.sim.timing_memory import TimingSecureMemory
 from repro.workloads import PROFILES, generate_trace
 
 PRESET_NAMES = sorted(PRESETS)
 
-#: Presets whose miss paths exercise the authentication machinery; the
-#: tracer differential runs on these (plus a counter-mode pair).
-TRACED_PRESETS = [s for s in ("split+gcm", "mono+sha", "gcm-auth",
-                              "sha-auth-320", "split", "direct")
-                  if s in PRESETS]
+#: Presets the closure engine does not model (counter prediction, secret
+#: shares, two AES copies): every ``sim_engine`` runs them on the oracle.
+ORACLE_PRESETS = ("pred", "pred2eng", "scattered")
+BATCHED_PRESETS = [s for s in PRESET_NAMES if s not in ORACLE_PRESETS]
 
 
 def observables(processor, result):
@@ -51,8 +53,8 @@ def observables(processor, result):
     )
 
 
-def run_engine(preset, trace, engine, warmup=0, tracer=None):
-    p = Processor(get_config(preset, sim_engine=engine), tracer=tracer)
+def run_engine(preset, trace, engine, warmup=0):
+    p = Processor(get_config(preset, sim_engine=engine))
     r = p.run(trace, warmup_refs=warmup)
     return observables(p, r)
 
@@ -81,7 +83,7 @@ def test_batched_equals_scalar_with_warmup(preset, warm_trace):
 
 @settings(max_examples=15, deadline=None)
 @given(
-    preset=st.sampled_from(PRESET_NAMES),
+    preset=st.sampled_from(BATCHED_PRESETS),
     app=st.sampled_from(sorted(PROFILES)),
     refs=st.integers(min_value=64, max_value=2500),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -94,18 +96,42 @@ def test_batched_equals_scalar_random(preset, app, refs, seed, warmup_frac):
         run_engine(preset, trace, "batched", warmup=warmup)
 
 
-@pytest.mark.parametrize("preset", TRACED_PRESETS)
-def test_tracer_streams_identical(preset, warm_trace):
-    """Per-miss PathTime records and every trace event match exactly."""
-    streams = {}
-    for engine in ("scalar", "batched"):
-        tracer = RecordingTracer()
-        run_engine(preset, warm_trace, engine, tracer=tracer)
-        streams[engine] = (
-            [repr(vars(m)) for m in tracer.misses],
-            [repr(vars(e)) for e in tracer.events],
-        )
-    assert streams["scalar"] == streams["batched"]
+# -- engine routing ------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_resolved_sim_engine(preset):
+    """The batched engine runs every preset it models under ``auto`` and
+    ``batched``; a new condition in ``supports`` that drops a fig. 4/9
+    preset to the oracle fails here, not just as a slower sweep."""
+    expected = "scalar" if preset in ORACLE_PRESETS else "batched"
+    for engine in ("auto", "batched"):
+        processor = Processor(get_config(preset, sim_engine=engine))
+        assert processor.resolved_sim_engine() == expected
+    processor = Processor(get_config(preset, sim_engine="scalar"))
+    assert processor.resolved_sim_engine() == "scalar"
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_tracer_streams_identical(preset):
+    """A traced run resolves to the scalar oracle under every
+    ``sim_engine``, so its per-miss PathTime records and trace events
+    cannot depend on the choice."""
+    for engine in SIM_ENGINES:
+        processor = Processor(get_config(preset, sim_engine=engine),
+                              tracer=RecordingTracer())
+        assert processor.resolved_sim_engine() == "scalar"
+
+
+def test_batched_engine_refuses_what_it_does_not_model(cold_trace):
+    """Called directly, the batched engine raises instead of timing a
+    configuration it does not model."""
+    processors = [Processor(get_config(preset)) for preset in ORACLE_PRESETS]
+    processors.append(Processor(get_config("split+gcm"),
+                                tracer=RecordingTracer()))
+    for processor in processors:
+        with pytest.raises(ValueError, match="does not support"):
+            run_batched(processor, cold_trace)
 
 
 # -- RNG threading (recovery subsystem) ---------------------------------
