@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.auth.policies import AuthPolicy
-from repro.crypto import KERNELS
-from repro.crypto.mac import VALID_MAC_BITS
+from repro.crypto import KERNELS, VALID_MAC_BITS
 
 #: accepted values of :attr:`SecureMemoryConfig.sim_engine`
 SIM_ENGINES = ("auto", "scalar", "batched")

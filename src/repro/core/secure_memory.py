@@ -57,7 +57,11 @@ from repro.crypto.shamir import (
     reconstruct_block,
     split_block,
 )
-from repro.crypto.vector import decrypt_blocks_kernel, resolve_kernel
+from repro.crypto.vector import (
+    decrypt_blocks_kernel,
+    encrypt_blocks_kernel,
+    resolve_kernel,
+)
 from repro.memory.cache import Cache
 from repro.memory.dram import MainMemory
 from repro.obs.metrics import MetricsRegistry
@@ -478,6 +482,77 @@ class SecureMemorySystem:
                 self._data_leaf_index(address), address, counter, ciphertext
             )
 
+    def _write_back_many(self, evictions: list[tuple[int, bytes]]) -> None:
+        """Dirty-eviction path for many blocks: a batched ``_write_back`` loop.
+
+        ``evictions`` holds ``(address, plaintext)`` in eviction order.
+        Counters advance in that order, exactly as the scalar loop would
+        advance them; the encryption and the re-MAC wait and run as one
+        :func:`bulk_ctr_transform` and one ``update_leaves``.  A page or
+        full re-encryption reads DRAM and the tree, so whatever is pending
+        is written out before one runs.  If an eviction raises, the ones
+        before it are still written out, as in the scalar loop.  Secret-
+        shared blocks keep their per-block share write.
+        """
+        scheme = self.counter_scheme
+        shares = self.config.encryption is EncryptionMode.SHARES
+        pending: list[tuple[int, int, bytes]] = []   # (addr, counter, pt)
+        try:
+            for address, plaintext in evictions:
+                self.stats.writes += 1
+                counter = 0
+                if scheme is not None:
+                    self._ensure_counter_block(address, for_write=True)
+                    result = scheme.increment(address)
+                    self.counter_cache.mark_dirty(
+                        scheme.counter_block_address(address))
+                    counter = result.counter
+                    if result.action is not OverflowAction.NONE:
+                        settled, pending = pending, []
+                        self._store_blocks(settled)
+                    if result.action is OverflowAction.PAGE_REENCRYPTION:
+                        self._page_reencrypt(result.page_address, address)
+                    elif result.action is OverflowAction.FULL_REENCRYPTION:
+                        self._full_reencrypt(address)
+                        counter = 1
+                self._materialized.add(address)
+                if shares:
+                    self._write_back_shares(address, counter, plaintext)
+                else:
+                    pending.append((address, counter, plaintext))
+        finally:
+            self._store_blocks(pending)
+
+    def _store_blocks(self, items: list[tuple[int, int, bytes]]) -> None:
+        """Encrypt, store and re-MAC ``(address, counter, plaintext)`` items
+        whose counters are already advanced: one crypto dispatch and one
+        ``update_leaves`` for the lot."""
+        if not items:
+            return
+        mode = self.config.encryption
+        if mode is EncryptionMode.COUNTER:
+            ciphertexts = bulk_ctr_transform(self._data_aes, items,
+                                             kernel=self.kernel)
+        elif mode is EncryptionMode.DIRECT:
+            chunks = encrypt_blocks_kernel(
+                self._data_aes,
+                [plaintext[i:i + CHUNK_SIZE]
+                 for _, _, plaintext in items
+                 for i in range(0, self.block_size, CHUNK_SIZE)],
+                self.kernel)
+            per_block = self.block_size // CHUNK_SIZE
+            ciphertexts = [b"".join(chunks[n:n + per_block])
+                           for n in range(0, len(chunks), per_block)]
+        else:
+            ciphertexts = [bytes(plaintext) for _, _, plaintext in items]
+        for (address, _, _), ciphertext in zip(items, ciphertexts):
+            self.dram.write_block(address, ciphertext)
+        if self.merkle is not None:
+            self.merkle.update_leaves([
+                (self._data_leaf_index(address), address, counter, ciphertext)
+                for (address, counter, _), ciphertext in zip(items, ciphertexts)
+            ])
+
     # -- batched fetch ---------------------------------------------------------
 
     def _counter_block_index(self, address: int) -> int:
@@ -582,6 +657,8 @@ class SecureMemorySystem:
         rsr.allocate(page_index, old_major)
         stats.max_concurrent_rsrs = max(stats.max_concurrent_rsrs,
                                         self.rsr_file.active_count)
+        fetched: list[tuple[int, bytes]] = []
+        fetched_slots: list[int] = []
         for slot, block_address in enumerate(scheme.blocks_of_page(page_index)):
             if block_address == triggering_address:
                 # The overflowing write-back re-encrypts this block itself;
@@ -605,7 +682,7 @@ class SecureMemorySystem:
                 rsr.mark_done(slot)
                 continue
             # Fetch, decrypt under (old major, old minor), re-encrypt under
-            # the new major; not cached, immediately written back.
+            # the new major; not cached, written back together below.
             old_counter = scheme.counter_with_major(block_address, old_major)
             plaintext = self._fetch_plaintext_uncached(
                 block_address, old_counter, label="reencrypt"
@@ -613,7 +690,10 @@ class SecureMemorySystem:
             scheme.reset_minor(block_address)
             stats.blocks_fetched += 1
             stats.blocks_reencrypted += 1
-            self._write_back(block_address, plaintext)
+            fetched.append((block_address, plaintext))
+            fetched_slots.append(slot)
+        self._write_back_many(fetched)
+        for slot in fetched_slots:
             rsr.mark_done(slot)
 
     # -- full-memory re-encryption (monolithic / global overflow) ---------------
@@ -637,13 +717,8 @@ class SecureMemorySystem:
             _derive_key(self._base_key, b"data", self._key_epoch)
         )
         scheme.reset_all_counters()
-        for address, plaintext in plaintexts.items():
-            ciphertext = self._encrypt(address, 0, plaintext)
-            self.dram.write_block(address, ciphertext)
-            if self.merkle is not None:
-                self.merkle.update_leaf(
-                    self._data_leaf_index(address), address, 0, ciphertext
-                )
+        self._store_blocks([(address, 0, plaintext)
+                            for address, plaintext in plaintexts.items()])
         # The triggering block's write-back proceeds with counter 1.
         scheme.set_counter(triggering_address, 1)
         self.stats.reencryption.blocks_reencrypted += len(plaintexts)
@@ -687,8 +762,9 @@ class SecureMemorySystem:
         counter block faults on-chip at most once and all pads come from
         one AES dispatch; Merkle chains are walked once per shared parent.
         Cache/eviction order may differ from the scalar loop (hit/miss
-        statistics can shift), but every eviction runs the ordinary
-        write-back path, so DRAM always holds a consistent image.  On an
+        statistics can shift).  Dirty evictions are written back together
+        after the fills, through :meth:`_write_back_many`, so DRAM holds a
+        consistent image when the call returns.  On an
         :class:`IntegrityViolation` the batch aborts without returning any
         values.
         """
@@ -710,6 +786,7 @@ class SecureMemorySystem:
                 misses, key=lambda a: (self._counter_block_index(a), a)
             )
             plaintexts = self._fetch_blocks_bulk(pending)
+            evicted: list[tuple[int, bytes]] = []
             for address in pending:
                 plaintext = plaintexts[address]
                 data = bytes(plaintext)
@@ -717,7 +794,8 @@ class SecureMemorySystem:
                     out[slot] = data
                 eviction = self.l2.fill(address, payload=plaintext)
                 if eviction is not None and eviction.dirty:
-                    self._write_back(eviction.address, bytes(eviction.payload))
+                    evicted.append((eviction.address, bytes(eviction.payload)))
+            self._write_back_many(evicted)
         return out  # type: ignore[return-value]
 
     def write_blocks(self, pairs: list[tuple[int, bytes]]) -> None:
@@ -726,7 +804,8 @@ class SecureMemorySystem:
         ``pairs`` holds ``(address, data)`` in program order; duplicate
         addresses collapse last-write-wins, exactly as the equivalent
         ``write_block`` loop would leave them.  Write-allocate fetches for
-        missing blocks are batched like :meth:`read_blocks`.
+        missing blocks, and the dirty evictions, are batched like
+        :meth:`read_blocks`.
         """
         for address, data in pairs:
             self._check_data_address(address)
@@ -747,11 +826,13 @@ class SecureMemorySystem:
                 staged, key=lambda a: (self._counter_block_index(a), a)
             )
             self._fetch_blocks_bulk(pending)  # write-allocate verification
+            evicted: list[tuple[int, bytes]] = []
             for address in staged:  # preserve first-seen fill order
                 eviction = self.l2.fill(address, dirty=True,
                                         payload=bytearray(staged[address]))
                 if eviction is not None and eviction.dirty:
-                    self._write_back(eviction.address, bytes(eviction.payload))
+                    evicted.append((eviction.address, bytes(eviction.payload)))
+            self._write_back_many(evicted)
 
     def read(self, address: int, size: int) -> bytes:
         """Byte-granular read spanning blocks."""
@@ -780,8 +861,10 @@ class SecureMemorySystem:
     def flush(self) -> None:
         """Write all dirty on-chip state back to DRAM.
 
-        After a flush the DRAM image is self-contained: a fresh system with
-        the same keys (see :meth:`clone_cold`) can verify and decrypt it.
+        After a flush, DRAM holds every data, counter and tree block, and
+        the on-chip root register authenticates that image, so a block
+        whose L2 line is dropped (``l2.invalidate``) re-fetches, verifies
+        and decrypts from DRAM.  Lines stay resident in the L2, clean.
         """
         # Write-backs can dirty more lines (lazy page re-encryption marks
         # cached blocks dirty; data write-backs dirty counter blocks), so
@@ -790,7 +873,8 @@ class SecureMemorySystem:
             dirty_data = list(self.l2.dirty_blocks())
             for address in dirty_data:
                 self.l2.clear_dirty(address)
-                self._write_back(address, bytes(self.l2.payload(address)))
+            self._write_back_many([(address, bytes(self.l2.payload(address)))
+                                   for address in dirty_data])
             counter_cache = (self.counter_cache.cache
                              if self.counter_cache is not None else None)
             dirty_counters = (list(counter_cache.dirty_blocks())

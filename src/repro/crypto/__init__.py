@@ -12,7 +12,8 @@ Contents:
 
 Every public name resolves lazily (PEP 562), so importing one submodule
 loads only what that submodule needs: the configuration layer reads
-:data:`KERNELS` and ``VALID_MAC_BITS`` without loading NumPy.
+:data:`KERNELS` and :data:`VALID_MAC_BITS`, defined here, without loading
+any submodule.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import importlib
 
 #: kernel names accepted by the dispatch helpers and ``Config.kernel``
 KERNELS = ("scalar", "table", "vector")
+#: per-block MAC widths, in bits, that :mod:`repro.crypto.mac` supports
+VALID_MAC_BITS = (32, 64, 128)
 
 _SUBMODULE_NAMES = {
     "aes": ("AES128", "decrypt_blocks", "encrypt_blocks"),
@@ -30,8 +33,8 @@ _SUBMODULE_NAMES = {
     "gcm": ("AESGCM", "AuthenticationError", "constant_time_equal"),
     "gf128": ("GF128Element", "GF128Table", "gf128_mul"),
     "ghash": ("GHASH", "ghash", "ghash_chunks", "ghash_of"),
-    "mac": ("VALID_MAC_BITS", "gcm_block_mac", "gcm_block_macs",
-            "macs_per_block", "sha_block_mac"),
+    "mac": ("gcm_block_mac", "gcm_block_macs", "macs_per_block",
+            "sha_block_mac"),
     "sha1": ("hmac_sha1", "sha1"),
     "vector": ("VECTOR_MIN_BLOCKS", "VECTOR_MIN_CTR_BLOCKS",
                "VECTOR_MIN_MAC_BLOCKS", "VectorAES128", "VectorGHASH",
@@ -43,7 +46,7 @@ _SUBMODULE_NAMES = {
 _MODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
               for name in names}
 
-__all__ = sorted({"KERNELS", *_MODULE_OF})
+__all__ = sorted({"KERNELS", "VALID_MAC_BITS", *_MODULE_OF})
 
 
 def __getattr__(name: str):

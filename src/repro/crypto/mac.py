@@ -19,12 +19,11 @@ arity: a 64-byte code block holds 64/mac_bytes child codes.
 
 from __future__ import annotations
 
+from repro.crypto import VALID_MAC_BITS
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AUTHENTICATION_IV, CHUNK_SIZE, make_seed, xor_bytes
 from repro.crypto.ghash import GHASH, ghash_of
 from repro.crypto.sha1 import hmac_sha1
-
-VALID_MAC_BITS = (32, 64, 128)
 
 
 def _split_chunks(data: bytes) -> list[bytes]:

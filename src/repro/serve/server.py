@@ -2,11 +2,13 @@
 
 Architecture (one server process):
 
-* One *lane* per shard: a bounded :class:`asyncio.Queue` of ops, a worker
-  coroutine that drains it in batches, and a single-thread executor that
-  serializes the shard's backend calls.  With the ``process`` backend the
-  executor thread merely pumps a pipe — the actual crypto runs inside the
-  shard's own worker process, so shards execute truly in parallel.
+* One *lane* per shard: a bounded :class:`asyncio.Queue` of ops and a
+  worker coroutine that drains it in batches, keeping one batch in flight
+  per shard.  Every shard call — batches and control ops alike — is an
+  awaitable ``shard.call(kind, payload)`` on the event loop.  With the
+  ``process`` backend the loop owns the shard's socket and the crypto
+  runs inside the shard's own worker process, so shards execute truly in
+  parallel and the front end runs on one thread.
 * **Coalescing**: the lane worker collects up to ``batch_max`` queued ops
   (from any number of connections) into one shard batch; the shard merges
   consecutive same-kind ops per tenant into single
@@ -33,8 +35,7 @@ import contextlib
 import hmac
 import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.serve.protocol import (
@@ -87,11 +88,15 @@ class _TenantInfo:
 
 @dataclass
 class _Lane:
-    """One shard's queue + worker + serializing executor."""
+    """One shard's bounded op queue and the worker that drains it.
+
+    The worker awaits each batch's reply before taking the next, so a
+    shard has at most one batch in flight; control ops bypass the queue
+    and go straight to ``shard.call``.
+    """
 
     shard: Any
-    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
-    executor: ThreadPoolExecutor | None = None
+    queue: asyncio.Queue
     worker: asyncio.Task | None = None
 
 
@@ -125,34 +130,24 @@ class SecureMemoryService:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _build_shard(self, index: int):
+    async def _build_shard(self, index: int):
         per_shard = self.config.tenant_bytes // self.config.num_shards
         if self.config.backend == "process":
-            return ProcessShard(index, self.config.num_shards,
-                                self.memory_config, per_shard,
-                                self.config.base_key,
-                                l2_size=self.config.l2_size)
+            # returns once the worker is started; the workers boot in
+            # parallel, and calls queue in each socket meanwhile
+            return await ProcessShard.spawn(
+                index, self.config.num_shards, self.memory_config,
+                per_shard, self.config.base_key,
+                l2_size=self.config.l2_size)
         return InlineShard(ShardCore(index, self.config.num_shards,
                                      self.memory_config, per_shard,
                                      self.config.base_key,
                                      l2_size=self.config.l2_size))
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        if self.config.backend == "process":
-            # spawning is slow (fresh interpreter per shard); overlap them
-            shards = await asyncio.gather(*[
-                loop.run_in_executor(None, self._build_shard, index)
-                for index in range(self.config.num_shards)])
-        else:
-            shards = [self._build_shard(index)
-                      for index in range(self.config.num_shards)]
-        for shard in shards:
-            lane = _Lane(shard=shard,
-                         queue=asyncio.Queue(self.config.queue_depth),
-                         executor=ThreadPoolExecutor(
-                             max_workers=1,
-                             thread_name_prefix=f"shard-{shard.index}"))
+        for index in range(self.config.num_shards):
+            lane = _Lane(shard=await self._build_shard(index),
+                         queue=asyncio.Queue(self.config.queue_depth))
             lane.worker = asyncio.ensure_future(self._lane_worker(lane))
             self._lanes.append(lane)
         self._server = await asyncio.start_server(
@@ -180,17 +175,11 @@ class SecureMemoryService:
         for lane in self._lanes:
             if lane.worker is not None:
                 await lane.worker
-        loop = asyncio.get_running_loop()
-        await asyncio.gather(*[
-            loop.run_in_executor(lane.executor, lane.shard.close)
-            for lane in self._lanes])
-        for lane in self._lanes:
-            lane.executor.shutdown(wait=True)
+        await asyncio.gather(*[lane.shard.close() for lane in self._lanes])
 
     # -- lane worker: coalescing + batch execution --------------------------
 
     async def _lane_worker(self, lane: _Lane) -> None:
-        loop = asyncio.get_running_loop()
         stopping = False
         while not stopping:
             item = await lane.queue.get()
@@ -211,8 +200,7 @@ class SecureMemoryService:
             self._batch_size.observe(float(len(batch)))
             ops = [op for op, _future in batch]
             try:
-                results = await loop.run_in_executor(
-                    lane.executor, lane.shard.request, "execute", ops)
+                results = await lane.shard.call("execute", ops)
             except Exception as exc:  # noqa: BLE001 — fail the batch, not us
                 for _op, future in batch:
                     if not future.done():
@@ -377,11 +365,9 @@ class SecureMemoryService:
                 ErrorCode.BAD_REQUEST,
                 f"unknown recovery policy {recovery!r} (want 'halt', "
                 "'quarantine_page', or 'degrade')")
-        loop = asyncio.get_running_loop()
         await asyncio.gather(*[
-            loop.run_in_executor(
-                lane.executor, lane.shard.request, "open_tenant",
-                {"tenant": tenant, "epoch": 0, "recovery": recovery})
+            lane.shard.call("open_tenant", {"tenant": tenant, "epoch": 0,
+                                            "recovery": recovery})
             for lane in self._lanes])
         info = _TenantInfo(secrets.token_hex(16), recovery)
         self._tenants[tenant] = info
@@ -391,21 +377,15 @@ class SecureMemoryService:
 
     async def _op_close_tenant(self, request_id, request: dict) -> dict:
         tenant, _info = self._authed(request)
-        loop = asyncio.get_running_loop()
-        await asyncio.gather(*[
-            loop.run_in_executor(lane.executor, lane.shard.request,
-                                 "close_tenant", tenant)
-            for lane in self._lanes])
+        await asyncio.gather(*[lane.shard.call("close_tenant", tenant)
+                               for lane in self._lanes])
         del self._tenants[tenant]
         return ok_response(request_id, closed=tenant)
 
     async def _op_rotate_epoch(self, request_id, request: dict) -> dict:
         tenant, info = self._authed(request)
-        loop = asyncio.get_running_loop()
-        epochs = await asyncio.gather(*[
-            loop.run_in_executor(lane.executor, lane.shard.request,
-                                 "rotate", tenant)
-            for lane in self._lanes])
+        epochs = await asyncio.gather(*[lane.shard.call("rotate", tenant)
+                                        for lane in self._lanes])
         info.epoch = epochs[0]
         return ok_response(request_id, epoch=info.epoch)
 
@@ -480,15 +460,16 @@ class SecureMemoryService:
     async def _op_corrupt(self, request_id, request: dict) -> dict:
         """Fault injection (tests / CI smoke): flip DRAM bits of one block.
 
-        Runs on the shard's serializing executor, not through the op
-        queue — it must not interleave with a half-executed batch.
+        A control op: it skips the lane's op queue and goes straight to
+        the shard, where it queues first in, first out behind whatever the
+        shard is already running (the worker answers its socket's frames
+        in order; an inline shard runs each call whole on the loop).  So
+        it lands between two batches, never inside one.
         """
         tenant, _info = self._authed(request)
         shard, local = self._route(request.get("address"))
-        lane = self._lanes[shard]
-        await asyncio.get_running_loop().run_in_executor(
-            lane.executor, lane.shard.request, "corrupt",
-            {"tenant": tenant, "address": local})
+        await self._lanes[shard].shard.call(
+            "corrupt", {"tenant": tenant, "address": local})
         return ok_response(request_id, corrupted=request["address"],
                            shard=shard)
 
@@ -500,11 +481,8 @@ class SecureMemoryService:
         stay per-shard only.
         """
         tenant, info = self._authed(request)
-        loop = asyncio.get_running_loop()
-        snapshots = await asyncio.gather(*[
-            loop.run_in_executor(lane.executor, lane.shard.request,
-                                 "metrics", tenant)
-            for lane in self._lanes])
+        snapshots = await asyncio.gather(*[lane.shard.call("metrics", tenant)
+                                           for lane in self._lanes])
         aggregate: dict[str, int] = {}
         for snapshot in snapshots:
             for name, value in snapshot["metrics"].items():

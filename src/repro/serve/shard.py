@@ -7,9 +7,16 @@ executes coalesced op batches against them.  The same synchronous engine
 * :class:`InlineShard` — in the server process.  Deterministic and cheap;
   what the unit tests and quick smoke paths use.
 * :class:`ProcessShard` — inside a spawned worker process, one per shard,
-  driven over a pipe.  This is what makes ``--shards N`` scale on a
-  multi-core host: each shard's crypto (AES pads, GHASH MACs, Merkle
+  driven over a socket pair.  This is what makes ``--shards N`` scale on
+  a multi-core host: each shard's crypto (AES pads, GHASH MACs, Merkle
   walks) runs on its own core, outside the server's GIL.
+
+Both expose one awaitable ``call(kind, payload)``.  A process shard's
+socket belongs to the server's event loop: a call writes one
+length-prefixed pickle frame without blocking and awaits its reply, which
+the worker sends in request order, so no thread ever waits on a shard.
+The worker's death is an EOF on that socket, and every pending and later
+call then fails with :class:`ShardError`.
 
 Tenant isolation is structural, not advisory: every tenant gets its own
 system per shard, keyed by ``sha256(base_key, tenant, epoch)`` — separate
@@ -28,11 +35,15 @@ path.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import hashlib
 import math
 import multiprocessing
+import pickle
 import signal
-import threading
+import socket
+from collections import deque
 from typing import Any
 
 from repro.serve.protocol import ErrorCode
@@ -285,7 +296,7 @@ class ShardCore:
     def tenants(self) -> list[str]:
         return sorted(self._tenants)
 
-    # -- uniform dispatch (the pipe protocol and InlineShard share it) ------
+    # -- uniform dispatch (the socket protocol and InlineShard share it) ----
 
     def dispatch(self, kind: str, payload: Any) -> Any:
         if kind == "execute":
@@ -309,12 +320,48 @@ class ShardCore:
         raise ShardError(f"unknown shard command {kind!r}")
 
 
-def _worker_main(conn, spec: dict) -> None:
+#: bytes of the big-endian length that prefixes every pickled frame
+_LENGTH_BYTES = 4
+_RECV_BYTES = 1 << 16
+
+
+def _frame(message: Any) -> bytes:
+    """One length-prefixed pickle frame (both ends of a shard socket)."""
+    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return len(body).to_bytes(_LENGTH_BYTES, "big") + body
+
+
+class _Frames:
+    """Reassembles frames from a byte stream (both ends of a shard socket)."""
+
+    def __init__(self):
+        self._buffer = bytearray()
+
+    def feed(self, chunk: bytes) -> list:
+        """Append ``chunk``; return every message it completed, in order."""
+        buffer = self._buffer
+        buffer += chunk
+        messages = []
+        start = 0
+        while len(buffer) - start >= _LENGTH_BYTES:
+            body = start + _LENGTH_BYTES
+            end = body + int.from_bytes(buffer[start:body], "big")
+            if end > len(buffer):
+                break
+            messages.append(pickle.loads(buffer[body:end]))
+            start = end
+        del buffer[:start]
+        return messages
+
+
+def _worker_main(sock: socket.socket, spec: dict) -> None:
     """Entry point of a spawned shard worker process.
 
-    SIGINT is ignored: the server owns interrupt handling, and a terminal
-    Ctrl-C reaches the whole process group — the worker must keep serving
-    until it is told to shut down (or its pipe closes).
+    Frames are answered one at a time in arrival order, which is what lets
+    the front end match replies to calls first in, first out.  SIGINT is
+    ignored: the server owns interrupt handling, and a terminal Ctrl-C
+    reaches the whole process group — the worker must keep serving until
+    it is told to shut down (or its socket closes).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.resilience.checkpoint import config_from_state
@@ -327,49 +374,71 @@ def _worker_main(conn, spec: dict) -> None:
         base_key=spec["base_key"],
         l2_size=spec["l2_size"],
     )
-    while True:
-        try:
-            kind, payload = conn.recv()
-        except (EOFError, OSError):
-            break
-        if kind == "shutdown":
-            conn.send(("ok", None))
-            break
-        try:
-            conn.send(("ok", core.dispatch(kind, payload)))
-        except Exception as exc:  # noqa: BLE001 — verdict crosses the pipe
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    conn.close()
+    frames = _Frames()
+    # an OSError on the socket means the front end is gone: exit quietly
+    with sock, contextlib.suppress(OSError):
+        while chunk := sock.recv(_RECV_BYTES):
+            for kind, payload in frames.feed(chunk):
+                if kind == "shutdown":
+                    sock.sendall(_frame(("ok", None)))
+                    return
+                try:
+                    reply = ("ok", core.dispatch(kind, payload))
+                except Exception as exc:  # noqa: BLE001 — sent as a verdict
+                    reply = ("error", f"{type(exc).__name__}: {exc}")
+                sock.sendall(_frame(reply))
 
 
 class InlineShard:
-    """A shard living in the server process (deterministic, no spawn)."""
+    """A shard living in the server process (deterministic, no spawn).
+
+    ``call`` runs the batch on the event loop itself, so nothing else on
+    the loop runs while a batch executes.
+    """
 
     def __init__(self, core: ShardCore):
         self.core = core
         self.index = core.index
 
-    def request(self, kind: str, payload: Any) -> Any:
+    async def call(self, kind: str, payload: Any) -> Any:
+        """Run one shard command; see :meth:`ShardCore.dispatch`."""
         return self.core.dispatch(kind, payload)
 
-    def close(self) -> None:
+    async def close(self) -> None:
         pass
 
 
-class ProcessShard:
-    """A shard hosted in its own spawned process, driven over a pipe.
+class ProcessShard(asyncio.Protocol):
+    """A shard hosted in its own spawned process, driven over a socket.
 
-    ``request`` is synchronous and serialized by a lock; the server calls
-    it from a per-shard single-thread executor, so each shard processes
-    one batch at a time while different shards run truly in parallel.
+    The event loop owns the front end's end of the socket: :meth:`call`
+    writes one frame without blocking and awaits a future that
+    :meth:`data_received` resolves when the reply frame arrives.  The
+    worker answers frames in order, so replies match pending calls first
+    in, first out.  EOF — the worker exited or was killed — fails every
+    pending call, and every later one, with :class:`ShardError`.
     """
 
-    def __init__(self, index: int, num_shards: int, config,
-                 protected_bytes: int, base_key: bytes,
-                 l2_size: int = 64 * 1024):
+    def __init__(self, index: int, process):
+        self.index = index
+        self._process = process
+        self._frames = _Frames()
+        self._pending: deque[asyncio.Future] = deque()
+        self._transport: asyncio.Transport | None = None
+        #: why calls fail from now on (``None`` while the socket is up)
+        self._failure: str | None = None
+
+    @classmethod
+    async def spawn(cls, index: int, num_shards: int, config,
+                    protected_bytes: int, base_key: bytes,
+                    l2_size: int = 64 * 1024) -> ProcessShard:
+        """Start a worker process and connect the loop to its socket.
+
+        Returns once the worker is started, not once it has booted: calls
+        queue in the socket until the worker reads them.
+        """
         from repro.resilience.checkpoint import config_state
 
-        self.index = index
         spec = {
             "index": index,
             "num_shards": num_shards,
@@ -378,42 +447,65 @@ class ProcessShard:
             "base_key": bytes(base_key),
             "l2_size": l2_size,
         }
+        ours, theirs = socket.socketpair()
         context = multiprocessing.get_context("spawn")
-        self._conn, child = context.Pipe()
-        self._process = context.Process(
-            target=_worker_main, args=(child, spec), daemon=True)
-        self._process.start()
-        child.close()
-        self._lock = threading.Lock()
-        self._closed = False
+        process = context.Process(
+            target=_worker_main, args=(theirs, spec), daemon=True)
+        process.start()
+        theirs.close()
+        shard = cls(index, process)
+        await asyncio.get_running_loop().create_unix_connection(
+            lambda: shard, sock=ours)
+        return shard
 
-    def request(self, kind: str, payload: Any) -> Any:
-        with self._lock:
-            if self._closed:
-                raise ShardError(f"shard {self.index} is closed")
-            try:
-                self._conn.send((kind, payload))
-                status, result = self._conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                raise ShardError(
-                    f"shard {self.index} worker died "
-                    f"(exit code {self._process.exitcode})") from exc
-        if status == "error":
-            raise ShardError(f"shard {self.index}: {result}")
-        return result
+    # -- asyncio.Protocol -----------------------------------------------------
 
-    def close(self, timeout: float = 5.0) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                self._conn.send(("shutdown", None))
-                self._conn.recv()
-            except (EOFError, OSError, BrokenPipeError):
-                pass
-            self._conn.close()
-        self._process.join(timeout)
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        for status, result in self._frames.feed(data):
+            future = self._pending.popleft()
+            if future.done():           # its caller was cancelled
+                continue
+            if status == "ok":
+                future.set_result(result)
+            else:
+                future.set_exception(
+                    ShardError(f"shard {self.index}: {result}"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._failure is None:
+            self._failure = (f"shard {self.index} worker died (exit code "
+                             f"{self._process.exitcode})")
+        while self._pending:
+            future = self._pending.popleft()
+            if not future.done():
+                future.set_exception(ShardError(self._failure))
+
+    # -- calls ----------------------------------------------------------------
+
+    async def call(self, kind: str, payload: Any) -> Any:
+        """Run one shard command in the worker; its result, or
+        :class:`ShardError` for a worker-side failure or a dead worker."""
+        if self._failure is not None:
+            raise ShardError(self._failure)
+        future = asyncio.get_running_loop().create_future()
+        self._pending.append(future)
+        self._transport.write(_frame((kind, payload)))
+        return await future
+
+    async def close(self, timeout: float = 5.0) -> None:
+        """Shut the worker down and reap it without blocking the loop."""
+        if self._failure is None:
+            with contextlib.suppress(ShardError, asyncio.TimeoutError):
+                await asyncio.wait_for(self.call("shutdown", None), timeout)
+            self._failure = f"shard {self.index} is closed"
+        self._transport.close()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while self._process.is_alive() and loop.time() < deadline:
+            await asyncio.sleep(0.005)
         if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout)
+            self._process.kill()
+            self._process.join()

@@ -225,7 +225,10 @@ class TestBatchedLeaves:
 #: A clean seeded loop of 50/50 reads and writes over 4096 blocks with a
 #: 4 KiB L2 and a 1 KiB node cache: every write-back posts a MAC into a
 #: node that the tiny node cache soon evicts, so a node update that never
-#: got marked dirty is lost and a later read fails verification.
+#: got marked dirty is lost and a later read fails verification.  With
+#: ``batched`` as its second argument each op names 8 blocks and goes
+#: through ``write_blocks``/``read_blocks``, whose dirty evictions re-MAC
+#: through ``update_leaves``.
 _CLEAN_LOOP = textwrap.dedent("""
     import random, sys
     from repro import api
@@ -233,27 +236,48 @@ _CLEAN_LOOP = textwrap.dedent("""
 
     assert not __debug__, "run me under python -O"
     config = api.get_config(sys.argv[1], node_cache_size=1024)
+    batched = sys.argv[2:] == ["batched"]
     system = SecureMemorySystem(config, protected_bytes=256 * 1024,
                                 l2_size=4096)
     rng = random.Random(1)
     model = {}
     for op in range(600):
-        address = rng.randrange(4096) * 64
+        addresses = [rng.randrange(4096) * 64
+                     for _ in range(8 if batched else 1)]
         if rng.random() < 0.5:
-            data = rng.randbytes(64)
-            system.write_block(address, data)
-            model[address] = data
-        elif system.read_block(address) != model.get(address, bytes(64)):
+            pairs = [(address, rng.randbytes(64)) for address in addresses]
+            if batched:
+                system.write_blocks(pairs)
+            else:
+                system.write_block(*pairs[0])
+            model.update(pairs)
+            continue
+        if batched:
+            got = system.read_blocks(addresses)
+        else:
+            got = [system.read_block(addresses[0])]
+        if got != [model.get(address, bytes(64)) for address in addresses]:
             sys.exit(f"op {op}: wrong plaintext")
 """)
+
+
+def _run_clean_loop(*args: str) -> None:
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-O", "-c", _CLEAN_LOOP, *args],
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 @pytest.mark.parametrize("scheme", ["split+gcm", "secddr"])
 def test_node_updates_survive_python_O(scheme):
     """``python -O`` strips asserts: no node update may hide in one."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-O", "-c", _CLEAN_LOOP, scheme],
-                            env=env, capture_output=True, text=True,
-                            timeout=300)
-    assert result.returncode == 0, result.stderr[-2000:]
+    _run_clean_loop(scheme)
+
+
+@pytest.mark.parametrize("scheme", ["split+gcm", "secddr"])
+def test_batched_node_updates_survive_python_O(scheme):
+    """The same under ``python -O``, through the batch calls, whose dirty
+    evictions re-MAC through ``update_leaves``."""
+    _run_clean_loop(scheme, "batched")

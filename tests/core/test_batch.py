@@ -5,20 +5,31 @@ grouping, bulk pad generation, Merkle ancestor sharing), so these tests
 drive a batched system and a scalar system through identical operation
 sequences and require identical observable values — including when a
 minor-counter overflow forces a page re-encryption in the middle of a
-batch, and when a tiny L2 forces dirty evictions between batch items.
+batch, when an 8-bit monolithic counter wraps and forces a full
+re-encryption there, and when a tiny L2 forces dirty evictions between
+batch items.  Dirty evictions write back as one batch (one crypto
+dispatch, one ``update_leaves``), so the twins' DRAM images are also
+read back cold: after a flush, every L2 line is dropped and every block
+re-fetched and re-verified.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.auth.merkle import MerkleTree
+from repro.auth.secddr import SecDDRAuthenticator
 from repro.core import (
     SecureMemorySystem,
     direct_config,
     mono_config,
+    mono_gcm_config,
+    scattered_config,
+    secddr_config,
     split_config,
     split_gcm_config,
     split_sha_config,
 )
+from repro.core.config import CounterOrg
 
 REGION = 32 * 64  # 32 cache blocks
 ADDRESSES = [i * 64 for i in range(REGION // 64)]
@@ -60,6 +71,12 @@ def run_rounds(config, rounds, **kwargs):
     batched.flush()
     for address in ADDRESSES:
         assert batched.read_block(address) == scalar.read_block(address)
+    # ... and read back cold: drop every (now clean) L2 line so each
+    # block re-fetches, re-verifies and decrypts from DRAM
+    for system in (scalar, batched):
+        assert system.l2.flush() == []
+    assert batched.read_blocks(ADDRESSES) == [
+        scalar.read_block(address) for address in ADDRESSES]
     return batched
 
 
@@ -69,6 +86,8 @@ CONFIGS = [
     split_sha_config(),
     mono_config(8),
     direct_config(),
+    secddr_config(),        # flat MAC layer: SecDDRAuthenticator
+    scattered_config(),     # secret shares: per-block share write-back
 ]
 
 
@@ -119,3 +138,50 @@ class TestOverflowMidBatch:
     @given(rounds=st.lists(round_strategy, min_size=2, max_size=5))
     def test_property_with_tiny_minor_counters(self, rounds):
         run_rounds(split_config(minor_bits=1), rounds)
+
+    @pytest.mark.parametrize("config", [
+        mono_config(8),
+        mono_gcm_config().with_updates(counter_org=CounterOrg.MONO8,
+                                       name="mono8b+gcm"),
+    ], ids=lambda c: c.name)
+    def test_full_reencryption_mid_batch_equivalent(self, config):
+        """An 8-bit monolithic counter wraps on a block's 256th write-back
+        and forces a key change plus full re-encryption.  Block 4 gets a
+        20-write-back head start, then every round's read batch evicts
+        dirty blocks 0..4 in that order, so block 4 wraps with four
+        evictions pending: they must be written out first."""
+        rounds = (
+            [([(4, r)], [12, 20]) for r in range(20)]
+            + [([(b, r * 5 + b) for b in range(5)],
+                [8, 9, 10, 11, 12, 16, 17, 18, 19, 20])
+               for r in range(250)])
+        batched = run_rounds(config, rounds)
+        assert batched.stats.reencryption.full_reencryptions > 0
+
+
+class TestBatchedWriteBack:
+    @pytest.mark.parametrize("config,backend", [
+        (split_gcm_config(), MerkleTree),
+        (secddr_config(), SecDDRAuthenticator),
+    ], ids=["merkle", "secddr"])
+    def test_dirty_evictions_re_mac_through_update_leaves(
+            self, config, backend, monkeypatch):
+        """A batch's dirty evictions reach the tree as one
+        ``update_leaves`` call, not one ``update_leaf`` per block."""
+        calls = []
+        inner = backend.update_leaves
+
+        def spy(self, items):
+            calls.append(len(items))
+            return inner(self, items)
+
+        monkeypatch.setattr(backend, "update_leaves", spy)
+        _, batched = make_pair(config)
+        # 32 distinct blocks through a 16-block L2: the second half of
+        # the batch evicts the first half, dirty
+        batched.write_blocks([(address, block_data(n))
+                              for n, address in enumerate(ADDRESSES)])
+        assert calls and max(calls) >= 2, calls
+        batched.flush()
+        assert batched.read_blocks(ADDRESSES) == [
+            block_data(n) for n in range(len(ADDRESSES))]

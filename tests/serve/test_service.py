@@ -1,13 +1,15 @@
 """Service behavior: tenant isolation, backpressure, fault containment.
 
 Everything here runs the real asyncio server over loopback TCP with the
-deterministic inline shard backend (one test exercises the process
-backend end to end).  Each scenario is a coroutine driven by
+deterministic inline shard backend (``TestProcessBackend`` runs the
+process backend end to end, including a shard worker's death).  Each scenario is a coroutine driven by
 ``asyncio.run`` so the suite needs no async test plugin.
 """
 
 import asyncio
-import threading
+import os
+import signal
+import time
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.serve import (
 )
 from repro.serve.client import ServeError
 from repro.serve.protocol import ErrorCode, encode_frame, read_frame
+from repro.serve.shard import _frame, _Frames
 
 
 def _run(scenario_factory, **config_kwargs):
@@ -279,28 +282,26 @@ class TestFaultContainment:
 
 class TestBackpressure:
     def test_full_lane_rejects_with_busy_and_recovers(self):
-        gate = threading.Event()
-        entered = threading.Event()
-
         async def scenario(service, host, port):
+            gate = asyncio.Event()
+            entered = asyncio.Event()
             lane = service._lanes[0]
-            inner = lane.shard.request
+            inner = lane.shard.call
 
-            def blocking(kind, payload):
+            async def blocking(kind, payload):
                 if kind == "execute":
                     entered.set()
-                    gate.wait(timeout=30)
-                return inner(kind, payload)
+                    await asyncio.wait_for(gate.wait(), 30)
+                return await inner(kind, payload)
 
-            lane.shard.request = blocking
+            lane.shard.call = blocking
             async with ServeClient(host, port) as client:
                 token, bs = await _open(client, "t0")
                 # step 1: occupy the worker and wait until it is provably
                 # inside the (blocked) shard call, so later submissions
                 # cannot be drained out from under the test
                 head = asyncio.ensure_future(client.read("t0", token, [0]))
-                await asyncio.get_running_loop().run_in_executor(
-                    None, entered.wait, 30)
+                await asyncio.wait_for(entered.wait(), 30)
                 # step 2: fill the depth-2 queue behind it
                 in_flight = [
                     asyncio.ensure_future(client.read("t0", token, [0]))
@@ -323,7 +324,6 @@ class TestBackpressure:
                 assert (await client.read("t0", token, [0]))[0] == bytes(bs)
 
         _run(scenario, num_shards=1, queue_depth=2, batch_max=1)
-        gate.set()
 
 
 class TestCoalescing:
@@ -415,6 +415,19 @@ class TestLoadgen:
         assert first.errors == second.errors == 0
 
 
+class TestShardFraming:
+    def test_frames_reassemble_from_any_chunking(self):
+        """A process shard's socket delivers bytes, not frames: a reply
+        may arrive split across reads, or several in one read."""
+        messages = [("ok", [bytes([i]) * 64] * i) for i in range(5)]
+        stream = b"".join(_frame(message) for message in messages)
+        one_by_one = _Frames()
+        got = [m for i in range(len(stream))
+               for m in one_by_one.feed(stream[i:i + 1])]
+        assert got == messages
+        assert _Frames().feed(stream) == messages
+
+
 class TestProcessBackend:
     def test_process_shards_end_to_end(self):
         async def scenario(_service, host, port):
@@ -437,3 +450,29 @@ class TestProcessBackend:
                     == b"B" * bs
 
         _run(scenario, backend="process", num_shards=1)
+
+    def test_killed_shard_answers_internal_and_spares_other_shards(self):
+        """A SIGKILLed worker is an EOF on its socket: every call to that
+        shard fails at once with INTERNAL, never hangs, and the tenant's
+        blocks on the surviving shard read back byte-identical."""
+        async def scenario(service, host, port):
+            async with ServeClient(host, port) as client:
+                token, bs = await _open(client, "t0")
+                # blocks 0, 2, 4, ... live on shard 0; 1, 3, 5, ... on 1
+                writes = [(i * bs, bytes([i]) * bs) for i in range(8)]
+                await client.write("t0", token, writes)
+                worker = service._lanes[0].shard._process
+                os.kill(worker.pid, signal.SIGKILL)
+                with pytest.raises(ServeError) as err:
+                    await asyncio.wait_for(
+                        client.read("t0", token, [0]), 10)
+                assert _code(err) == ErrorCode.INTERNAL
+                odd = [i * bs for i in range(1, 8, 2)]
+                assert await asyncio.wait_for(
+                    client.read("t0", token, odd), 10) == [
+                        bytes([i]) * bs for i in range(1, 8, 2)]
+            started = time.monotonic()
+            await asyncio.wait_for(service.stop(), 10)
+            assert time.monotonic() - started < 10
+
+        _run(scenario, backend="process", num_shards=2)
