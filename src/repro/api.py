@@ -242,9 +242,12 @@ class _TraceMemo:
     the batched engine's packed cache classifications.
 
     Keyed on (workload name, refs, trace seed, warmup_refs).  It holds
-    only read-only NumPy arrays and scalars; each hit gets a fresh
-    :class:`~repro.workloads.Trace` and a fresh baseline copy, so nothing
-    a caller mutates reaches the next hit.
+    only read-only NumPy arrays and scalars.  Each hit gets a fresh
+    :class:`~repro.workloads.Trace` over the entry's read-only records
+    (shared by every hit of the key, never copied and never unpacked
+    into per-reference lists), a copy of the classification dict and a
+    fresh baseline copy, so nothing a caller mutates reaches the next
+    hit.
     """
 
     def __init__(self, budget: int):
@@ -313,7 +316,9 @@ class Experiment:
     A generator workload (SPEC or scenario name) without ``baseline=``
     goes through a per-process memo of its trace, baseline and cache
     classifications, keyed on (name, refs, trace seed, warmup_refs), so
-    the scheme columns of one app pay only for their own simulation.  On
+    the scheme columns of one app pay only for their own simulation: a
+    hit's batched run gathers just the events it drains from the memo's
+    arrays and builds no per-reference Python list.  On
     every such run, memo hit or miss, ``baseline_result`` is stats only:
     its ``memory`` is ``None``.  A prebuilt trace, a recorded trace file
     or an explicit ``baseline=`` bypasses the memo, and then

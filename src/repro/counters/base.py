@@ -50,8 +50,12 @@ class CounterScheme(ABC):
     #: human-readable scheme name used in benchmark tables
     name: str
 
-    def __init__(self, block_size: int = 64):
+    def __init__(self, block_size: int, data_blocks_per_counter_block: int):
         self.block_size = block_size
+        #: how many data blocks share one 64-byte counter block
+        self.data_blocks_per_counter_block = data_blocks_per_counter_block
+        #: bytes of data memory whose counters share one counter block
+        self.counter_block_span = block_size * data_blocks_per_counter_block
 
     # -- counter values ----------------------------------------------------
 
@@ -72,18 +76,16 @@ class CounterScheme(ABC):
 
     # -- memory layout -----------------------------------------------------
 
-    @abstractmethod
     def counter_block_address(self, block_address: int) -> int:
         """Index of the counter block holding this data block's counter.
 
         Counter blocks are identified by a dense index (0, 1, 2, ...); the
         secure-memory layer maps indices into a reserved DRAM region.
+        Every organization lays its counters out contiguously, so the
+        index is the address divided by :attr:`counter_block_span` (for
+        split counters, the encryption-page index).
         """
-
-    @property
-    @abstractmethod
-    def data_blocks_per_counter_block(self) -> int:
-        """How many data blocks share one 64-byte counter block."""
+        return block_address // self.counter_block_span
 
     # -- functional serialization (counter blocks as real bytes) -----------
 

@@ -35,9 +35,9 @@ class GlobalCounterScheme(CounterScheme):
     """One on-chip counter; per-block snapshots stored in memory."""
 
     def __init__(self, counter_bits: int = 32, block_size: int = 64):
-        super().__init__(block_size)
         if counter_bits not in (32, 64):
             raise ValueError("global counter is 32 or 64 bits")
+        super().__init__(block_size, block_size * 8 // counter_bits)
         self.counter_bits = counter_bits
         self.bits_per_block = counter_bits  # stored snapshot per block
         self.name = f"global{counter_bits}b"
@@ -90,15 +90,6 @@ class GlobalCounterScheme(CounterScheme):
         load_fields_state(self.stats, state["stats"])
 
     # -- layout (identical to monolithic counters of the same width) -------
-
-    @property
-    def data_blocks_per_counter_block(self) -> int:
-        return self.block_size * 8 // self.counter_bits
-
-    def counter_block_address(self, block_address: int) -> int:
-        return (block_address // self.block_size) // (
-            self.data_blocks_per_counter_block
-        )
 
     def _block_addresses_of(self, counter_block_index: int) -> list[int]:
         per = self.data_blocks_per_counter_block

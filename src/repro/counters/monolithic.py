@@ -36,9 +36,9 @@ class MonolithicCounterScheme(CounterScheme):
     """Per-block n-bit counters with key-change on overflow."""
 
     def __init__(self, counter_bits: int, block_size: int = 64):
-        super().__init__(block_size)
         if counter_bits not in (8, 16, 32, 64):
             raise ValueError("counter_bits must be 8, 16, 32, or 64")
+        super().__init__(block_size, block_size * 8 // counter_bits)
         self.counter_bits = counter_bits
         self.bits_per_block = counter_bits
         self.name = f"mono{counter_bits}b"
@@ -95,15 +95,6 @@ class MonolithicCounterScheme(CounterScheme):
         load_fields_state(self.stats, state["stats"])
 
     # -- layout --------------------------------------------------------------
-
-    @property
-    def data_blocks_per_counter_block(self) -> int:
-        return self.block_size * 8 // self.counter_bits
-
-    def counter_block_address(self, block_address: int) -> int:
-        return (block_address // self.block_size) // (
-            self.data_blocks_per_counter_block
-        )
 
     def _block_addresses_of(self, counter_block_index: int) -> list[int]:
         per = self.data_blocks_per_counter_block

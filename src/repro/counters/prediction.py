@@ -55,7 +55,8 @@ class CounterPredictionScheme(CounterScheme):
 
     def __init__(self, block_size: int = 64, page_size: int = 4096,
                  depth: int = DEFAULT_PREDICTION_DEPTH):
-        super().__init__(block_size)
+        # laid out like 64-bit monolithic counters
+        super().__init__(block_size, block_size * 8 // 64)
         if depth < 1:
             raise ValueError("prediction depth must be >= 1")
         self.page_size = page_size
@@ -116,15 +117,6 @@ class CounterPredictionScheme(CounterScheme):
         load_fields_state(self.stats, state["stats"])
 
     # -- layout (same as 64-bit monolithic) ---------------------------------
-
-    @property
-    def data_blocks_per_counter_block(self) -> int:
-        return self.block_size * 8 // self.counter_bits
-
-    def counter_block_address(self, block_address: int) -> int:
-        return (block_address // self.block_size) // (
-            self.data_blocks_per_counter_block
-        )
 
     def _block_addresses_of(self, counter_block_index: int) -> list[int]:
         per = self.data_blocks_per_counter_block

@@ -42,16 +42,16 @@ class SplitCounterScheme(CounterScheme):
 
     def __init__(self, block_size: int = 64, minor_bits: int = 7,
                  major_bits: int = 64):
-        super().__init__(block_size)
         if not 1 <= minor_bits <= 16:
             raise ValueError("minor_bits must be in [1, 16]")
-        self.minor_bits = minor_bits
-        self.major_bits = major_bits
         # One counter block = one major counter + one minor per data block,
         # sized to fill one cache block: with 7-bit minors and a 64-bit
         # major, 64 blocks fit exactly (the paper's default).  For other
         # minor widths we keep the page at block_size data blocks per page,
         # matching the paper's 32-byte-block example (32 six-bit minors).
+        super().__init__(block_size, block_size)
+        self.minor_bits = minor_bits
+        self.major_bits = major_bits
         self.blocks_per_page = block_size
         self.page_size = self.blocks_per_page * block_size
         self.bits_per_block = minor_bits + major_bits // self.blocks_per_page
@@ -147,15 +147,6 @@ class SplitCounterScheme(CounterScheme):
         self._majors = dict(state["majors"])
         self._minors = dict(state["minors"])
         load_fields_state(self.stats, state["stats"])
-
-    # -- memory layout -----------------------------------------------------------
-
-    def counter_block_address(self, block_address: int) -> int:
-        return self.page_of(block_address)
-
-    @property
-    def data_blocks_per_counter_block(self) -> int:
-        return self.blocks_per_page
 
     # -- serialization -----------------------------------------------------------
 

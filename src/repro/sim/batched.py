@@ -48,6 +48,16 @@ stream alone:
   single-copy engines, tracing off); ``Processor.resolved_sim_engine``
   sends every other run to the scalar oracle.
 
+Phase B hands phase C columns, not per-event objects.  For each segment
+the engine's ``columns`` builder gathers, for just the events drained,
+the clock and instruction prefix sums through each event's reference,
+its block, write flag and victim, its B2p dirty marks or (for
+``drain_live``) its L2 set, and its counter-block index, address and
+counter-cache set — one NumPy gather and one ``tolist()`` per column —
+and the drains ``zip`` them.  No drain indexes a per-reference list, so
+a run on a trace-memo hit builds none; the live-L1 path of checkpointed
+and resumed runs feeds its kernel's events through the same builder.
+
 Every phase runs on the structural caches themselves: the kernels and
 drains below index :class:`~repro.memory.cache.Cache`'s per-set address
 lists and dirty set directly, and a cached classification's final line
@@ -56,9 +66,10 @@ state is assigned straight into them at the end of the run.
 Bit-exactness contract: every cycle count, statistic, checkpoint, and
 PathTime record equals the scalar engine's, down to the last ulp.  Both
 engines share the trace's prefix-sum arrays and express the clock as
-``cycle_base + cum_cycles[i]``; stalls re-anchor the base with the exact
-same expressions, and the closure engine evaluates the exact float
-expressions of the scalar methods in the exact order.  The golden-trace
+``cycle_base + cum_cycles[i]`` over the Python floats those arrays
+convert to; stalls re-anchor the base with the exact same expressions,
+and the closure engine evaluates the exact float expressions of the
+scalar methods in the exact order.  The golden-trace
 fixtures and the Hypothesis differential suite in ``tests/sim/`` enforce
 the contract for all registered schemes.
 """
@@ -136,28 +147,34 @@ def _run_masks(blocks: np.ndarray, writes: np.ndarray, start: int, stop: int):
     return positions + start, run_writes
 
 
-def _l1_kernel(l1: Cache, blocks: list, block_set: list,
-               writes: list, positions, run_writes, refs: int) -> list:
+def _l1_kernel(l1: Cache, blocks_arr: np.ndarray, positions: np.ndarray,
+               run_writes: np.ndarray, refs: int) -> tuple[list, list]:
     """Exact L1 replay over one segment's collapsed reference runs.
 
-    Emits the L2 event stream as ``(ref_index, block, is_write,
-    dirty_l1_victim_or_None)`` tuples and accumulates the segment's L1
-    statistics into the cache's stats object.
+    Emits the L2 event stream as two columns, the trace index of each L1
+    miss and its dirty L1 victim (None if none), and accumulates the
+    segment's L1 statistics into the cache's stats object.  Only the
+    runs' first references are gathered from the trace arrays.
     """
     sets = l1.sets
     dirty = l1.dirty
     assoc = l1.assoc
     dirty_add = dirty.add
     dirty_discard = dirty.discard
-    events = []
-    append = events.append
+    run_blocks = blocks_arr[positions]
+    run_sets = ((run_blocks >> (l1.block_size.bit_length() - 1))
+                & np.int64(l1.num_sets - 1))
+    events: list[int] = []
+    victims: list[int | None] = []
+    event_append = events.append
+    victim_append = victims.append
     hits = refs - len(positions)  # collapsed repeats are all hits
     misses = 0
     writebacks = 0
-    run_writes = run_writes.tolist()
-    for k, i in enumerate(positions.tolist()):
-        block = blocks[i]
-        lines = sets[block_set[i]]
+    for i, block, set_index, run_write in zip(
+            positions.tolist(), run_blocks.tolist(), run_sets.tolist(),
+            run_writes.tolist()):
+        lines = sets[set_index]
         if block in lines:
             j = lines.index(block)
             hits += 1
@@ -173,14 +190,15 @@ def _l1_kernel(l1: Cache, blocks: list, block_set: list,
                     writebacks += 1
                     victim_dirty = victim
             lines.insert(0, block)
-            append((i, block, writes[i], victim_dirty))
-        if run_writes[k]:
+            event_append(i)
+            victim_append(victim_dirty)
+        if run_write:
             dirty_add(block)
     stats = l1.stats
     stats.hits += hits
     stats.misses += misses
     stats.writebacks += writebacks
-    return events
+    return events, victims
 
 
 # -- packed whole-trace classifications ---------------------------------------
@@ -190,8 +208,8 @@ def _l1_kernel(l1: Cache, blocks: list, block_set: list,
 # kept in ``Trace.classifications`` — and, through the api's per-process
 # trace memo, across traces rebuilt from the same records.  Both places
 # hold them only in the packed form below: read-only arrays, never
-# per-event Python objects.  A run unpacks only the view it drains, once
-# per trace, into ``Trace.event_views`` (see :func:`_event_view`).
+# per-event Python objects.  Each segment of a run gathers the events it
+# drains from them as columns (see ``columns`` in _make_fast_engine).
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -257,13 +275,12 @@ class L1Classification(NamedTuple):
     set_lens: np.ndarray    # int32, lines per set
     dirty: np.ndarray       # int64, final dirty L1 lines
 
-    def unpack(self, blocks_arr, writes_arr):
-        """Every B1 event as a ``(ref_index, block, is_write,
-        dirty_l1_victim_or_None)`` tuple."""
-        refs = self.refs
-        victims = _scatter(len(refs), self.wb_events, self.wb_blocks)
-        return zip(refs.tolist(), blocks_arr[refs].tolist(),
-                   writes_arr[refs].tolist(), victims)
+    def victims(self, lo: int, hi: int) -> list:
+        """The dirty L1 victim of each B1 event in ``[lo, hi)``, or
+        None."""
+        first, last = _span(self.wb_events, lo, hi)
+        return _scatter(hi - lo, self.wb_events[first:last] - lo,
+                        self.wb_blocks[first:last])
 
 
 class L2Classification(NamedTuple):
@@ -288,34 +305,30 @@ class L2Classification(NamedTuple):
     set_lens: np.ndarray    # int32, lines per set
     dirty: np.ndarray       # int64, final dirty L2 lines (B2 model)
 
-    def unpack(self, l1: L1Classification, blocks_arr, writes_arr):
-        """Every phase-B2 event as a ``(ref_index, block, is_write,
-        dirty_victim_or_None, ())`` tuple: a B2p event's shape, with the
-        victim's dirtiness decided ahead of time and no dirty marks."""
-        refs = l1.refs[self.events]
-        victims = _scatter(len(refs), self.dirty_wb,
-                           self.victims[self.dirty_wb])
-        return zip(refs.tolist(), blocks_arr[refs].tolist(),
-                   writes_arr[refs].tolist(), victims, repeat(()))
+    def dirty_victims(self, lo: int, hi: int) -> list:
+        """Phase B2: the victim of each L2 event in ``[lo, hi)`` if it
+        was dirty, else None (dirtiness decided ahead of time)."""
+        first, last = _span(self.dirty_wb, lo, hi)
+        dirty_wb = self.dirty_wb[first:last]
+        return _scatter(hi - lo, dirty_wb - lo, self.victims[dirty_wb])
 
-    def unpack_placement(self, l1: L1Classification, blocks_arr,
-                         writes_arr):
-        """Every phase-B2p event as a ``(ref_index, block, is_write,
-        victim_or_None, gap_dirty_adds)`` tuple, where ``gap_dirty_adds``
-        are the L1 write-backs that hit the L2 since the previous miss
-        (applied to the live dirty set first)."""
-        refs = l1.refs[self.events]
-        victims = [None if v < 0 else v for v in self.victims.tolist()]
-        adds = [()] * len(refs)
-        lens = self.add_lens[:-1]
+    def placement(self, lo: int, hi: int) -> tuple[list, list]:
+        """Phase B2p: the victim of each L2 event in ``[lo, hi)`` (None if
+        its set had room), and the L1 write-backs that hit the L2 since
+        the previous miss, as a tuple per event (applied to the live
+        dirty set first)."""
+        victims = [None if v < 0 else v
+                   for v in self.victims[lo:hi].tolist()]
+        lens = self.add_lens[lo:hi]
+        start = int(self.add_lens[:lo].sum())
+        flat = self.add_flat[start:start + int(lens.sum())].tolist()
+        marks = [()] * (hi - lo)
         nonzero = np.flatnonzero(lens)
-        flat = self.add_flat.tolist()
         for k, end, n in zip(nonzero.tolist(),
                              np.cumsum(lens)[nonzero].tolist(),
                              lens[nonzero].tolist()):
-            adds[k] = tuple(flat[end - n:end])
-        return zip(refs.tolist(), blocks_arr[refs].tolist(),
-                   writes_arr[refs].tolist(), victims, adds)
+            marks[k] = tuple(flat[end - n:end])
+        return victims, marks
 
     def trailing_adds(self) -> list[int]:
         """L1 write-backs that hit the L2 after its last miss."""
@@ -335,21 +348,16 @@ def _l1_classification(trace, l1: Cache, blocks_arr,
     packed = trace.classifications.get(key)
     if packed is not None:
         return packed
-    shift = l1.block_size.bit_length() - 1
-    block_set = ((blocks_arr >> shift)
-                 & np.int64(l1.num_sets - 1)).tolist()
     replay = Cache(l1.size_bytes, l1.assoc, l1.block_size, name="l1-replay")
     positions, run_writes = _run_masks(blocks_arr, writes_arr, 0, len(trace))
-    events = _l1_kernel(replay, blocks_arr.tolist(), block_set,
-                        trace.writes, positions, run_writes, len(trace))
-    wb_events = [k for k, event in enumerate(events)
-                 if event[3] is not None]
+    events, victims = _l1_kernel(replay, blocks_arr, positions, run_writes,
+                                 len(trace))
+    wb_events = [k for k, victim in enumerate(victims) if victim is not None]
     set_flat, set_lens = _pack_sets(replay.sets)
     packed = L1Classification(
-        refs=_frozen(np.fromiter((e[0] for e in events), dtype=np.int32,
-                                 count=len(events))),
+        refs=_frozen(np.asarray(events, dtype=np.int32)),
         wb_events=_frozen(np.asarray(wb_events, dtype=np.int32)),
-        wb_blocks=_frozen(np.asarray([events[k][3] for k in wb_events],
+        wb_blocks=_frozen(np.asarray([victims[k] for k in wb_events],
                                      dtype=np.int64)),
         set_flat=set_flat, set_lens=set_lens,
         dirty=_frozen(np.asarray(sorted(replay.dirty), dtype=np.int64)))
@@ -386,8 +394,9 @@ def _l2_classification(trace, l1c: L1Classification, l1: Cache, l2: Cache,
     adds: list[int] = []
     add_lens: list[int] = []
     mark = 0
-    b1 = l1c.unpack(blocks_arr, writes_arr)
-    for k, (_i, block, is_write, l1_victim) in enumerate(b1):
+    b1 = zip(blocks_arr[l1c.refs].tolist(), writes_arr[l1c.refs].tolist(),
+             l1c.victims(0, len(l1c.refs)))
+    for k, (block, is_write, l1_victim) in enumerate(b1):
         h = m = 0
         if l1_victim is not None:
             # L1 write-back: an L2 access with write=True
@@ -445,22 +454,6 @@ def classification_nbytes(packed) -> int:
     return sum(array.nbytes for array in packed)
 
 
-def _event_view(trace, key: tuple, unpack) -> list:
-    """The per-event tuples a drain iterates for one classification view,
-    unpacked on a trace's first run and kept on that trace alone.
-
-    This list is the only per-event Python form of a classification.  It
-    is never packed back or shared: the api's trace memo copies only
-    ``Trace.classifications``, so a memo hit starts without it.  Repeated
-    runs on one trace (an engine benchmark, a ``baseline=`` sweep) slice
-    it instead of unpacking again.
-    """
-    view = trace.event_views.get(key)
-    if view is None:
-        view = trace.event_views[key] = list(unpack())
-    return view
-
-
 # -- phase C: the monomorphized closure engine --------------------------------
 
 
@@ -479,10 +472,12 @@ def supports(memory) -> bool:
 
 
 def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
-                      insns_base, cum_cycles, cum_insns,
-                      mshrs: int, rob_insns: int):
-    """Build the two drain loops, ``(drain_live, drain_pre)``,
-    specialized to one configuration.
+                      insns_base: int, cum_cycles: np.ndarray,
+                      cum_insns: np.ndarray, blocks_arr: np.ndarray,
+                      writes_arr: np.ndarray, mshrs: int, rob_insns: int):
+    """Build the per-event column builder and the two drain loops,
+    ``(columns, drain_live, drain_pre)``, specialized to one
+    configuration.
 
     Mirrors :class:`TimingSecureMemory` float-op for float-op, but keeps
     every hot mutable scalar (bus free slot, engine issue slots,
@@ -538,7 +533,6 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
     scheme = memory.scheme
     HAS_SCHEME = scheme is not None
     if HAS_SCHEME:
-        CBA = scheme.counter_block_address
         INC = scheme.increment
         # only schemes that can signal FULL_REENCRYPTION implement these
         RESET_ALL = getattr(scheme, "reset_all_counters", None)
@@ -564,6 +558,8 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         CC_MASK = cc.num_sets - 1
         CC_ASSOC = cc.assoc
         CC_BS = memory.counter_cache.block_size
+        # CounterScheme.counter_block_address, inlined
+        SPAN = scheme.counter_block_span
         AUTH_CTRS = HAS_NODE and config.authenticate_counters
     else:
         AUTH_CTRS = False
@@ -583,15 +579,34 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
     HIDE = COMMIT_HIDE_CYCLES
     MSHRS = mshrs
     ROB = rob_insns
-    INSNS_BASE = insns_base
-    CCL = cum_cycles
-    CIL = cum_insns
 
-    # counter_block_address is pure address arithmetic for every
-    # registered scheme, so its (index, counter_address) pair is memoized
-    # per block address for the lifetime of one engine (= one run).
-    cba_memo: dict[int, tuple[int, int]] = {}
-    cba_get = cba_memo.get
+    def columns(refs: np.ndarray, victims, marks=None) -> zip:
+        """The per-event columns a drain zips, for the events at trace
+        indices ``refs`` whose victims are ``victims``.
+
+        Per event: the clock prefix sum through its reference
+        (``cum_cycles[i + 1]``), its instruction count through it, its
+        block, write flag and victim; then the B2p dirty ``marks`` for
+        ``drain_pre``, or the block's L2 set for ``drain_live`` (no
+        ``marks``); then its counter-block index, counter-block address
+        and counter-cache set.  Each column is one NumPy gather and one
+        ``tolist()``, so a drain indexes no per-reference list.
+        """
+        after = refs + 1
+        blocks = blocks_arr[refs]
+        cols = [cum_cycles[after].tolist(),
+                (cum_insns[after] + insns_base).tolist(),
+                blocks.tolist(), writes_arr[refs].tolist(), victims,
+                ((blocks >> L2_SHIFT) & L2_MASK).tolist()
+                if marks is None else marks]
+        if HAS_CC:
+            index = blocks // SPAN
+            caddr = index * CC_BS
+            cols += (index.tolist(), caddr.tolist(),
+                     ((caddr >> CC_SHIFT) & CC_MASK).tolist())
+        else:
+            cols += (repeat(None),) * 3
+        return zip(*cols)
 
     # -- closure cells: every hot mutable scalar -------------------------
     bus_free = 0.0
@@ -953,22 +968,15 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
             verify_chain(now, NUM_LEAVES + index, arrive, now)
         return arrive
 
-    def resolve_counter(now, address, for_write):
-        # TimingSecureMemory._resolve_counter
+    def resolve_counter_w(now, index, caddr):
+        # TimingSecureMemory._resolve_counter(for_write=True)
         nonlocal cc_h, m_half
-        e = cba_get(address)
-        if e is None:
-            index = CBA(address)
-            e = (index, index * CC_BS)
-            cba_memo[address] = e
-        index, caddr = e
         lines = cc_sets[(caddr >> CC_SHIFT) & CC_MASK]
         if caddr in lines:
             j = lines.index(caddr)
             if j:
                 lines.insert(0, lines.pop(j))
-            if for_write:
-                cc_dirty.add(caddr)
+            cc_dirty.add(caddr)
             cc_h += 1
             inflight = inflight_get(index)
             if inflight is not None and inflight > now:
@@ -989,8 +997,9 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         counter_ready = now
         if HAS_SCHEME:
             if HAS_CC:
-                counter_ready = resolve_counter(now, address, True)
-                caddr = cba_memo[address][1]
+                index = address // SPAN
+                caddr = index * CC_BS
+                counter_ready = resolve_counter_w(now, index, caddr)
                 if caddr in cc_sets[(caddr >> CC_SHIFT) & CC_MASK]:
                     cc_dirty.add(caddr)
             result = INC(address)
@@ -1020,6 +1029,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
     def drain_live(segment, cycle_base, writebacks, outstanding):
         """Phase C over B1 events, with the L2 live (inlined ``Cache``).
 
+        ``segment`` is ``columns(refs, victims)``: one row per B1 event.
         The whole ``read_miss`` body is inlined into the loop — on the
         authenticated configurations this is the hottest code in the
         engine, and the call/tuple-return overhead is measurable.
@@ -1032,7 +1042,8 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         reload()
         popleft = outstanding.popleft
         append = outstanding.append
-        for i, block, is_write, l1_victim in segment:
+        for (cum, insns, block, is_write, l1_victim, l2_set, index, caddr,
+             cset) in segment:
             if l1_victim is not None:
                 # L1 write-back lands in the L2 (on-chip, no bus traffic)
                 lines = l2_sets[(l1_victim >> L2_SHIFT) & L2_MASK]
@@ -1044,7 +1055,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                     l2_h += 1
                 else:
                     l2_m += 1
-            lines = l2_sets[(block >> L2_SHIFT) & L2_MASK]
+            lines = l2_sets[l2_set]
             if block in lines:
                 j = lines.index(block)
                 if j:
@@ -1053,8 +1064,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                 continue
             l2_m += 1
 
-            cycle = cycle_base + CCL[i + 1]
-            insns = INSNS_BASE + CIL[i + 1]
+            cycle = cycle_base + cum
             while outstanding and outstanding[0][0] <= cycle:
                 popleft()
             while outstanding and (
@@ -1069,13 +1079,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
             # read_miss, inlined
             m_reads += 1
             if HAS_CC:
-                e = cba_get(block)
-                if e is None:
-                    index = CBA(block)
-                    e = (index, index * CC_BS)
-                    cba_memo[block] = e
-                index, caddr = e
-                clines = cc_sets[(caddr >> CC_SHIFT) & CC_MASK]
+                clines = cc_sets[cset]
                 if caddr in clines:
                     j = clines.index(caddr)
                     if j:
@@ -1159,7 +1163,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                 stall = write_back(cycle, victim)
                 if stall > cycle:
                     cycle = stall
-            cycle_base = cycle - CCL[i + 1]
+            cycle_base = cycle - cum
 
             if is_write:
                 continue
@@ -1178,7 +1182,8 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
     def drain_pre(segment, cycle_base, writebacks, outstanding, shim):
         """Phase C over precomputed L2 events (phases B2 and B2p).
 
-        Callers guarantee there is no Merkle node cache (phase B2 is only
+        ``segment`` is ``columns(refs, victims, marks)``: one row per L2
+        miss.  Callers guarantee there is no Merkle node cache (phase B2 is only
         valid then), so ``read_miss`` specializes to counter resolution,
         pad generation, and the bus read — inlined here wholesale.  With
         no authentication, ``auth_done == data_ready`` and the exposed
@@ -1205,12 +1210,12 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
             live_dirty = shim.dirty
             dirty_add = live_dirty.add
             dirty_discard = live_dirty.discard
-        for i, block, is_write, victim, adds in segment:
-            if adds:
-                for address in adds:
+        for (cum, insns, block, is_write, victim, marks, index, caddr,
+             cset) in segment:
+            if marks:
+                for address in marks:
                     dirty_add(address)
-            cycle = cycle_base + CCL[i + 1]
-            insns = INSNS_BASE + CIL[i + 1]
+            cycle = cycle_base + cum
             while outstanding and outstanding[0][0] <= cycle:
                 popleft()
             while outstanding and (
@@ -1225,13 +1230,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
             # read_miss, no-node specialization, inlined
             m_reads += 1
             if HAS_CC:
-                e = cba_get(block)
-                if e is None:
-                    index = CBA(block)
-                    e = (index, index * CC_BS)
-                    cba_memo[block] = e
-                index, caddr = e
-                lines = cc_sets[(caddr >> CC_SHIFT) & CC_MASK]
+                lines = cc_sets[cset]
                 if caddr in lines:
                     j = lines.index(caddr)
                     if j:
@@ -1306,7 +1305,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                 stall = write_back(cycle, victim)
                 if stall > cycle:
                     cycle = stall
-            cycle_base = cycle - CCL[i + 1]
+            cycle_base = cycle - cum
 
             if is_write:
                 continue
@@ -1314,7 +1313,7 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         sync()
         return cycle_base, writebacks
 
-    return drain_live, drain_pre
+    return columns, drain_live, drain_pre
 
 
 # -- the batched run ----------------------------------------------------------
@@ -1345,6 +1344,8 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     block_size = config.block_size
     n = len(trace)
 
+    # the prefix-sum arrays; a value read at a segment boundary converts
+    # to the Python float or int the scalar oracle reads there
     cum_cycles = trace.cum_cycles(cpi)
     cum_insns = trace.cum_insns
 
@@ -1353,16 +1354,15 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     if state.cycle_base is not None:
         cycle_base = state.cycle_base
     else:
-        cycle_base = state.cycle - cum_cycles[start]
-    insns_base = state.insns - cum_insns[start]
+        cycle_base = state.cycle - float(cum_cycles[start])
+    insns_base = state.insns - int(cum_insns[start])
     writebacks = state.writebacks
     cycle0 = state.cycle0
     insns0 = state.insns0
     outstanding: deque[tuple[float, int]] = deque(
         (entry[0], entry[1]) for entry in state.outstanding)
 
-    # phase A: vectorized trace views (the per-reference Python lists are
-    # materialized only when a live L1 replay actually needs them)
+    # phase A: vectorized trace views
     blocks_arr = trace.block_ids(block_size)
     writes_arr = trace.arrays()["write"]
 
@@ -1384,44 +1384,25 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     use_cached = (start == 0 and not checkpointing
                   and l1.occupancy() == 0)
     cached = cached_l2 = shim = None
-    events = None  # the drained view's per-event tuples, whole trace
     if use_cached:
         cached = _l1_classification(trace, l1, blocks_arr, writes_arr)
         if l2.occupancy() == 0 and memory.node_cache is None:
             cached_l2 = _l2_classification(trace, cached, l1, l2,
                                            blocks_arr, writes_arr)
-        geometry = _geometry(l1, l2)
-        if cached_l2 is None:
-            events = _event_view(
-                trace, ("b1",) + geometry[:3],
-                lambda: cached.unpack(blocks_arr, writes_arr))
-        elif isinstance(memory.scheme, SplitCounterScheme):
-            # phase B2p: placement is still precomputable, but page
-            # re-encryption marks L2 blocks dirty mid-run, so the dirty
-            # bits stay live in a shim the memory layer sees as its L2
-            shim = _L2ResidencyShim()
-            events = _event_view(
-                trace, ("b2p",) + geometry,
-                lambda: cached_l2.unpack_placement(cached, blocks_arr,
-                                                   writes_arr))
-        else:
-            events = _event_view(
-                trace, ("b2",) + geometry,
-                lambda: cached_l2.unpack(cached, blocks_arr, writes_arr))
-    blocks = block_set = writes = None
-    if cached is None:
-        blocks = blocks_arr.tolist()
-        block_set = ((blocks_arr >> (block_size.bit_length() - 1))
-                     & np.int64(l1.num_sets - 1)).tolist()
-        writes = trace.writes
+            if isinstance(memory.scheme, SplitCounterScheme):
+                # phase B2p: placement is still precomputable, but page
+                # re-encryption marks L2 blocks dirty mid-run, so the
+                # dirty bits stay live in a shim the memory layer sees as
+                # its L2
+                shim = _L2ResidencyShim()
 
     counter_cache = memory.counter_cache
-    drain_live, drain_pre = _make_fast_engine(
+    columns, drain_live, drain_pre = _make_fast_engine(
         memory, l2,
         counter_cache.cache if counter_cache is not None else None,
-        policy=policy,
-        insns_base=insns_base, cum_cycles=cum_cycles,
-        cum_insns=cum_insns, mshrs=mshrs, rob_insns=rob_insns)
+        policy=policy, insns_base=insns_base, cum_cycles=cum_cycles,
+        cum_insns=cum_insns, blocks_arr=blocks_arr, writes_arr=writes_arr,
+        mshrs=mshrs, rob_insns=rob_insns)
 
     if shim is not None:
         memory.l2 = shim
@@ -1430,21 +1411,27 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
             if (checkpointing and a and a != start
                     and a % checkpoint_every == 0):
                 on_checkpoint(LoopState(
-                    cycle=cycle_base + cum_cycles[a],
-                    insns=insns_base + cum_insns[a],
+                    cycle=cycle_base + float(cum_cycles[a]),
+                    insns=insns_base + int(cum_insns[a]),
                     writebacks=writebacks,
                     cycle0=cycle0, insns0=insns0, next_ref=a,
                     outstanding=[list(entry) for entry in outstanding],
                     cycle_base=cycle_base))
             if a == warmup_refs and warmup_refs:
-                cycle0 = cycle_base + cum_cycles[a]
-                insns0 = insns_base + cum_insns[a]
+                cycle0 = cycle_base + float(cum_cycles[a])
+                insns0 = insns_base + int(cum_insns[a])
                 writebacks = 0
                 processor.metrics.reset()
                 memory.tracer.clear()
 
-            # phase B: the segment's event stream + bulk statistics
-            if cached is not None:
+            # phase B: the segment's events as columns + bulk statistics
+            if cached is None:
+                positions, run_writes = _run_masks(blocks_arr, writes_arr,
+                                                   a, b)
+                refs, victims = _l1_kernel(l1, blocks_arr, positions,
+                                           run_writes, b - a)
+                segment = columns(np.asarray(refs, dtype=np.int64), victims)
+            else:
                 lo, hi = _span(cached.refs, a, b)
                 misses = hi - lo
                 stats = l1.stats
@@ -1452,24 +1439,26 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                 stats.misses += misses
                 first, last = _span(cached.wb_events, lo, hi)
                 stats.writebacks += last - first
-                if cached_l2 is not None:
+                if cached_l2 is None:
+                    segment = columns(cached.refs[lo:hi],
+                                      cached.victims(lo, hi))
+                else:
                     l2stats = l2.stats
                     l2stats.hits += int(cached_l2.hit_d[lo:hi].sum())
                     l2stats.misses += int(cached_l2.miss_d[lo:hi].sum())
                     lo2, hi2 = _span(cached_l2.events, lo, hi)
-                    # phase B2p: the write-backs accumulate live in the
-                    # drain
+                    refs = cached.refs[cached_l2.events[lo2:hi2]]
                     if shim is None:
                         first, last = _span(cached_l2.dirty_wb, lo2, hi2)
                         l2stats.writebacks += last - first
-                    segment = events[lo2:hi2]
-                else:
-                    segment = events[lo:hi]
-            else:
-                positions, run_writes = _run_masks(blocks_arr, writes_arr,
-                                                   a, b)
-                segment = _l1_kernel(l1, blocks, block_set, writes,
-                                     positions, run_writes, b - a)
+                        segment = columns(
+                            refs, cached_l2.dirty_victims(lo2, hi2),
+                            repeat(()))
+                    else:
+                        # phase B2p: the write-backs accumulate live in
+                        # the drain
+                        segment = columns(refs,
+                                          *cached_l2.placement(lo2, hi2))
 
             # phase C: serial replay
             if cached_l2 is not None:
@@ -1497,8 +1486,8 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
         else:
             l2.dirty = set(cached_l2.dirty.tolist())
 
-    cycle = cycle_base + cum_cycles[n]
-    insns = insns_base + cum_insns[n]
+    cycle = cycle_base + float(cum_cycles[n])
+    insns = insns_base + int(cum_insns[n])
     if outstanding:
         last = outstanding[-1][0]
         if last > cycle:

@@ -226,8 +226,8 @@ class Processor:
         policy = self.config.auth_policy
         cpi = 1.0 / self.issue_width
         block_mask = ~(self.config.block_size - 1)
-        cum_cycles = trace.cum_cycles(cpi)
-        cum_insns = trace.cum_insns
+        cum_cycles = trace.cum_cycles(cpi).tolist()
+        cum_insns = trace.cum_insns.tolist()
 
         state = resume if resume is not None else LoopState()
         start = state.next_ref

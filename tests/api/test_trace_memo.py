@@ -3,9 +3,10 @@
 A generator workload's trace, stats-only baseline and packed cache
 classifications are memoized on (name, refs, trace seed, warmup_refs).
 A memo-served run must equal a cold one bit for bit, the memo must hold
-only read-only arrays and scalars, nothing a caller mutates may reach
-the next hit, and a prebuilt trace, a recorded trace file or an explicit
-``baseline=`` must bypass it.
+only read-only arrays and scalars, a hit's run must build no
+per-reference list, nothing a caller mutates may reach the next hit, and
+a prebuilt trace, a recorded trace file or an explicit ``baseline=``
+must bypass it.
 """
 
 import dataclasses
@@ -28,6 +29,8 @@ FIG4_FIG9 = (
     "split", "mono8b", "mono16b", "mono32b", "mono64b", "direct",
     "split+gcm", "mono+gcm", "split+sha", "mono+sha", "xom+sha",
 )
+#: one preset per drained view: B2 (mono8b), B2p (split), B1 (split+gcm)
+PER_DRAIN = ("mono8b", "split", "split+gcm")
 
 
 @pytest.fixture
@@ -117,20 +120,43 @@ class TestStoredForm:
         trace, _ = memo.get(key("swim"))
         with pytest.raises(ValueError, match="read-only"):
             trace.arrays()["addr"][0] = 64
-        # the unpacked per-event tuples never reach the memo
-        assert trace.event_views == {}
 
-    def test_event_views_stay_on_their_trace(self, memo):
-        trace = spec_trace("swim", REFS)
-        first = Experiment("split", trace, refs=REFS).run()
-        views = dict(trace.event_views)
-        # the baseline's (B2) and split's (B2p) drained views
-        assert {view_key[0] for view_key in views} == {"b2", "b2p"}
-        again = Experiment("split", trace, refs=REFS).run()
-        assert trace.event_views.keys() == views.keys()
-        assert all(trace.event_views[k] is view
-                   for k, view in views.items())
-        assert again.to_dict() == first.to_dict()
+    def test_hit_builds_no_per_reference_list(self, memo, monkeypatch):
+        """A hit's batched run gathers only the events it drains: no
+        ``tolist()`` spans the trace, and the trace's per-reference
+        lists are never built.  Two hits share the memo's records."""
+        cold = {preset: api.run(preset, "gcc", refs=REFS).to_dict()
+                for preset in PER_DRAIN}
+        hits = []
+        get = memo.get
+
+        def spy_get(memo_key):
+            hit = get(memo_key)
+            hits.append(hit[0])
+            return hit
+
+        monkeypatch.setattr(memo, "get", spy_get)
+        spans = []
+
+        def spy(_frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", "") == "tolist":
+                spans.append(arg.__self__.size)
+
+        previous = sys.getprofile()
+        sys.setprofile(spy)
+        try:
+            served = {preset: api.run(preset, "gcc", refs=REFS).to_dict()
+                      for preset in PER_DRAIN}
+        finally:
+            sys.setprofile(previous)
+        assert served == cold
+        assert spans and max(spans) < REFS
+        assert len(hits) == len(PER_DRAIN)
+        for trace in hits:
+            assert not {"gaps", "writes", "addrs"} & vars(trace).keys()
+        records = hits[0].arrays()
+        assert all(trace.arrays() is records for trace in hits)
+        assert not records.flags.writeable
 
     def test_mutating_a_hit_leaves_the_next_hit_unchanged(self, memo):
         api.run("split", "swim", refs=REFS)

@@ -35,6 +35,8 @@ def server():
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+        process.stdout.close()
+        process.stderr.close()
 
 
 def run_loadgen(port, *args, timeout=120):
