@@ -1,5 +1,11 @@
 """Memory authentication: MAC schemes, Merkle tree, and strictness policies.
 
+One integrity tree serves every authenticated configuration:
+:class:`MerkleTree` keeps the MACs of its top level on chip, so the
+paper's tree (:func:`build_geometry`, one root MAC) and SecDDR's flat
+MAC-of-MACs (:func:`~repro.auth.codes.build_flat_geometry`, one on-chip
+MAC per level-1 group) differ only in geometry.
+
 Every public name resolves lazily (PEP 562), so importing one submodule
 loads only what that submodule needs: the configuration layer reads
 :class:`AuthPolicy` without loading the Merkle tree or the MAC kernels.

@@ -7,8 +7,10 @@ MACs, K = 8; with 128-bit MACs K = 4, which for a 1GB memory yields the
 
 Level 0 is the protected leaves (data blocks plus direct-counter blocks,
 per Figure 3); levels 1..depth are code blocks stored in a reserved DRAM
-region; the single top code block's own MAC lives in the tamper-proof
-on-chip root register.
+region; the MACs of the top level's code blocks live on chip.  A full tree
+(:func:`build_geometry`) has one top block, whose MAC is the tamper-proof
+root register; a flat geometry (:func:`build_flat_geometry`) keeps one MAC
+per level-1 group on chip instead.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class TreeGeometry:
     arity: int
     block_size: int
     mac_bytes: int
-    #: nodes per level; level_sizes[0] == num_leaves, level_sizes[-1] == 1
+    #: nodes per level; level_sizes[0] == num_leaves, and level_sizes[-1]
+    #: is 1 for a full tree (the group count for a flat geometry)
     level_sizes: tuple[int, ...]
 
     @property
@@ -98,11 +101,12 @@ def build_flat_geometry(num_leaves: int, block_size: int,
     """One-level geometry for SecDDR-style MAC-of-MACs integrity.
 
     Leaf MACs are grouped into level-1 code blocks exactly as in the tree,
-    but there is no level above them: each group block's own MAC lives in
-    an on-chip table, so verification fetches at most one code block no
-    matter how large memory is.  ``level_sizes[-1]`` is the group count,
-    not 1 — consumers that assume a single root must not use this geometry
-    (the SecDDR authenticator and the timing chain walk are level-agnostic).
+    but there is no level above them: each group block's own MAC lives on
+    chip, so verification fetches at most one code block no matter how
+    large memory is.  ``level_sizes[-1]`` is the group count, not 1 — the
+    functional :class:`~repro.auth.merkle.MerkleTree` keys its on-chip MACs
+    by top-level index and the timing chain walk is level-agnostic, so both
+    run SecDDR on this geometry unchanged.
     """
     if num_leaves < 1:
         raise ValueError("flat geometry needs at least one leaf")

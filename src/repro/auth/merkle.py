@@ -8,12 +8,21 @@ Implements the cached-tree protocol of section 3 / Figure 3:
   64-byte code block holds K child MACs (K = arity from the MAC width).
 * On-chip trust anchors: a dedicated node cache (a resident node is
   trusted — it was verified on the way in and cannot be tampered with) and
-  the root register holding the top code block's MAC.
+  the MACs of the top level's code blocks, keyed by top-level index.  The
+  geometry decides how many there are: :func:`~repro.auth.codes.build_geometry`
+  has one top block, so its one MAC is the paper's root register;
+  :func:`~repro.auth.codes.build_flat_geometry` stops at level 1, so every
+  level-1 MAC group keeps its MAC on chip — SecDDR's (arXiv:2209.00685)
+  MAC-of-MACs, verified in at most one node fetch whatever the memory size.
 * A fetched block verifies up the tree **only until the first on-chip
   node**; an update propagates up only to the first on-chip node, whose
   line turns dirty.  Dirty node write-backs bump the node's *derivative
   counter*, recompute its MAC under the new counter, and install that MAC
-  in the parent (recursively ensuring the parent is on-chip).
+  in the parent (recursively ensuring the parent is on-chip) or, for a
+  top-level node, in its on-chip slot.
+* A node never written to DRAM is *virgin*: its content is trusted zeros
+  without a DRAM read (boot-time tree initialization compressed to first
+  touch), so a top-level node needs an on-chip MAC only once written.
 * Tampering with anything below a trusted node — leaf bytes, code-block
   bytes, or a derivative counter image — surfaces as a MAC mismatch, which
   raises :class:`IntegrityViolation`.
@@ -121,7 +130,9 @@ def mark_updated(node_cache: Cache, address: int) -> None:
 
 
 class MerkleTree:
-    """Cached K-ary Merkle tree with derivative counters and a root register."""
+    """Cached K-ary Merkle tree with derivative counters and on-chip MACs of
+    its top level: the root register of a deep tree, or SecDDR's
+    MAC-of-MACs table over a flat geometry."""
 
     #: optional observability hook; leaf verifies/updates, node fetches,
     #: and violations become "merkle" track instants (sequenced by the
@@ -150,10 +161,9 @@ class MerkleTree:
         # state — see :meth:`_write_back_node`.
         self._in_flight: dict[tuple[int, int], bytearray] = {}
         self.stats = MerkleStats()
-        # Root register: MAC of the top code block as last written to DRAM.
-        self._root_register = self._node_mac(self.geometry.depth, 0,
-                                             bytes(self.block_size))
-        self.stats.mac_computations = 0  # don't count initialization
+        # On-chip MAC of each written top-level node as last written to
+        # DRAM, keyed by its index (a virgin top node needs none).
+        self._top_macs: dict[int, bytes] = {}
 
     # -- addressing ----------------------------------------------------------
 
@@ -190,11 +200,17 @@ class MerkleTree:
         return self.node_cache.payload(self.node_address(level, index))
 
     def _expected_mac_from_parent(self, level: int, index: int) -> bytes:
-        """Read this node's MAC from its (trusted) parent or the root."""
+        """Read this node's MAC from its (trusted) parent or on-chip slot.
+
+        The parent is read where a child's write-back posts into it: its
+        own install can cascade into evictions that write this node back
+        into a re-fetched copy of the parent, so the buffer
+        :meth:`ensure_node_trusted` returned may already be detached.
+        """
         if level == self.geometry.depth:
-            return self._root_register
+            return self._top_macs[index]
         parent = self.geometry.parent_index(index)
-        payload = self.ensure_node_trusted(level + 1, parent)
+        payload, _ = self._post_target(level + 1, parent)
         slot = self.geometry.slot_in_parent(index)
         mb = self.geometry.mac_bytes
         return bytes(payload[slot * mb:(slot + 1) * mb])
@@ -268,7 +284,8 @@ class MerkleTree:
         Mutating the returned buffer would then edit a detached copy and
         the subsequent ``mark_dirty`` would silently miss, losing a MAC
         installation (the child later fails verification with no tampering
-        anywhere).  Updates therefore re-check residency and retry; each
+        anywhere); reading a child's MAC from it would see a stale slot.
+        Updates and those reads therefore re-check residency and retry; each
         retry re-fetches a clean or properly written-back image, so the
         loop converges unless the cache cannot hold even one update chain.
         """
@@ -282,7 +299,7 @@ class MerkleTree:
         )
 
     def _post_target(self, level: int, index: int) -> tuple[bytearray, bool]:
-        """Where to install a child MAC: ``(payload, needs_mark_dirty)``.
+        """Where a child's MAC lives: ``(payload, needs_mark_dirty)``.
 
         A node that is itself mid write-back is mutated in place — the
         in-flight frame serializes its content *after* its parent
@@ -332,7 +349,7 @@ class MerkleTree:
             self.stats.node_writebacks += 1
             new_mac = self._node_mac(level, index, content)
             if level == self.geometry.depth:
-                self._root_register = new_mac
+                self._top_macs[index] = new_mac
                 return
             slot = self.geometry.slot_in_parent(index)
             mb = self.geometry.mac_bytes
@@ -469,19 +486,27 @@ class MerkleTree:
     def flush(self) -> None:
         """Write every dirty cached node back to DRAM (orderly shutdown).
 
-        After a flush the root register authenticates the full DRAM image,
-        so a cold restart (empty node cache) can verify everything.
+        After a flush the on-chip top-level MACs authenticate the full
+        DRAM image, so a cold restart (empty node cache) can verify
+        everything.
         """
-        # Repeatedly sweep: writing back level-l nodes dirties level l+1.
+        # Lowest level first, so parents absorb updates before their turn.
+        # A level-l write-back dirties and moves only nodes above level l,
+        # so one pass over the level's dirty nodes in cache order keeps the
+        # lowest-first order; a cascade may have written some back already.
+        node_cache = self.node_cache
         while True:
-            dirty = list(self.node_cache.dirty_blocks())
+            dirty = list(node_cache.dirty_blocks())
             if not dirty:
                 return
-            # Lowest levels first so parents absorb updates before their turn.
-            address = min(dirty,
-                          key=lambda item: self._node_for_address(item)[0])
-            self.node_cache.clear_dirty(address)
-            self._write_back_node(address, self.node_cache.payload(address))
+            levels = [self._node_for_address(address)[0]
+                      for address in dirty]
+            lowest = min(levels)
+            for address, level in zip(dirty, levels):
+                if level == lowest and node_cache.is_dirty(address):
+                    node_cache.clear_dirty(address)
+                    self._write_back_node(address,
+                                          node_cache.payload(address))
 
     # -- checkpoint support ------------------------------------------------------
 
@@ -494,7 +519,7 @@ class MerkleTree:
         return {
             "derivative": dict(self._derivative),
             "node_written": set(self._node_written),
-            "root_register": self._root_register,
+            "top_macs": dict(self._top_macs),
             "node_cache": self.node_cache.state_dict(),
             "stats": {
                 "leaf_verifications": self.stats.leaf_verifications,
@@ -510,7 +535,7 @@ class MerkleTree:
     def load_state(self, state: dict) -> None:
         self._derivative = dict(state["derivative"])
         self._node_written = set(state["node_written"])
-        self._root_register = bytes(state["root_register"])
+        self._top_macs = dict(state["top_macs"])
         self._in_flight = {}
         self.node_cache.load_state(state["node_cache"])
         st = state["stats"]
@@ -525,6 +550,6 @@ class MerkleTree:
         }
 
     @property
-    def root_register(self) -> bytes:
-        """The on-chip root MAC (read-only from outside)."""
-        return self._root_register
+    def top_macs(self) -> dict[int, bytes]:
+        """A copy of the on-chip top-level MACs, keyed by top-level index."""
+        return dict(self._top_macs)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from repro.auth.codes import build_flat_geometry, build_geometry
 from repro.auth.merkle import IntegrityViolation, MerkleTree
 from repro.auth.schemes import GCMMACScheme, MACScheme, SHAMACScheme
-from repro.auth.secddr import SecDDRAuthenticator
 from repro.core.config import (
     AuthMode,
     CounterOrg,
@@ -156,13 +155,12 @@ class SecureMemorySystem:
         counter_region_bytes = self._num_counter_blocks * self.block_size
         self._code_region_base = self._data_region_bytes + counter_region_bytes
 
-        # Authentication machinery.  The integrity strategy picks the
-        # geometry and the backend: a logarithmic Merkle tree, or the
-        # SecDDR-style flat MAC-of-MACs layer anchored on-chip.
+        # Authentication machinery.  The integrity strategy picks only the
+        # tree's geometry: a logarithmic tree under one root MAC, or
+        # SecDDR's flat layer whose level-1 group MACs all stay on chip.
         self.mac_scheme: MACScheme | None = None
-        self.merkle: MerkleTree | SecDDRAuthenticator | None = None
+        self.merkle: MerkleTree | None = None
         code_region_bytes = 0
-        flat = config.resolved_integrity is IntegrityMode.SECDDR
         if config.auth is not AuthMode.NONE:
             if config.auth is AuthMode.GCM:
                 self.mac_scheme = GCMMACScheme(
@@ -174,7 +172,9 @@ class SecureMemorySystem:
                     _derive_key(self._base_key, b"mac"), config.mac_bits
                 )
             num_leaves = self._num_data_leaves + self._num_counter_blocks
-            build = build_flat_geometry if flat else build_geometry
+            build = (build_flat_geometry
+                     if config.resolved_integrity is IntegrityMode.SECDDR
+                     else build_geometry)
             geometry = build(num_leaves, self.block_size, config.mac_bits)
             code_region_bytes = geometry.total_code_blocks * self.block_size
 
@@ -187,8 +187,7 @@ class SecureMemorySystem:
                               latency_cycles=config.memory_latency)
 
         if self.mac_scheme is not None:
-            backend = SecDDRAuthenticator if flat else MerkleTree
-            self.merkle = backend(
+            self.merkle = MerkleTree(
                 geometry, self.mac_scheme, self.dram,
                 code_region_base=self._code_region_base,
                 node_cache_bytes=config.node_cache_size,
@@ -862,7 +861,7 @@ class SecureMemorySystem:
         """Write all dirty on-chip state back to DRAM.
 
         After a flush, DRAM holds every data, counter and tree block, and
-        the on-chip root register authenticates that image, so a block
+        the tree's on-chip top-level MACs authenticate that image, so a block
         whose L2 line is dropped (``l2.invalidate``) re-fetches, verifies
         and decrypts from DRAM.  Lines stay resident in the L2, clean.
         """

@@ -317,7 +317,10 @@ def restore_system(system, blob: bytes) -> None:
     """Restore a functional system from :func:`checkpoint_system` output.
 
     The target must be constructed from the same configuration (and, for a
-    meaningful restore, the same base key) as the checkpointed one.
+    meaningful restore, the same base key) as the checkpointed one.  A
+    checksummed blob whose state does not fit the system (say, one written
+    before a component changed its state layout) raises
+    :class:`CheckpointError` and leaves the system as it was.
     """
     payload = loads(blob, kind="system")
     saved = semantic_config_state(payload["config"])
@@ -327,7 +330,15 @@ def restore_system(system, blob: bytes) -> None:
             "checkpoint was taken under a different configuration "
             f"({saved.get('name')!r} != {current.get('name')!r} or "
             "field-level differences)")
-    system.load_state(payload["system"])
+    before = system.state_dict()
+    try:
+        system.load_state(payload["system"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        system.load_state(before)
+        raise CheckpointError(
+            f"checkpoint state does not fit this system "
+            f"({type(exc).__name__}: {exc}); it may come from a build "
+            "with a different state layout") from exc
 
 
 def trace_digest(trace) -> str:

@@ -9,7 +9,7 @@ The ``tree`` integrity component intentionally contributes *no* config
 delta: ``IntegrityMode.AUTO`` already resolves to the Merkle tree, and
 keeping the resolved config equal to the constructors' output matters more
 than spelling the default out.  ``secddr`` is the one integrity component
-that actually switches the backend.
+that changes anything: the tree's geometry, to the flat one.
 """
 
 from __future__ import annotations

@@ -78,7 +78,7 @@ RECORD_STRUCT = struct.Struct("<qi?")
 #: hex digits of the payload SHA-256 used as the short fingerprint
 _FINGERPRINT_HEX = 12
 
-#: records decoded per read when streaming (load_trace / iter_records)
+#: records packed or decoded per chunk when streaming (extend / iter_records)
 _CHUNK_RECORDS = 65536
 
 
@@ -144,6 +144,12 @@ class TraceWriter:
             self._write_packed(b"".join(chunk))
             self.records += len(chunk)
 
+    def extend_records(self, records) -> None:
+        """Append a :data:`~repro.workloads.trace.TRACE_DTYPE` records
+        array in one write (its bytes are the packed records)."""
+        self._write_packed(records.tobytes())
+        self.records += len(records)
+
     def _write_packed(self, data: bytes) -> None:
         if self._handle is None:
             raise ValueError("TraceWriter is closed")
@@ -195,7 +201,7 @@ class TraceWriter:
 def write_trace(path: str | os.PathLike, trace: Trace) -> str:
     """Write a materialized :class:`Trace` to ``path`` in one shot."""
     with TraceWriter(path, name=trace.name) as writer:
-        writer.extend(trace.gaps, trace.writes, trace.addrs)
+        writer.extend_records(trace.arrays())
     return os.fspath(path)
 
 
@@ -284,24 +290,26 @@ def iter_records(path: str | os.PathLike
 
 
 def load_trace(path: str | os.PathLike) -> Trace:
-    """Read a trace file into a :class:`Trace` (plain Python lists).
+    """Read a trace file into a :class:`Trace`.
 
-    The payload checksum is verified in full before the :class:`Trace`
-    is constructed, so a corrupt file can never be silently misreplayed.
-    The returned lists are element-for-element identical to what the
+    The payload is the trace's records array byte for byte, so the
+    :class:`Trace` adopts it as is (read-only), after its checksums are
+    verified in full: a corrupt file can never be silently misreplayed.
+    The trace's lists are element-for-element identical to what the
     original generator produced — the foundation of the record/replay
     bit-equivalence differential.
     """
     path = os.fspath(path)
     header = read_header(path)
-    gaps: list[int] = []
-    writes: list[bool] = []
-    addrs: list[int] = []
-    for gap, write, addr in iter_records(path):
-        gaps.append(gap)
-        writes.append(write)
-        addrs.append(addr)
-    return Trace(name=header["name"], gaps=gaps, writes=writes, addrs=addrs)
+    with open(path, "rb") as handle:
+        handle.seek(DATA_OFFSET)
+        payload = handle.read(header["records"] * RECORD_STRUCT.size)
+    if zlib.crc32(payload) != header["payload_crc32"] or \
+            hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        raise TraceFileError(
+            f"{path}: payload checksum mismatch — trace data is corrupt")
+    return Trace.from_arrays(header["name"],
+                             np.frombuffer(payload, dtype=TRACE_DTYPE))
 
 
 def mmap_records(path: str | os.PathLike):

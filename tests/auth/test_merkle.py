@@ -1,6 +1,7 @@
 """Functional Merkle tree: cached verification, lazy updates, detection."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import pytest
 
 import repro
 
-from repro.auth.codes import build_geometry
+from repro.auth.codes import build_flat_geometry, build_geometry
 from repro.auth.merkle import IntegrityViolation, MerkleTree
 from repro.auth.schemes import GCMMACScheme, SHAMACScheme
 from repro.memory.dram import MainMemory
@@ -161,12 +162,14 @@ class TestTamperDetection:
 
 class TestRootRegister:
     def test_root_changes_when_top_written(self):
+        """A virgin top node needs no on-chip MAC; writing it back sets
+        the root register, the one top-level MAC of a full tree."""
         tree, _ = make_tree(node_cache_bytes=512)
-        root0 = tree.root_register
+        assert tree.top_macs == {}
         for i in range(NUM_LEAVES):
             tree.update_leaf(i, leaf_addr(i), 1, bytes([i]) * 64)
         tree.flush()
-        assert tree.root_register != root0
+        assert list(tree.top_macs) == [0]
 
     def test_flush_makes_dram_self_contained(self):
         tree, _ = make_tree()
@@ -220,6 +223,47 @@ class TestBatchedLeaves:
         tree, _ = make_tree()
         assert tree.verify_leaves([]) == 0
         tree.update_leaves([])  # must not raise
+
+
+@pytest.mark.parametrize("mac_bits", [32, 64, 128])
+@pytest.mark.parametrize("build", [build_geometry, build_flat_geometry],
+                         ids=["tree", "flat"])
+def test_clean_loop_at_a_tiny_node_cache(build, mac_bits):
+    """A seeded, model-checked loop of 50/50 leaf updates and verifies,
+    with an occasional flush, over 4096 leaves and a 512 B 8-way node
+    cache (one set): a 128-bit tree is 6 levels deep, so fetching a node's
+    parent evicts and writes back nodes whose MACs land in a re-fetched
+    copy of that parent.  No untampered leaf may fail verification, and
+    after a final flush every leaf verifies from DRAM with a cold cache."""
+    num_leaves = 4096
+    geometry = build(num_leaves, BLOCK, mac_bits)
+    dram = MainMemory(
+        size_bytes=(num_leaves + geometry.total_code_blocks) * BLOCK,
+        block_size=BLOCK)
+    tree = MerkleTree(geometry, GCMMACScheme(bytes(16), mac_bits), dram,
+                      code_region_base=num_leaves * BLOCK,
+                      node_cache_bytes=512, node_cache_assoc=8)
+    rng = random.Random(0)
+    model: dict[int, tuple[int, bytes]] = {}
+    for step in range(1200):
+        leaf = rng.randrange(num_leaves)
+        roll = rng.random()
+        try:
+            if roll < 0.01:
+                tree.flush()
+            elif roll < 0.5 or leaf not in model:
+                counter = model.get(leaf, (0, b""))[0] + 1
+                content = rng.randbytes(BLOCK)
+                tree.update_leaf(leaf, leaf_addr(leaf), counter, content)
+                model[leaf] = (counter, content)
+            else:
+                tree.verify_leaf(leaf, leaf_addr(leaf), *model[leaf])
+        except IntegrityViolation as exc:
+            pytest.fail(f"step {step}: {exc}")
+    tree.flush()
+    tree.node_cache.flush()
+    for leaf, (counter, content) in sorted(model.items()):
+        tree.verify_leaf(leaf, leaf_addr(leaf), counter, content)
 
 
 #: A clean seeded loop of 50/50 reads and writes over 4096 blocks with a

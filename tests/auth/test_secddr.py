@@ -1,11 +1,16 @@
-"""SecDDR-style authenticator: flat MAC-of-MACs, O(1) verify, detection."""
+"""SecDDR-style integrity: flat MAC-of-MACs, O(1) verify, detection.
+
+SecDDR is the Merkle tree over :func:`build_flat_geometry`: the level-1
+MAC groups are the top level, so every group's MAC stays on chip.
+"""
 
 import pytest
 
-from repro.auth.codes import build_flat_geometry, build_geometry
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.codes import build_flat_geometry
+from repro.auth.merkle import IntegrityViolation, MerkleTree
 from repro.auth.schemes import GCMMACScheme
-from repro.auth.secddr import SecDDRAuthenticator
+from repro.core import SecureMemorySystem, secddr_config
+from repro.core.config import IntegrityMode
 from repro.memory.dram import MainMemory
 
 NUM_LEAVES = 64
@@ -17,9 +22,9 @@ def make_auth(node_cache_bytes=2 * 1024, mac_bits=64):
     code_bytes = geometry.total_code_blocks * BLOCK
     dram = MainMemory(size_bytes=NUM_LEAVES * BLOCK + code_bytes,
                       block_size=BLOCK)
-    auth = SecDDRAuthenticator(geometry, GCMMACScheme(bytes(16), mac_bits),
-                               dram, code_region_base=NUM_LEAVES * BLOCK,
-                               node_cache_bytes=node_cache_bytes)
+    auth = MerkleTree(geometry, GCMMACScheme(bytes(16), mac_bits),
+                      dram, code_region_base=NUM_LEAVES * BLOCK,
+                      node_cache_bytes=node_cache_bytes)
     return auth, dram
 
 
@@ -55,11 +60,16 @@ class TestVerifyUpdate:
             auth.verify_leaf(3, leaf_addr(4), 1, bytes(64))
 
     def test_rejects_deep_geometry(self):
-        geometry = build_geometry(NUM_LEAVES, BLOCK, 64)
-        dram = MainMemory(size_bytes=1 << 20, block_size=BLOCK)
-        with pytest.raises(ValueError):
-            SecDDRAuthenticator(geometry, GCMMACScheme(bytes(16), 64),
-                                dram, code_region_base=NUM_LEAVES * BLOCK)
+        """IntegrityMode.SECDDR builds a depth-1 tree: every level-1 group
+        is a top-level node with its MAC on chip, never a deeper walk."""
+        config = secddr_config()
+        assert config.resolved_integrity is IntegrityMode.SECDDR
+        system = SecureMemorySystem(config, protected_bytes=1 << 20)
+        geometry = system.merkle.geometry
+        assert isinstance(system.merkle, MerkleTree)
+        assert geometry.depth == 1
+        assert geometry.level_sizes[1] == -(-geometry.num_leaves
+                                            // geometry.arity)
 
 
 class TestConstantTimeVerify:

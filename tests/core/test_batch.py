@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.auth.merkle import MerkleTree
-from repro.auth.secddr import SecDDRAuthenticator
 from repro.core import (
     SecureMemorySystem,
     direct_config,
@@ -86,7 +85,7 @@ CONFIGS = [
     split_sha_config(),
     mono_config(8),
     direct_config(),
-    secddr_config(),        # flat MAC layer: SecDDRAuthenticator
+    secddr_config(),        # flat MAC layer: depth-1 MerkleTree
     scattered_config(),     # secret shares: per-block share write-back
 ]
 
@@ -160,22 +159,22 @@ class TestOverflowMidBatch:
 
 
 class TestBatchedWriteBack:
-    @pytest.mark.parametrize("config,backend", [
-        (split_gcm_config(), MerkleTree),
-        (secddr_config(), SecDDRAuthenticator),
+    @pytest.mark.parametrize("config", [
+        split_gcm_config(),
+        secddr_config(),
     ], ids=["merkle", "secddr"])
     def test_dirty_evictions_re_mac_through_update_leaves(
-            self, config, backend, monkeypatch):
+            self, config, monkeypatch):
         """A batch's dirty evictions reach the tree as one
         ``update_leaves`` call, not one ``update_leaf`` per block."""
         calls = []
-        inner = backend.update_leaves
+        inner = MerkleTree.update_leaves
 
         def spy(self, items):
             calls.append(len(items))
             return inner(self, items)
 
-        monkeypatch.setattr(backend, "update_leaves", spy)
+        monkeypatch.setattr(MerkleTree, "update_leaves", spy)
         _, batched = make_pair(config)
         # 32 distinct blocks through a 16-block L2: the second half of
         # the batch evicts the first half, dirty

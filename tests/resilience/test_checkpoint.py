@@ -318,3 +318,27 @@ class TestSystemCheckpoint:
                                    l2_size=2 * 1024, l2_assoc=2)
         with pytest.raises(CheckpointError, match="configuration"):
             restore_system(other, blob)
+
+    @pytest.mark.parametrize("name,anchor", [
+        ("split+gcm", "root_register"),
+        ("secddr", "group_macs"),
+    ])
+    def test_rejects_state_of_an_older_tree_layout(self, name, anchor):
+        """A checksummed blob from before the tree kept its top-level MACs
+        under ``top_macs`` (a deep tree's ``root_register``, SecDDR's
+        ``group_macs``) does not fit: CheckpointError, not KeyError, and
+        the target keeps its own state."""
+        original = _exercised_system(name)
+        state = loads(checkpoint_system(original), kind="system")
+        tree = state["system"]["merkle"]
+        top_macs = tree.pop("top_macs")
+        tree[anchor] = (top_macs.get(0, bytes(8)) if anchor == "root_register"
+                        else top_macs)
+        blob = dumps(state, kind="system")
+        target = SecureMemorySystem(PRESETS[name], protected_bytes=PROTECTED,
+                                    l2_size=2 * 1024, l2_assoc=2)
+        target.write_block(0, bytes(range(target.block_size)))
+        untouched = checkpoint_system(target)
+        with pytest.raises(CheckpointError, match="does not fit"):
+            restore_system(target, blob)
+        assert checkpoint_system(target) == untouched
