@@ -71,7 +71,6 @@ import json
 import sys
 
 from repro import api
-from repro.core import SecureMemorySystem, split_gcm_config
 from repro.resilience import CHECKPOINT_REFS
 from repro.workloads import SCENARIO_APPS, SPEC_APPS, workload_kind
 
@@ -146,6 +145,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_attack(args) -> int:
     from repro.attacks import counter_replay_attack
+    from repro.core import SecureMemorySystem, split_gcm_config
 
     config = split_gcm_config(
         counter_cache_size=64, counter_cache_assoc=1,

@@ -30,7 +30,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.config import PRESETS, SecureMemoryConfig, lookup_preset
 from repro.core.results import (
@@ -39,14 +39,7 @@ from repro.core.results import (
     ResultMeta,
     config_fingerprint,
 )
-from repro.obs import (
-    AttributionReport,
-    RecordingTracer,
-    Tracer,
-    build_report,
-    write_chrome_trace,
-    write_csv,
-)
+from repro.obs.tracer import RecordingTracer, Tracer
 from repro.sim import LoopState, Processor, SimResult, simulate
 from repro.workloads import (
     Trace,
@@ -54,6 +47,9 @@ from repro.workloads import (
     resolve_trace,
     workload_kind,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.attribution import AttributionReport
 
 __all__ = [
     "BenchResult",
@@ -433,6 +429,8 @@ class Experiment:
         self.baseline_result = baseline
         self.result = result
         if self._trace_out is not None:
+            from repro.obs.export import write_chrome_trace
+
             write_chrome_trace(self.tracer, self._trace_out)
         memory = result.memory
         # nan, not 0.0, when the baseline is broken — matching
@@ -654,6 +652,9 @@ def profile(config: SecureMemoryConfig | str, workload: Any = "swim", *,
     attribution report is built over all misses.  Optional exports:
     ``trace_out`` (Chrome/Perfetto JSON) and ``csv_out`` (flat CSV).
     """
+    from repro.obs.attribution import build_report
+    from repro.obs.export import write_chrome_trace, write_csv
+
     tracer = RecordingTracer(strict=True, tolerance=tolerance)
     experiment = Experiment(config, workload, refs=refs,
                             warmup_refs=warmup_refs, trace=tracer)

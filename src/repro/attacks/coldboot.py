@@ -28,7 +28,7 @@ import random
 
 from repro.attacks.base import AttackReport
 from repro.attacks.tamper import _drop_from_l2
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.core.secure_memory import SecureMemorySystem
 
 #: Fraction of matching bits above which the decayed image is considered

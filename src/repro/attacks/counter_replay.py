@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.attacks.base import AttackReport
 from repro.attacks.snoop import pad_reuse_probe
 from repro.attacks.tamper import _drop_from_l2
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.core.secure_memory import SecureMemorySystem
 
 

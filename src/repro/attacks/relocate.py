@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.attacks.base import AttackReport
 from repro.attacks.tamper import _drop_from_l2
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.core.secure_memory import SecureMemorySystem
 
 

@@ -12,7 +12,7 @@ replay (caught one level further up the tree).
 from __future__ import annotations
 
 from repro.attacks.base import AttackReport
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.attacks.tamper import _drop_from_l2
 from repro.core.secure_memory import SecureMemorySystem
 

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from repro.attacks.base import AttackReport
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.core.secure_memory import SecureMemorySystem
 
 

@@ -8,7 +8,9 @@ MAC per level-1 group) differ only in geometry.
 
 Every public name resolves lazily (PEP 562), so importing one submodule
 loads only what that submodule needs: the configuration layer reads
-:class:`AuthPolicy` without loading the Merkle tree or the MAC kernels.
+:class:`AuthPolicy`, and the recovery policies name
+:class:`IntegrityViolation`, without loading the Merkle tree or the MAC
+kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import importlib
 
 _SUBMODULE_NAMES = {
     "codes": ("TreeGeometry", "build_geometry", "merkle_levels_for_memory"),
-    "merkle": ("IntegrityViolation", "MerkleStats", "MerkleTree"),
+    "errors": ("IntegrityViolation",),
+    "merkle": ("MerkleStats", "MerkleTree"),
     "policies": ("COMMIT_HIDE_CYCLES", "AuthPolicy", "exposed_auth_latency"),
     "schemes": ("GCMMACScheme", "MACScheme", "SHAMACScheme"),
 }

@@ -31,22 +31,22 @@ where the full verification chain is active.
 from __future__ import annotations
 
 from repro.auth.codes import build_flat_geometry, build_geometry
-from repro.auth.merkle import IntegrityViolation, MerkleTree
+from repro.auth.errors import IntegrityViolation
+from repro.auth.merkle import MerkleTree
 from repro.auth.schemes import GCMMACScheme, MACScheme, SHAMACScheme
 from repro.core.config import (
     AuthMode,
-    CounterOrg,
     EncryptionMode,
     IntegrityMode,
     SecureMemoryConfig,
 )
 from repro.core.rsr import RSRFile
 from repro.core.stats import SecureMemoryStats
+from repro.counters import make_counter_scheme
 from repro.counters.base import CounterScheme, OverflowAction
 from repro.counters.counter_cache import CounterCache
 from repro.counters.global_ctr import GlobalCounterScheme
 from repro.counters.monolithic import MonolithicCounterScheme
-from repro.counters.prediction import CounterPredictionScheme
 from repro.counters.split import SplitCounterScheme
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import CHUNK_SIZE, bulk_ctr_transform, ctr_transform
@@ -70,28 +70,6 @@ from repro.resilience.recovery import (
     RecoveryController,
     RecoveryHalted,
 )
-
-
-def make_counter_scheme(config: SecureMemoryConfig) -> CounterScheme:
-    """Instantiate the counter organization named by a config."""
-    org = config.counter_org
-    block = config.block_size
-    if org is CounterOrg.SPLIT:
-        return SplitCounterScheme(block_size=block,
-                                  minor_bits=config.minor_bits)
-    if org in (CounterOrg.MONO8, CounterOrg.MONO16, CounterOrg.MONO32,
-               CounterOrg.MONO64):
-        bits = {CounterOrg.MONO8: 8, CounterOrg.MONO16: 16,
-                CounterOrg.MONO32: 32, CounterOrg.MONO64: 64}[org]
-        return MonolithicCounterScheme(bits, block_size=block)
-    if org is CounterOrg.GLOBAL32:
-        return GlobalCounterScheme(32, block_size=block)
-    if org is CounterOrg.GLOBAL64:
-        return GlobalCounterScheme(64, block_size=block)
-    if org is CounterOrg.PREDICTION:
-        return CounterPredictionScheme(block_size=block,
-                                       depth=config.prediction_depth)
-    raise ValueError(f"unknown counter organization: {org}")
 
 
 def _derive_key(base_key: bytes, label: bytes, epoch: int = 0) -> bytes:

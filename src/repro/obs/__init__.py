@@ -20,50 +20,53 @@ re-encryption — so this package gives the whole stack one way to see
 * :mod:`repro.obs.export` — Chrome-trace (Perfetto-loadable) JSON and
   flat-CSV exporters, wired into ``python -m repro profile`` and
   ``repro.api.run(trace=...)``.
+
+Every public name resolves lazily (PEP 562), so importing one submodule
+loads only what that submodule needs: the timing model reads the tracer,
+the metrics and the attribution records without loading the exporters.
 """
 
-from repro.obs.attribution import (
-    ATTRIBUTION_COMPONENTS,
-    AttributionError,
-    AttributionReport,
-    MissRecord,
-    PathTime,
-    build_report,
-)
-from repro.obs.export import (
-    to_chrome_trace,
-    to_csv,
-    write_chrome_trace,
-    write_csv,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    reset_fields,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, RecordingTracer, Tracer, TraceEvent
+from __future__ import annotations
 
-__all__ = [
-    "ATTRIBUTION_COMPONENTS",
-    "AttributionError",
-    "AttributionReport",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MissRecord",
-    "NULL_TRACER",
-    "NullTracer",
-    "PathTime",
-    "RecordingTracer",
-    "TraceEvent",
-    "Tracer",
-    "build_report",
-    "reset_fields",
-    "to_chrome_trace",
-    "to_csv",
-    "write_chrome_trace",
-    "write_csv",
-]
+import importlib
+
+_SUBMODULE_NAMES = {
+    "attribution": (
+        "ATTRIBUTION_COMPONENTS",
+        "AttributionError",
+        "AttributionReport",
+        "MissRecord",
+        "PathTime",
+        "build_report",
+    ),
+    "export": ("to_chrome_trace", "to_csv", "write_chrome_trace", "write_csv"),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "reset_fields",
+    ),
+    "tracer": (
+        "NULL_TRACER",
+        "NullTracer",
+        "RecordingTracer",
+        "TraceEvent",
+        "Tracer",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

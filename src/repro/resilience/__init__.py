@@ -16,8 +16,9 @@ Four modules, importable from this package:
 
 Every public name resolves lazily (PEP 562), so importing one submodule
 loads only what that submodule needs.  ``recovery`` imports the core
-config and the Merkle tree; a sweep fabric worker, which needs only the
-queue protocol of ``fabric`` and ``runner``, never loads them.
+config and the integrity exception (no crypto, no Merkle tree); a sweep
+fabric worker, which needs only the queue protocol of ``fabric`` and
+``runner``, never loads them.
 """
 
 from __future__ import annotations

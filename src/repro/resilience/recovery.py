@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.core.config import RecoveryConfig, RecoveryPolicy
 from repro.obs.metrics import reset_fields
 from repro.obs.tracer import Tracer

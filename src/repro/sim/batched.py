@@ -475,9 +475,9 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
                       insns_base: int, cum_cycles: np.ndarray,
                       cum_insns: np.ndarray, blocks_arr: np.ndarray,
                       writes_arr: np.ndarray, mshrs: int, rob_insns: int):
-    """Build the per-event column builder and the two drain loops,
-    ``(columns, drain_live, drain_pre)``, specialized to one
-    configuration.
+    """Build the per-event column builder, the two drain loops and their
+    ``release``, ``(columns, drain_live, drain_pre, release)``,
+    specialized to one configuration.
 
     Mirrors :class:`TimingSecureMemory` float-op for float-op, but keeps
     every hot mutable scalar (bus free slot, engine issue slots,
@@ -1313,7 +1313,20 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
         sync()
         return cycle_base, writebacks
 
-    return columns, drain_live, drain_pre
+    def release():
+        """Clear the cells through which the tree helpers reach one
+        another (``fill_node`` → ``write_back`` → ``update_leaf`` →
+        ``fill_node``, and back through ``verify_chain``).  Those cycles
+        would keep the engine, and every object of the memory graph it
+        holds, alive until the cyclic collector ran; once they are
+        cleared, reference counting frees both as soon as the run's
+        caller lets go.  The drains cannot run afterwards."""
+        nonlocal fill_node, update_leaf, verify_chain, resolve_miss
+        nonlocal resolve_counter_w, write_back
+        fill_node = update_leaf = verify_chain = resolve_miss = None
+        resolve_counter_w = write_back = None
+
+    return columns, drain_live, drain_pre, release
 
 
 # -- the batched run ----------------------------------------------------------
@@ -1397,7 +1410,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                 shim = _L2ResidencyShim()
 
     counter_cache = memory.counter_cache
-    columns, drain_live, drain_pre = _make_fast_engine(
+    columns, drain_live, drain_pre, release = _make_fast_engine(
         memory, l2,
         counter_cache.cache if counter_cache is not None else None,
         policy=policy, insns_base=insns_base, cum_cycles=cum_cycles,
@@ -1468,6 +1481,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                 cycle_base, writebacks = drain_live(
                     segment, cycle_base, writebacks, outstanding)
     finally:
+        release()
         if shim is not None:
             memory.l2 = l2
     # A cached run never advanced the caches it classified ahead of time:

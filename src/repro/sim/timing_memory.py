@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.auth.codes import TreeGeometry, build_flat_geometry, build_geometry
 from repro.core.config import (
@@ -41,8 +42,8 @@ from repro.core.config import (
     SecureMemoryConfig,
 )
 from repro.core.rsr import RSRFile
-from repro.core.secure_memory import make_counter_scheme
 from repro.core.stats import SecureMemoryStats
+from repro.counters import make_counter_scheme
 from repro.counters.base import OverflowAction
 from repro.counters.counter_cache import CounterCache
 from repro.counters.prediction import CounterPredictionScheme
@@ -59,7 +60,9 @@ from repro.obs.metrics import (
     load_fields_state,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience.recovery import RecoveryStats, backoff_delay
+
+if TYPE_CHECKING:
+    from repro.resilience.recovery import RecoveryStats
 
 #: attribution labels for a Merkle-node transfer: queue, wire, and DRAM
 #: time of a tree fetch all accrue to the tree-walk bucket
@@ -167,6 +170,10 @@ class TimingSecureMemory:
         self.recovery_stats: RecoveryStats | None = None
         self._recovery_rng: random.Random | None = None
         if config.recovery.enabled:
+            # imported here, like the batched engine, so that a run
+            # without recovery never loads the recovery policies
+            from repro.resilience.recovery import RecoveryStats
+
             self.recovery_stats = RecoveryStats()
             self._recovery_rng = (rng if rng is not None
                                   else random.Random(config.recovery.seed))
@@ -534,54 +541,6 @@ class TimingSecureMemory:
                         data_ready=data_ready)
         return MissTiming(data_ready=data_ready, auth_done=auth_done)
 
-    def read_misses(self, now: float, addresses: list[int]) -> list[MissTiming]:
-        """Service several L2 misses issued in the same cycle.
-
-        Models the section-3.2 overlap: all misses contend for the bus and
-        AES/SHA engines from ``now`` (the engines' slot schedules serialize
-        them), and misses touching the same counter block are serviced back
-        to back so the shared counter fetch is charged once — the later
-        siblings see a counter-cache hit or half-miss instead of a second
-        full fetch.  Results are returned in input order.
-        """
-        if self.counter_cache is not None:
-            order = sorted(
-                range(len(addresses)),
-                key=lambda i: (
-                    self.scheme.counter_block_address(addresses[i]),
-                    addresses[i],
-                ),
-            )
-        else:
-            order = sorted(range(len(addresses)),
-                           key=lambda i: addresses[i])
-        timings: list[MissTiming | None] = [None] * len(addresses)
-        for i in order:
-            timings[i] = self.read_miss(now, addresses[i])
-        return timings  # type: ignore[return-value]
-
-    def write_backs(self, now: float, addresses: list[int]) -> float:
-        """Service several dirty evictions posted in the same cycle.
-
-        Counter-block grouping as in :meth:`read_misses`.  Returns the
-        latest stall-until cycle across the batch (write-backs are posted;
-        only RSR conditions stall the core).
-        """
-        if self.counter_cache is not None:
-            ordered = sorted(
-                addresses,
-                key=lambda a: (
-                    (self.scheme.counter_block_address(a), a)
-                    if a < self._node_region_base else (-1, a)
-                ),
-            )
-        else:
-            ordered = sorted(addresses)
-        stall_until = now
-        for address in ordered:
-            stall_until = max(stall_until, self.write_back(now, address))
-        return stall_until
-
     def _read_miss_shares(self, now: float, address: int) -> MissTiming:
         """Secret-shared read path: k share fetches, k leaf verifications.
 
@@ -874,6 +833,8 @@ class TimingSecureMemory:
         """
         if self._recovery_rng is None:
             raise RuntimeError("recovery is not enabled in this config")
+        from repro.resilience.recovery import backoff_delay
+
         cfg = self.config.recovery
         t = now
         backoff = 0.0

@@ -8,7 +8,7 @@ compared byte-for-byte against the model, and after the schedule a *cold
 sweep* flushes all on-chip state, invalidates every cache (L2, counter
 cache, Merkle node cache), and re-reads the whole working set from DRAM —
 so any persistent corruption must either raise
-:class:`~repro.auth.merkle.IntegrityViolation` or surface as a byte
+:class:`~repro.auth.errors.IntegrityViolation` or surface as a byte
 mismatch before the scenario ends.
 
 Each fired fault is then classified:
@@ -44,7 +44,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
-from repro.auth.merkle import IntegrityViolation
+from repro.auth.errors import IntegrityViolation
 from repro.core.config import (
     AuthMode,
     CounterOrg,

@@ -85,14 +85,14 @@ def test_engine_column_equals_scalar_on_l2_misses(monkeypatch, org):
     make_engine = batched._make_fast_engine
 
     def spy_engine(*args, **kwargs):
-        columns, drain_live, drain_pre = make_engine(*args, **kwargs)
+        columns, *drains_and_release = make_engine(*args, **kwargs)
 
         def spy_columns(refs, victims, marks=None):
             segment = list(columns(refs, victims, marks))
             rows.extend(segment)
             return iter(segment)
 
-        return spy_columns, drain_live, drain_pre
+        return spy_columns, *drains_and_release
 
     monkeypatch.setattr(batched, "_make_fast_engine", spy_engine)
     result = processor.run(trace, warmup_refs=2000)

@@ -65,7 +65,9 @@ def test_a_process_backend_service_loads_no_numpy_or_simulator(tmp_path):
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.crypto",
-                                     "repro.auth", "repro.resilience"])
+                                     "repro.auth", "repro.resilience",
+                                     "repro.obs", "repro.workloads",
+                                     "repro.counters"])
 def test_every_public_name_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:
@@ -73,3 +75,4 @@ def test_every_public_name_resolves(package):
     namespace: dict = {}
     exec(f"from {package} import *", namespace)  # noqa: S102
     assert set(module.__all__) <= set(namespace)
+    assert set(module.__all__) <= set(dir(module))

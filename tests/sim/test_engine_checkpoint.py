@@ -27,6 +27,10 @@ SUBSET = [s for s in ("baseline", "split", "mono64b", "direct", "split+gcm",
                       "mono+sha", "xom+sha", "pred", "secddr", "scattered")
           if s in PRESETS]
 
+#: presets the closure engine does not model: every ``sim_engine`` runs
+#: them on the scalar oracle (``test_engine_equivalence`` pins the list)
+ORACLE_PRESETS = ("pred", "scattered")
+
 WARMUP = 2000
 CHECKPOINT_EVERY = 4000
 
@@ -41,14 +45,14 @@ def reference(trace):
     """Uninterrupted runs, keyed by preset; engine-agreement asserted."""
     out = {}
     for name in SUBSET:
-        per_engine = {}
-        for engine in ("scalar", "batched"):
+        runs = []
+        for engine in (("scalar",) if name in ORACLE_PRESETS
+                       else ("scalar", "batched")):
             p = Processor(get_config(name, sim_engine=engine))
             r = p.run(trace, warmup_refs=WARMUP)
-            per_engine[engine] = (r.cycles, p.metrics.snapshot(),
-                                  p.state_dict())
-        assert per_engine["scalar"] == per_engine["batched"], name
-        out[name] = per_engine["scalar"]
+            runs.append((r.cycles, p.metrics.snapshot(), p.state_dict()))
+        assert all(run == runs[0] for run in runs), name
+        out[name] = runs[0]
     return out
 
 
@@ -58,6 +62,12 @@ def reference(trace):
                          ids=["scalar-to-batched", "batched-to-scalar"])
 def test_resume_across_engines(name, engines, trace, reference):
     save_engine, resume_engine = engines
+    if name in ORACLE_PRESETS and save_engine == "batched":
+        # the oracle saves and resumes it under either engine, so the
+        # scalar-to-batched id already runs this resume
+        processor = Processor(get_config(name, sim_engine=save_engine))
+        assert processor.resolved_sim_engine() == "scalar"
+        return
 
     saved = []
     p1 = Processor(get_config(name, sim_engine=save_engine))

@@ -41,14 +41,14 @@ def drained_columns(monkeypatch, processor, trace, **run_kwargs):
     make_engine = batched._make_fast_engine
 
     def spy_engine(*args, **kwargs):
-        columns, drain_live, drain_pre = make_engine(*args, **kwargs)
+        columns, *drains_and_release = make_engine(*args, **kwargs)
 
         def spy_columns(refs, victims, marks=None):
             rows = list(columns(refs, victims, marks))
             segments.append((refs.tolist(), rows, marks is None))
             return iter(rows)
 
-        return spy_columns, drain_live, drain_pre
+        return spy_columns, *drains_and_release
 
     monkeypatch.setattr(batched, "_make_fast_engine", spy_engine)
     processor.run(trace, **run_kwargs)

@@ -154,50 +154,3 @@ class TestWriteBack:
         assert memory.stats.reencryption.full_reencryptions == 1
         assert memory.scheme.counter_for_block(0x10000) == 1
 
-
-class TestBatchedMisses:
-    def test_read_misses_returns_input_order(self):
-        memory = TimingSecureMemory(split_config())
-        addresses = [0x30000, 0x10000, 0x20000]
-        timings = memory.read_misses(1000.0, addresses)
-        assert len(timings) == len(addresses)
-        # input order preserved even though service order is sorted
-        reference = TimingSecureMemory(split_config())
-        expected_first = reference.read_miss(1000.0, 0x10000)
-        assert timings[1].data_ready == pytest.approx(
-            expected_first.data_ready)
-
-    def test_same_counter_block_charged_once(self):
-        """Two misses on one page: batched service shares the counter
-        fetch, so it finishes no later than two independent cold misses."""
-        batched = TimingSecureMemory(split_config())
-        together = batched.read_misses(1000.0, [0x10000, 0x10040])
-        cold_a = TimingSecureMemory(split_config()).read_miss(1000.0, 0x10000)
-        cold_b = TimingSecureMemory(split_config()).read_miss(1000.0, 0x10040)
-        # both requests still complete; the later one must not pay a second
-        # full counter fetch on top of the first
-        assert max(t.data_ready for t in together) <= (
-            cold_a.data_ready + cold_b.data_ready - 1000.0)
-
-    def test_read_misses_empty(self):
-        memory = TimingSecureMemory(split_config())
-        assert memory.read_misses(0.0, []) == []
-
-    def test_read_misses_baseline_no_counters(self):
-        memory = TimingSecureMemory(baseline_config())
-        timings = memory.read_misses(0.0, [0x2000, 0x1000])
-        assert timings[0].data_ready > 0
-        assert timings[1].data_ready > 0
-
-    def test_write_backs_returns_latest_stall(self):
-        memory = TimingSecureMemory(split_config())
-        stall = memory.write_backs(500.0, [0x1000, 0x1040, 0x9000])
-        singles = TimingSecureMemory(split_config())
-        worst = max(singles.write_back(500.0, a)
-                    for a in (0x1000, 0x1040, 0x9000))
-        assert stall >= 500.0
-        assert stall <= max(worst, stall)  # no stall regression vs scalar
-
-    def test_write_backs_empty(self):
-        memory = TimingSecureMemory(split_config())
-        assert memory.write_backs(123.0, []) == 123.0
