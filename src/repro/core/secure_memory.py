@@ -552,6 +552,42 @@ class SecureMemorySystem:
             # verification; the scalar path already expresses that exactly.
             return {address: self._fetch_block(address)
                     for address in addresses}
+        out, fetched = self._verify_blocks_bulk(addresses)
+        mode = self.config.encryption
+        if mode is EncryptionMode.COUNTER:
+            plaintexts = bulk_ctr_transform(self._data_aes, fetched,
+                                            kernel=self.kernel)
+            for (address, _, _), plaintext in zip(fetched, plaintexts):
+                out[address] = bytearray(plaintext)
+        elif mode is EncryptionMode.DIRECT:
+            chunks = [
+                ciphertext[i:i + CHUNK_SIZE]
+                for _, _, ciphertext in fetched
+                for i in range(0, self.block_size, CHUNK_SIZE)
+            ]
+            plain_chunks = decrypt_blocks_kernel(self._data_aes, chunks,
+                                                 self.kernel)
+            per_block = self.block_size // CHUNK_SIZE
+            for n, (address, _, _) in enumerate(fetched):
+                out[address] = bytearray(
+                    b"".join(plain_chunks[n * per_block:(n + 1) * per_block])
+                )
+        else:
+            for address, _, ciphertext in fetched:
+                out[address] = bytearray(ciphertext)
+        return out
+
+    def _verify_blocks_bulk(self, addresses: list[int]) -> tuple[
+            dict[int, bytearray], list[tuple[int, int, bytes]]]:
+        """The fetch-and-verify half of :meth:`_fetch_blocks_bulk`, for
+        blocks that are not secret-shared.
+
+        Counts one read per address, returns a zero block for each
+        address never written, and fetches and verifies the rest as
+        ``(address, counter, ciphertext)``.  A write-allocate needs no
+        more than this: the write replaces the plaintext it would
+        decrypt.
+        """
         out: dict[int, bytearray] = {}
         fetched: list[tuple[int, int, bytes]] = []  # (addr, counter, ct)
         for address in addresses:
@@ -581,29 +617,7 @@ class SecureMemorySystem:
                         ciphertext))
                     for address, counter, ciphertext in fetched
                 ]
-        mode = self.config.encryption
-        if mode is EncryptionMode.COUNTER:
-            plaintexts = bulk_ctr_transform(self._data_aes, fetched,
-                                            kernel=self.kernel)
-            for (address, _, _), plaintext in zip(fetched, plaintexts):
-                out[address] = bytearray(plaintext)
-        elif mode is EncryptionMode.DIRECT:
-            chunks = [
-                ciphertext[i:i + CHUNK_SIZE]
-                for _, _, ciphertext in fetched
-                for i in range(0, self.block_size, CHUNK_SIZE)
-            ]
-            plain_chunks = decrypt_blocks_kernel(self._data_aes, chunks,
-                                                 self.kernel)
-            per_block = self.block_size // CHUNK_SIZE
-            for n, (address, _, _) in enumerate(fetched):
-                out[address] = bytearray(
-                    b"".join(plain_chunks[n * per_block:(n + 1) * per_block])
-                )
-        else:
-            for address, _, ciphertext in fetched:
-                out[address] = bytearray(ciphertext)
-        return out
+        return out, fetched
 
     # -- page re-encryption (split counters + RSR) -----------------------------
 
@@ -802,7 +816,12 @@ class SecureMemorySystem:
             pending = sorted(
                 staged, key=lambda a: (self._counter_block_index(a), a)
             )
-            self._fetch_blocks_bulk(pending)  # write-allocate verification
+            # write-allocate: verify the blocks the writes replace, without
+            # decrypting them (shares verify per share on the scalar path)
+            if self.config.encryption is EncryptionMode.SHARES:
+                self._fetch_blocks_bulk(pending)
+            else:
+                self._verify_blocks_bulk(pending)
             evicted: list[tuple[int, bytes]] = []
             for address in staged:  # preserve first-seen fill order
                 eviction = self.l2.fill(address, dirty=True,

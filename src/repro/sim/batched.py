@@ -54,9 +54,18 @@ the clock and instruction prefix sums through each event's reference,
 its block, write flag and victim, its B2p dirty marks or (for
 ``drain_live``) its L2 set, and its counter-block index, address and
 counter-cache set — one NumPy gather and one ``tolist()`` per column —
-and the drains ``zip`` them.  No drain indexes a per-reference list, so
-a run on a trace-memo hit builds none; the live-L1 path of checkpointed
-and resumed runs feeds its kernel's events through the same builder.
+and the drains iterate them zipped.  No drain indexes a per-reference
+list, so a run on a trace-memo hit builds none; the live-L1 path of
+checkpointed and resumed runs feeds its kernel's events through the same
+builder.
+
+Memory is bounded the same way throughout: every O(refs) stream — the
+trace's records and prefix sums, the kernels' event streams, the packed
+classifications — is a compact array, and every per-reference or
+per-event Python list covers at most :data:`~repro.workloads.trace.CHUNK`
+entries.  The kernels read their inputs ``tolist()`` a chunk at a time
+and flush each chunk's outputs into arrays; ``columns`` converts the
+next chunk only when the drain reaches it.
 
 Every phase runs on the structural caches themselves: the kernels and
 drains below index :class:`~repro.memory.cache.Cache`'s per-set address
@@ -89,6 +98,7 @@ from repro.counters.base import OverflowAction
 from repro.counters.prediction import CounterPredictionScheme
 from repro.counters.split import SplitCounterScheme
 from repro.memory.cache import Cache
+from repro.workloads.trace import CHUNK
 
 __all__ = ["L1Classification", "L2Classification", "classification_nbytes",
            "run_batched", "supports"]
@@ -144,61 +154,97 @@ def _run_masks(blocks: np.ndarray, writes: np.ndarray, start: int, stop: int):
     np.not_equal(seg_blocks[1:], seg_blocks[:-1], out=first[1:])
     positions = np.flatnonzero(first)
     run_writes = np.logical_or.reduceat(writes[start:stop], positions)
-    return positions + start, run_writes
+    positions += start
+    return positions, run_writes
+
+
+class _Flushed:
+    """An array filled a chunk at a time: values are appended to the list
+    ``chunk``, :meth:`flush` moves them into an array part and empties
+    the list, and :meth:`array` joins the parts."""
+
+    __slots__ = ("dtype", "chunk", "parts", "size")
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self.chunk: list[int] = []
+        self.parts: list[np.ndarray] = []
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def flush(self) -> None:
+        if self.chunk:
+            self.parts.append(np.array(self.chunk, dtype=self.dtype))
+            self.size += len(self.chunk)
+            self.chunk.clear()
+
+    def array(self) -> np.ndarray:
+        if len(self.parts) == 1:
+            return self.parts[0]
+        if not self.parts:
+            return np.empty(0, dtype=self.dtype)
+        return np.concatenate(self.parts)
 
 
 def _l1_kernel(l1: Cache, blocks_arr: np.ndarray, positions: np.ndarray,
-               run_writes: np.ndarray, refs: int) -> tuple[list, list]:
+               run_writes: np.ndarray, refs: int):
     """Exact L1 replay over one segment's collapsed reference runs.
 
-    Emits the L2 event stream as two columns, the trace index of each L1
-    miss and its dirty L1 victim (None if none), and accumulates the
-    segment's L1 statistics into the cache's stats object.  Only the
-    runs' first references are gathered from the trace arrays.
+    Emits the L2 event stream as arrays: the trace index of each L1 miss
+    and, sparse, the misses that evicted a dirty L1 line (indices into the
+    first array) with the evicted blocks.  Accumulates the segment's L1
+    statistics into the cache's stats object.  Only the runs' first
+    references are gathered from the trace arrays, and they are read and
+    the events flushed :data:`CHUNK` runs at a time.
     """
     sets = l1.sets
     dirty = l1.dirty
     assoc = l1.assoc
     dirty_add = dirty.add
     dirty_discard = dirty.discard
-    run_blocks = blocks_arr[positions]
-    run_sets = ((run_blocks >> (l1.block_size.bit_length() - 1))
-                & np.int64(l1.num_sets - 1))
-    events: list[int] = []
-    victims: list[int | None] = []
-    event_append = events.append
-    victim_append = victims.append
+    shift = l1.block_size.bit_length() - 1
+    mask = np.int64(l1.num_sets - 1)
+    outputs = events, wb_events, wb_blocks = (
+        _Flushed(np.int32), _Flushed(np.int32), _Flushed(np.int64))
+    event_append = events.chunk.append
+    wb_append = wb_events.chunk.append
+    wb_block_append = wb_blocks.chunk.append
     hits = refs - len(positions)  # collapsed repeats are all hits
     misses = 0
-    writebacks = 0
-    for i, block, set_index, run_write in zip(
-            positions.tolist(), run_blocks.tolist(), run_sets.tolist(),
-            run_writes.tolist()):
-        lines = sets[set_index]
-        if block in lines:
-            j = lines.index(block)
-            hits += 1
-            if j:
-                lines.insert(0, lines.pop(j))
-        else:
-            misses += 1
-            victim_dirty = None
-            if len(lines) >= assoc:
-                victim = lines.pop()
-                if victim in dirty:
-                    dirty_discard(victim)
-                    writebacks += 1
-                    victim_dirty = victim
-            lines.insert(0, block)
-            event_append(i)
-            victim_append(victim_dirty)
-        if run_write:
-            dirty_add(block)
+    for lo in range(0, len(positions), CHUNK):
+        run_positions = positions[lo:lo + CHUNK]
+        run_blocks = blocks_arr[run_positions]
+        for i, block, set_index, run_write in zip(
+                run_positions.tolist(), run_blocks.tolist(),
+                ((run_blocks >> shift) & mask).tolist(),
+                run_writes[lo:lo + CHUNK].tolist()):
+            lines = sets[set_index]
+            if block in lines:
+                j = lines.index(block)
+                hits += 1
+                if j:
+                    lines.insert(0, lines.pop(j))
+            else:
+                if len(lines) >= assoc:
+                    victim = lines.pop()
+                    if victim in dirty:
+                        dirty_discard(victim)
+                        wb_append(misses)
+                        wb_block_append(victim)
+                lines.insert(0, block)
+                event_append(i)
+                misses += 1
+            if run_write:
+                dirty_add(block)
+        for out in outputs:
+            out.flush()
     stats = l1.stats
     stats.hits += hits
     stats.misses += misses
-    stats.writebacks += writebacks
-    return events, victims
+    stats.writebacks += len(wb_events)
+    return events.array(), wb_events.array(), wb_blocks.array()
 
 
 # -- packed whole-trace classifications ---------------------------------------
@@ -243,12 +289,57 @@ def _span(sorted_arr: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     return int(first), int(last)
 
 
-def _scatter(size: int, positions: np.ndarray, values: np.ndarray) -> list:
-    """``size`` Nones, with ``values[j]`` at ``positions[j]``."""
-    out = [None] * size
-    for position, value in zip(positions.tolist(), values.tolist()):
-        out[position] = value
-    return out
+# A drain's victim and dirty-mark columns come from sparse or packed
+# arrays.  ``columns`` reads each through a *column source*: a callable
+# ``(lo, hi)`` that returns the column's values for the segment's events
+# ``lo..hi`` as a list, one chunk at a time.
+
+
+def _sparse(keys: np.ndarray, values: np.ndarray, offset: int = 0):
+    """Column source of Nones, with ``values[j]`` at event ``keys[j] -
+    offset`` (``keys`` sorted)."""
+    def column(lo: int, hi: int) -> list:
+        lo += offset
+        hi += offset
+        out = [None] * (hi - lo)
+        first, last = _span(keys, lo, hi)
+        for key, value in zip((keys[first:last] - lo).tolist(),
+                              values[first:last].tolist()):
+            out[key] = value
+        return out
+    return column
+
+
+def _present(victims: np.ndarray):
+    """Column source of ``victims``, with -1 (no victim) as None."""
+    def column(lo: int, hi: int) -> list:
+        return [None if v < 0 else v for v in victims[lo:hi].tolist()]
+    return column
+
+
+def _marks(add_flat: np.ndarray, add_ends: np.ndarray, start: int):
+    """Column source of phase B2p's dirty marks: per event ``k``, the
+    tuple ``add_flat[add_ends[k - 1]:add_ends[k]]``, where the first
+    event's marks begin at ``start``."""
+    def column(lo: int, hi: int) -> list:
+        ends = add_ends[lo:hi]
+        first = int(add_ends[lo - 1]) if lo else start
+        lens = np.diff(ends, prepend=first)
+        flat = add_flat[first:int(ends[-1])].tolist()
+        out = [()] * (hi - lo)
+        nonzero = np.flatnonzero(lens)
+        for k, end, n in zip(nonzero.tolist(),
+                             (ends[nonzero] - first).tolist(),
+                             lens[nonzero].tolist()):
+            out[k] = tuple(flat[end - n:end])
+        return out
+    return column
+
+
+def _no_marks(lo: int, hi: int):
+    """Column source of phase B2's dirty marks: none, since its dirty bits
+    are decided ahead of time."""
+    return repeat((), hi - lo)
 
 
 def _geometry(*caches: Cache) -> tuple:
@@ -275,12 +366,10 @@ class L1Classification(NamedTuple):
     set_lens: np.ndarray    # int32, lines per set
     dirty: np.ndarray       # int64, final dirty L1 lines
 
-    def victims(self, lo: int, hi: int) -> list:
-        """The dirty L1 victim of each B1 event in ``[lo, hi)``, or
-        None."""
-        first, last = _span(self.wb_events, lo, hi)
-        return _scatter(hi - lo, self.wb_events[first:last] - lo,
-                        self.wb_blocks[first:last])
+    def victims(self, lo: int):
+        """Column source of the dirty L1 victim (or None) of each B1
+        event from ``lo`` on."""
+        return _sparse(self.wb_events, self.wb_blocks, lo)
 
 
 class L2Classification(NamedTuple):
@@ -300,40 +389,32 @@ class L2Classification(NamedTuple):
     hit_d: np.ndarray       # int8, L2 hits per B1 event
     miss_d: np.ndarray      # int8, L2 misses per B1 event
     add_flat: np.ndarray    # int64, L1 write-backs that hit the L2
-    add_lens: np.ndarray    # int32, how many precede each L2 miss (+ tail)
+    add_ends: np.ndarray    # int32, how many of them precede each L2 miss
     set_flat: np.ndarray    # int64, final L2 lines, MRU first per set
     set_lens: np.ndarray    # int32, lines per set
     dirty: np.ndarray       # int64, final dirty L2 lines (B2 model)
 
-    def dirty_victims(self, lo: int, hi: int) -> list:
-        """Phase B2: the victim of each L2 event in ``[lo, hi)`` if it
-        was dirty, else None (dirtiness decided ahead of time)."""
+    def dirty_victims(self, lo: int, hi: int):
+        """Phase B2: column source of the victim of each L2 event in
+        ``[lo, hi)`` if it was dirty, else None (dirtiness decided ahead
+        of time)."""
         first, last = _span(self.dirty_wb, lo, hi)
         dirty_wb = self.dirty_wb[first:last]
-        return _scatter(hi - lo, dirty_wb - lo, self.victims[dirty_wb])
+        return _sparse(dirty_wb, self.victims[dirty_wb], lo)
 
-    def placement(self, lo: int, hi: int) -> tuple[list, list]:
-        """Phase B2p: the victim of each L2 event in ``[lo, hi)`` (None if
-        its set had room), and the L1 write-backs that hit the L2 since
-        the previous miss, as a tuple per event (applied to the live
-        dirty set first)."""
-        victims = [None if v < 0 else v
-                   for v in self.victims[lo:hi].tolist()]
-        lens = self.add_lens[lo:hi]
-        start = int(self.add_lens[:lo].sum())
-        flat = self.add_flat[start:start + int(lens.sum())].tolist()
-        marks = [()] * (hi - lo)
-        nonzero = np.flatnonzero(lens)
-        for k, end, n in zip(nonzero.tolist(),
-                             np.cumsum(lens)[nonzero].tolist(),
-                             lens[nonzero].tolist()):
-            marks[k] = tuple(flat[end - n:end])
-        return victims, marks
+    def placement(self, lo: int, hi: int):
+        """Phase B2p: column sources of the victim of each L2 event in
+        ``[lo, hi)`` (None if its set had room), and of the L1 write-backs
+        that hit the L2 since the previous miss, as a tuple per event
+        (applied to the live dirty set first)."""
+        start = int(self.add_ends[lo - 1]) if lo else 0
+        return (_present(self.victims[lo:hi]),
+                _marks(self.add_flat, self.add_ends[lo:hi], start))
 
     def trailing_adds(self) -> list[int]:
         """L1 write-backs that hit the L2 after its last miss."""
-        return self.add_flat[len(self.add_flat) - int(self.add_lens[-1]):
-                             ].tolist()
+        start = int(self.add_ends[-1]) if len(self.add_ends) else 0
+        return self.add_flat[start:].tolist()
 
 
 def _l1_classification(trace, l1: Cache, blocks_arr,
@@ -350,16 +431,12 @@ def _l1_classification(trace, l1: Cache, blocks_arr,
         return packed
     replay = Cache(l1.size_bytes, l1.assoc, l1.block_size, name="l1-replay")
     positions, run_writes = _run_masks(blocks_arr, writes_arr, 0, len(trace))
-    events, victims = _l1_kernel(replay, blocks_arr, positions, run_writes,
-                                 len(trace))
-    wb_events = [k for k, victim in enumerate(victims) if victim is not None]
+    refs, wb_events, wb_blocks = _l1_kernel(replay, blocks_arr, positions,
+                                            run_writes, len(trace))
     set_flat, set_lens = _pack_sets(replay.sets)
     packed = L1Classification(
-        refs=_frozen(np.asarray(events, dtype=np.int32)),
-        wb_events=_frozen(np.asarray(wb_events, dtype=np.int32)),
-        wb_blocks=_frozen(np.asarray([victims[k] for k in wb_events],
-                                     dtype=np.int64)),
-        set_flat=set_flat, set_lens=set_lens,
+        refs=_frozen(refs), wb_events=_frozen(wb_events),
+        wb_blocks=_frozen(wb_blocks), set_flat=set_flat, set_lens=set_lens,
         dirty=_frozen(np.asarray(sorted(replay.dirty), dtype=np.int64)))
     trace.classifications[key] = packed
     return packed
@@ -375,7 +452,8 @@ def _l2_classification(trace, l1c: L1Classification, l1: Cache, l2: Cache,
     the L2 *misses* only.  When no split-counter page re-encryption can
     mark L2 blocks dirty mid-run either, the dirty bits (hence the
     write-backs) are precomputed too (phase B2); otherwise they resolve
-    live in the drain (phase B2p).
+    live in the drain (phase B2p).  The B1 events are read, and the
+    outputs flushed into arrays, :data:`CHUNK` events at a time.
     """
     key = ("l2",) + _geometry(l1, l2)
     packed = trace.classifications.get(key)
@@ -386,63 +464,78 @@ def _l2_classification(trace, l1c: L1Classification, l1: Cache, l2: Cache,
     assoc = l2.assoc
     sets: list[list[int]] = [[] for _ in range(l2.num_sets)]
     dirty: set[int] = set()
-    events: list[int] = []
-    victims: list[int] = []
-    dirty_wb: list[int] = []
-    hit_d: list[int] = []
-    miss_d: list[int] = []
-    adds: list[int] = []
-    add_lens: list[int] = []
-    mark = 0
-    b1 = zip(blocks_arr[l1c.refs].tolist(), writes_arr[l1c.refs].tolist(),
-             l1c.victims(0, len(l1c.refs)))
-    for k, (block, is_write, l1_victim) in enumerate(b1):
-        h = m = 0
-        if l1_victim is not None:
-            # L1 write-back: an L2 access with write=True
-            lines = sets[(l1_victim >> shift) & mask]
-            if l1_victim in lines:
-                j = lines.index(l1_victim)
+    b1_events = len(l1c.refs)
+    hit_d = np.empty(b1_events, dtype=np.int8)
+    miss_d = np.empty(b1_events, dtype=np.int8)
+    outputs = events, victims, dirty_wb, adds, add_ends = (
+        _Flushed(np.int32), _Flushed(np.int64), _Flushed(np.int32),
+        _Flushed(np.int64), _Flushed(np.int32))
+    hits: list[int] = []
+    misses: list[int] = []
+    event_append = events.chunk.append
+    victim_append = victims.chunk.append
+    dirty_wb_append = dirty_wb.chunk.append
+    add_append = adds.chunk.append
+    add_end_append = add_ends.chunk.append
+    hit_append = hits.append
+    miss_append = misses.append
+    l1_victims = l1c.victims(0)
+    n_events = n_adds = 0
+    for lo in range(0, b1_events, CHUNK):
+        hi = min(lo + CHUNK, b1_events)
+        refs = l1c.refs[lo:hi]
+        for k, block, is_write, l1_victim in zip(
+                range(lo, hi), blocks_arr[refs].tolist(),
+                writes_arr[refs].tolist(), l1_victims(lo, hi)):
+            h = m = 0
+            if l1_victim is not None:
+                # L1 write-back: an L2 access with write=True
+                lines = sets[(l1_victim >> shift) & mask]
+                if l1_victim in lines:
+                    j = lines.index(l1_victim)
+                    if j:
+                        lines.insert(0, lines.pop(j))
+                    dirty.add(l1_victim)
+                    add_append(l1_victim)
+                    n_adds += 1
+                    h = 1
+                else:
+                    m = 1
+            lines = sets[(block >> shift) & mask]
+            if block in lines:
+                j = lines.index(block)
                 if j:
                     lines.insert(0, lines.pop(j))
-                dirty.add(l1_victim)
-                adds.append(l1_victim)
-                h = 1
+                h += 1
             else:
-                m = 1
-        lines = sets[(block >> shift) & mask]
-        if block in lines:
-            j = lines.index(block)
-            if j:
-                lines.insert(0, lines.pop(j))
-            h += 1
-        else:
-            m += 1
-            victim = -1
-            if len(lines) >= assoc:
-                victim = lines.pop()
-                if victim in dirty:
-                    dirty.discard(victim)
-                    dirty_wb.append(len(events))
-            lines.insert(0, block)
-            if is_write:
-                dirty.add(block)
-            events.append(k)
-            victims.append(victim)
-            add_lens.append(len(adds) - mark)
-            mark = len(adds)
-        hit_d.append(h)
-        miss_d.append(m)
-    add_lens.append(len(adds) - mark)
+                m += 1
+                victim = -1
+                if len(lines) >= assoc:
+                    victim = lines.pop()
+                    if victim in dirty:
+                        dirty.discard(victim)
+                        dirty_wb_append(n_events)
+                lines.insert(0, block)
+                if is_write:
+                    dirty.add(block)
+                event_append(k)
+                victim_append(victim)
+                add_end_append(n_adds)
+                n_events += 1
+            hit_append(h)
+            miss_append(m)
+        hit_d[lo:hi] = hits
+        miss_d[lo:hi] = misses
+        hits.clear()
+        misses.clear()
+        for out in outputs:
+            out.flush()
     set_flat, set_lens = _pack_sets(sets)
     packed = L2Classification(
-        events=_frozen(np.asarray(events, dtype=np.int32)),
-        victims=_frozen(np.asarray(victims, dtype=np.int64)),
-        dirty_wb=_frozen(np.asarray(dirty_wb, dtype=np.int32)),
-        hit_d=_frozen(np.asarray(hit_d, dtype=np.int8)),
-        miss_d=_frozen(np.asarray(miss_d, dtype=np.int8)),
-        add_flat=_frozen(np.asarray(adds, dtype=np.int64)),
-        add_lens=_frozen(np.asarray(add_lens, dtype=np.int32)),
+        events=_frozen(events.array()), victims=_frozen(victims.array()),
+        dirty_wb=_frozen(dirty_wb.array()),
+        hit_d=_frozen(hit_d), miss_d=_frozen(miss_d),
+        add_flat=_frozen(adds.array()), add_ends=_frozen(add_ends.array()),
         set_flat=set_flat, set_lens=set_lens,
         dirty=_frozen(np.asarray(sorted(dirty), dtype=np.int64)))
     trace.classifications[key] = packed
@@ -580,33 +673,44 @@ def _make_fast_engine(memory, l2: Cache, cc: Cache | None, *, policy,
     MSHRS = mshrs
     ROB = rob_insns
 
-    def columns(refs: np.ndarray, victims, marks=None) -> zip:
-        """The per-event columns a drain zips, for the events at trace
-        indices ``refs`` whose victims are ``victims``.
+    def columns(refs: np.ndarray, victims, marks=None):
+        """The per-event rows a drain iterates, for the events at trace
+        indices ``refs``; ``victims`` and ``marks`` are column sources
+        (callables ``(lo, hi)`` giving the values of events ``lo..hi``).
 
         Per event: the clock prefix sum through its reference
         (``cum_cycles[i + 1]``), its instruction count through it, its
         block, write flag and victim; then the B2p dirty ``marks`` for
         ``drain_pre``, or the block's L2 set for ``drain_live`` (no
         ``marks``); then its counter-block index, counter-block address
-        and counter-cache set.  Each column is one NumPy gather and one
-        ``tolist()``, so a drain indexes no per-reference list.
+        and counter-cache set.  The columns are gathered and converted
+        :data:`CHUNK` events at a time as the drain reaches them, one
+        NumPy gather and one ``tolist()`` per column and chunk, so a
+        drain indexes no per-reference list and holds at most one chunk
+        of Python values.
         """
-        after = refs + 1
-        blocks = blocks_arr[refs]
-        cols = [cum_cycles[after].tolist(),
-                (cum_insns[after] + insns_base).tolist(),
-                blocks.tolist(), writes_arr[refs].tolist(), victims,
-                ((blocks >> L2_SHIFT) & L2_MASK).tolist()
-                if marks is None else marks]
-        if HAS_CC:
-            index = blocks // SPAN
-            caddr = index * CC_BS
-            cols += (index.tolist(), caddr.tolist(),
-                     ((caddr >> CC_SHIFT) & CC_MASK).tolist())
-        else:
-            cols += (repeat(None),) * 3
-        return zip(*cols)
+        return chain.from_iterable(_column_chunks(refs, victims, marks))
+
+    def _column_chunks(refs, victims, marks):
+        for lo in range(0, len(refs), CHUNK):
+            hi = min(lo + CHUNK, len(refs))
+            chunk = refs[lo:hi]
+            after = chunk + 1
+            blocks = blocks_arr[chunk]
+            cols = [cum_cycles[after].tolist(),
+                    (cum_insns[after] + insns_base).tolist(),
+                    blocks.tolist(), writes_arr[chunk].tolist(),
+                    victims(lo, hi),
+                    ((blocks >> L2_SHIFT) & L2_MASK).tolist()
+                    if marks is None else marks(lo, hi)]
+            if HAS_CC:
+                index = blocks // SPAN
+                caddr = index * CC_BS
+                cols += (index.tolist(), caddr.tolist(),
+                         ((caddr >> CC_SHIFT) & CC_MASK).tolist())
+            else:
+                cols += (repeat(None),) * 3
+            yield zip(*cols)
 
     # -- closure cells: every hot mutable scalar -------------------------
     bus_free = 0.0
@@ -1439,11 +1543,10 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
 
             # phase B: the segment's events as columns + bulk statistics
             if cached is None:
-                positions, run_writes = _run_masks(blocks_arr, writes_arr,
-                                                   a, b)
-                refs, victims = _l1_kernel(l1, blocks_arr, positions,
-                                           run_writes, b - a)
-                segment = columns(np.asarray(refs, dtype=np.int64), victims)
+                refs, wb_events, wb_blocks = _l1_kernel(
+                    l1, blocks_arr,
+                    *_run_masks(blocks_arr, writes_arr, a, b), b - a)
+                segment = columns(refs, _sparse(wb_events, wb_blocks))
             else:
                 lo, hi = _span(cached.refs, a, b)
                 misses = hi - lo
@@ -1453,8 +1556,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                 first, last = _span(cached.wb_events, lo, hi)
                 stats.writebacks += last - first
                 if cached_l2 is None:
-                    segment = columns(cached.refs[lo:hi],
-                                      cached.victims(lo, hi))
+                    segment = columns(cached.refs[lo:hi], cached.victims(lo))
                 else:
                     l2stats = l2.stats
                     l2stats.hits += int(cached_l2.hit_d[lo:hi].sum())
@@ -1466,7 +1568,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
                         l2stats.writebacks += last - first
                         segment = columns(
                             refs, cached_l2.dirty_victims(lo2, hi2),
-                            repeat(()))
+                            _no_marks)
                     else:
                         # phase B2p: the write-backs accumulate live in
                         # the drain

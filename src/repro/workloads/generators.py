@@ -31,10 +31,13 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from repro.workloads.trace import Trace
+import numpy as np
+
+from repro.workloads.trace import CHUNK, TRACE_DTYPE, Trace
 
 BLOCK = 64
 PAGE = 4096
+BLOCKS_PER_PAGE = PAGE // BLOCK
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,29 @@ def _round_page(n: int) -> int:
     return -(-n // PAGE) * PAGE
 
 
+def store_chunk(records, start: int, gaps: list, writes: list,
+                addrs: list) -> int:
+    """Copy one chunk's per-reference lists into the ``TRACE_DTYPE``
+    array ``records`` at ``start``, empty the lists, and return the index
+    after the chunk."""
+    stop = start + len(addrs)
+    records["gap"][start:stop] = gaps
+    records["write"][start:stop] = writes
+    records["addr"][start:stop] = addrs
+    gaps.clear()
+    writes.clear()
+    addrs.clear()
+    return stop
+
+
 def generate_trace(profile: WorkloadProfile, num_refs: int,
                    seed: int = 1234) -> Trace:
     """Produce ``num_refs`` references following a profile.
 
     The same (profile, num_refs, seed) triple always yields the identical
-    trace, so every benchmark config sees the same reference stream.
+    trace, so every benchmark config sees the same reference stream.  The
+    references go into a preallocated records array :data:`CHUNK` at a
+    time, so generation holds no per-reference Python list.
     """
     # zlib.crc32, not hash(): str hashing is salted per process, which
     # silently broke the determinism promise above across runs.
@@ -128,63 +148,85 @@ def generate_trace(profile: WorkloadProfile, num_refs: int,
     for w in weights:
         acc += w / total_w
         cum.append(acc)
+    c_hot, c_stream, c_random, c_pages = cum[:4]
 
+    hot_base = layout["hot"]
     hot_blocks = max(1, profile.hot_bytes // BLOCK)
-    stream_positions = [
-        layout["stream"] + i * (profile.stream_bytes // profile.num_streams)
-        for i in range(profile.num_streams)
-    ]
-    stream_limit = layout["stream"] + profile.stream_bytes
+    num_streams = profile.num_streams
+    stream_base = layout["stream"]
+    stream_span = profile.stream_bytes // num_streams
+    stream_positions = [stream_base + i * stream_span
+                        for i in range(num_streams)]
+    stream_limit = stream_base + profile.stream_bytes
+    stream_stride = profile.stream_stride
+    random_base = layout["random"]
     random_blocks = max(1, profile.random_bytes // BLOCK)
+    random_skew = profile.random_skew
+    pages_base = layout["pages"]
     page_pool = profile.page_pool_pages
-    current_page = layout["pages"]
+    page_step = profile.page_stride * PAGE
+    page_burst = profile.page_burst
+    current_page = pages_base
     page_left = 0
+    thrash_base = layout["thrash"]
+    thrash_way = profile.l2_way_bytes
+    thrash_blocks = profile.thrash_blocks
+    thrash_wf = profile.thrash_write_fraction
     thrash_next = 0
 
-    gaps: list[int] = []
-    writes: list[bool] = []
-    addrs: list[int] = []
     mean_gap = profile.mean_gap
+    has_gap = mean_gap > 0
+    lambd = 1.0 / mean_gap if has_gap else 0.0
     write_fraction = profile.write_fraction
     hot_wf = (profile.hot_write_fraction
               if profile.hot_write_fraction is not None
               else profile.write_fraction)
 
-    for i in range(num_refs):
-        r = rng.random()
-        if r < cum[0]:
-            # hot: zipf-ish reuse — square the uniform draw to skew small
-            idx = int(rng.random() ** 2 * hot_blocks)
-            addr = layout["hot"] + idx * BLOCK
-            is_write = rng.random() < hot_wf
-        elif r < cum[1]:
-            s = i % profile.num_streams
-            addr = stream_positions[s]
-            stream_positions[s] += profile.stream_stride
-            if stream_positions[s] >= stream_limit:
-                stream_positions[s] = layout["stream"] + (
-                    s * (profile.stream_bytes // profile.num_streams)
-                )
-            is_write = rng.random() < write_fraction
-        elif r < cum[2]:
-            idx = int(rng.random() ** profile.random_skew * random_blocks)
-            addr = layout["random"] + idx * BLOCK
-            is_write = rng.random() < write_fraction
-        elif r < cum[3]:
-            if page_left <= 0:
-                current_page = layout["pages"] + (
-                    rng.randrange(page_pool) * profile.page_stride * PAGE
-                )
-                page_left = profile.page_burst
-            addr = current_page + rng.randrange(PAGE // BLOCK) * BLOCK
-            page_left -= 1
-            is_write = rng.random() < write_fraction
-        else:
-            addr = layout["thrash"] + thrash_next * profile.l2_way_bytes
-            thrash_next = (thrash_next + 1) % profile.thrash_blocks
-            is_write = rng.random() < profile.thrash_write_fraction
-        gaps.append(int(rng.expovariate(1.0 / mean_gap)) if mean_gap > 0 else 0)
-        writes.append(is_write)
-        addrs.append(addr)
+    draw = rng.random
+    randrange = rng.randrange
+    expovariate = rng.expovariate
+    records = np.zeros(num_refs, dtype=TRACE_DTYPE)
+    gaps: list[int] = []
+    writes: list[bool] = []
+    addrs: list[int] = []
+    gap_append = gaps.append
+    write_append = writes.append
+    addr_append = addrs.append
+    for lo in range(0, num_refs, CHUNK):
+        for i in range(lo, min(lo + CHUNK, num_refs)):
+            r = draw()
+            if r < c_hot:
+                # hot: zipf-ish reuse — square the uniform draw to skew
+                # small
+                addr_append(hot_base + int(draw() ** 2 * hot_blocks) * BLOCK)
+                write_append(draw() < hot_wf)
+            elif r < c_stream:
+                s = i % num_streams
+                addr = stream_positions[s]
+                addr_append(addr)
+                addr += stream_stride
+                stream_positions[s] = (addr if addr < stream_limit
+                                       else stream_base + s * stream_span)
+                write_append(draw() < write_fraction)
+            elif r < c_random:
+                addr_append(random_base
+                            + int(draw() ** random_skew * random_blocks)
+                            * BLOCK)
+                write_append(draw() < write_fraction)
+            elif r < c_pages:
+                if page_left <= 0:
+                    current_page = (pages_base
+                                    + randrange(page_pool) * page_step)
+                    page_left = page_burst
+                addr_append(current_page
+                            + randrange(BLOCKS_PER_PAGE) * BLOCK)
+                page_left -= 1
+                write_append(draw() < write_fraction)
+            else:
+                addr_append(thrash_base + thrash_next * thrash_way)
+                thrash_next = (thrash_next + 1) % thrash_blocks
+                write_append(draw() < thrash_wf)
+            gap_append(int(expovariate(lambd)) if has_gap else 0)
+        store_chunk(records, lo, gaps, writes, addrs)
 
-    return Trace(name=profile.name, gaps=gaps, writes=writes, addrs=addrs)
+    return Trace.from_arrays(profile.name, records)

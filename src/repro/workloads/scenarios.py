@@ -35,13 +35,16 @@ import random
 import zlib
 from typing import Callable
 
+import numpy as np
+
 from repro.workloads.generators import (
     BLOCK,
     WorkloadProfile,
     generate_trace,
+    store_chunk,
 )
 from repro.workloads.spec2k import PROFILES, SPEC_APPS
-from repro.workloads.trace import Trace
+from repro.workloads.trace import CHUNK, TRACE_DTYPE, Trace
 
 __all__ = [
     "SCENARIO_APPS",
@@ -102,50 +105,67 @@ _GC_MEAN_GAP = {"mutate": 2.5, "mark": 1.0, "sweep": 1.2}
 
 
 def _gc_mark_sweep(num_refs: int, seed: int = 1234) -> Trace:
-    """Phased tracing-GC trace; same seeding discipline as generate_trace."""
+    """Phased tracing-GC trace; same seeding discipline as generate_trace,
+    and filled into its records array a chunk at a time the same way."""
     rng = random.Random(
         (zlib.crc32(b"gc-mark-sweep") & 0xFFFF) ^ seed)
+    draw = rng.random
+    randrange = rng.randrange
+    expovariate = rng.expovariate
     heap_blocks = _GC_HEAP_BYTES // BLOCK
     young_base = _GC_HEAP_BYTES
     young_blocks = _GC_YOUNG_BYTES // BLOCK
     alloc_ptr = 0                   # bump allocator, wraps (survivors copied)
-    mark_cursor = rng.randrange(heap_blocks)
+    mark_cursor = randrange(heap_blocks)
     sweep_cursor = 0
 
+    records = np.zeros(num_refs, dtype=TRACE_DTYPE)
     gaps: list[int] = []
     writes: list[bool] = []
     addrs: list[int] = []
-    produced = 0
+    gap_append = gaps.append
+    write_append = writes.append
+    addr_append = addrs.append
+    produced = stored = 0
     while produced < num_refs:
         for phase, length in _GC_PHASES:
-            mean_gap = _GC_MEAN_GAP[phase]
-            for _ in range(min(length, num_refs - produced)):
-                if phase == "mutate":
-                    if rng.random() < 0.55:
-                        # bump-allocation store into the young generation
-                        addr = young_base + (alloc_ptr % young_blocks) * BLOCK
-                        alloc_ptr += 1
-                        is_write = True
-                    else:
-                        # mutator field access: pointer-chase into the heap
-                        addr = rng.randrange(heap_blocks) * BLOCK
-                        is_write = rng.random() < 0.10
-                elif phase == "mark":
-                    # tracing walk: each object points somewhere unrelated
-                    mark_cursor = (mark_cursor * 1103515245
-                                   + rng.randrange(65536)) % heap_blocks
-                    addr = mark_cursor * BLOCK
-                    is_write = rng.random() < 0.04      # mark-bit flips
-                else:  # sweep: sequential scan, free-list read-modify-write
-                    addr = (sweep_cursor % heap_blocks) * BLOCK
-                    sweep_cursor += 1
-                    is_write = rng.random() < 0.50
-                gaps.append(int(rng.expovariate(1.0 / mean_gap)))
-                writes.append(is_write)
-                addrs.append(addr)
-                produced += 1
-
-    return Trace(name="gc-mark-sweep", gaps=gaps, writes=writes, addrs=addrs)
+            lambd = 1.0 / _GC_MEAN_GAP[phase]
+            left = min(length, num_refs - produced)
+            produced += left
+            while left:
+                take = min(left, CHUNK - len(addrs))
+                for _ in range(take):
+                    if phase == "mutate":
+                        if draw() < 0.55:
+                            # bump-allocation store into the young
+                            # generation
+                            addr_append(young_base
+                                        + (alloc_ptr % young_blocks) * BLOCK)
+                            alloc_ptr += 1
+                            write_append(True)
+                        else:
+                            # mutator field access: pointer-chase into the
+                            # heap
+                            addr_append(randrange(heap_blocks) * BLOCK)
+                            write_append(draw() < 0.10)
+                    elif phase == "mark":
+                        # tracing walk: each object points somewhere
+                        # unrelated
+                        mark_cursor = (mark_cursor * 1103515245
+                                       + randrange(65536)) % heap_blocks
+                        addr_append(mark_cursor * BLOCK)
+                        write_append(draw() < 0.04)     # mark-bit flips
+                    else:  # sweep: sequential scan, free-list RMW
+                        addr_append((sweep_cursor % heap_blocks) * BLOCK)
+                        sweep_cursor += 1
+                        write_append(draw() < 0.50)
+                    gap_append(int(expovariate(lambd)))
+                left -= take
+                if len(addrs) == CHUNK:
+                    stored = store_chunk(records, stored, gaps, writes,
+                                         addrs)
+    store_chunk(records, stored, gaps, writes, addrs)
+    return Trace.from_arrays("gc-mark-sweep", records)
 
 
 def _profile_scenario(profile: WorkloadProfile

@@ -8,8 +8,9 @@ A trace is one structured NumPy array with a record per reference
 * ``write`` — True for stores;
 * ``addr``  — byte address referenced.
 
-The batched sim engine reads the records with NumPy and gathers only the
-references it drains.  Code that walks a trace one reference at a time
+The generators fill the records :data:`CHUNK` references at a time, and
+the batched sim engine reads them with NumPy and gathers only the
+references it drains, a chunk at a time.  Code that walks a trace one reference at a time
 (the scalar oracle, the functional-layer drivers) reads the plain Python
 lists ``gaps``, ``writes`` and ``addrs``, which are built from the
 records on first use and kept.
@@ -27,6 +28,13 @@ import numpy as np
 
 #: structured dtype of :meth:`Trace.arrays` — one record per reference
 TRACE_DTYPE = [("addr", "<i8"), ("gap", "<i4"), ("write", "?")]
+
+#: The most entries any per-reference or per-event Python list holds
+#: while a trace is generated or a batched run classifies and drains it.
+#: Every O(refs) stream lives in an array and is filled or read this many
+#: entries at a time, so a run's Python objects do not grow with its
+#: length.
+CHUNK = 2048
 
 
 class Trace:

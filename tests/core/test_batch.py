@@ -16,6 +16,8 @@ re-fetched and re-verified.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.secure_memory as secure_memory
+from repro.auth import IntegrityViolation
 from repro.auth.merkle import MerkleTree
 from repro.core import (
     SecureMemorySystem,
@@ -27,8 +29,10 @@ from repro.core import (
     split_config,
     split_gcm_config,
     split_sha_config,
+    xom_sha_config,
 )
 from repro.core.config import CounterOrg
+from repro.obs.metrics import fields_state
 
 REGION = 32 * 64  # 32 cache blocks
 ADDRESSES = [i * 64 for i in range(REGION // 64)]
@@ -184,3 +188,62 @@ class TestBatchedWriteBack:
         batched.flush()
         assert batched.read_blocks(ADDRESSES) == [
             block_data(n) for n in range(len(ADDRESSES))]
+
+
+class TestWriteAllocate:
+    """A write-allocate miss verifies the block it replaces but does not
+    decrypt it: the write overwrites the plaintext."""
+
+    @staticmethod
+    def all_miss_pair(config):
+        """Twin systems holding every block in DRAM and none in the L2,
+        whose L2 holds the whole region, so a write batch misses on
+        every block and evicts none."""
+        pair = make_pair(config, l2_size=2 * REGION)
+        for system in pair:
+            for n, address in enumerate(ADDRESSES):
+                system.write_block(address, block_data(n))
+            system.flush()
+            assert system.l2.flush() == []
+        return pair
+
+    @pytest.mark.parametrize("config", [split_gcm_config(),
+                                        xom_sha_config()],
+                             ids=["counter", "direct"])
+    def test_all_miss_write_blocks_decrypts_nothing(self, config,
+                                                     monkeypatch):
+        scalar, batched = self.all_miss_pair(config)
+        pairs = [(address, block_data(100 + n))
+                 for n, address in enumerate(ADDRESSES)]
+        for address, data in pairs:
+            scalar.write_block(address, data)
+
+        calls = []
+        for name in ("bulk_ctr_transform", "decrypt_blocks_kernel"):
+            def spy(*args, _name=name, _inner=getattr(secure_memory, name),
+                    **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(secure_memory, name, spy)
+        batched.write_blocks(pairs)
+        assert calls == []
+        monkeypatch.undo()
+
+        for system in (scalar, batched):
+            system.flush()
+        assert batched.dram.state_dict() == scalar.dram.state_dict()
+        assert batched.merkle.top_macs == scalar.merkle.top_macs
+        assert fields_state(batched.stats) == fields_state(scalar.stats)
+        assert batched.stats.reads == 2 * len(ADDRESSES)
+        assert batched.l2.flush() == []
+        assert batched.read_blocks(ADDRESSES) == [data for _, data in pairs]
+
+    @pytest.mark.parametrize("config", [split_gcm_config(),
+                                        xom_sha_config()],
+                             ids=["counter", "direct"])
+    def test_tampered_block_still_fails_verification(self, config):
+        _, batched = self.all_miss_pair(config)
+        batched.dram.poke(ADDRESSES[5], bytes(64))
+        with pytest.raises(IntegrityViolation):
+            batched.write_blocks([(address, block_data(7))
+                                  for address in ADDRESSES])
