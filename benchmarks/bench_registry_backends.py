@@ -1,7 +1,7 @@
 """Registry backends — SecDDR-style and scattered-memory overhead rows.
 
-Figure 4/9-style normalized-IPC comparison of the two backends added via
-the scheme registry against the paper's Split+GCM design point:
+Figure 4/9-style normalized-IPC comparison of the two post-paper backend
+presets against the paper's Split+GCM design point:
 
 * **SecDDR** keeps split counters + GCM but replaces the Bonsai Merkle
   walk with an on-chip MAC-of-MACs table — verification fetches at most

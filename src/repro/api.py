@@ -11,9 +11,11 @@ Everything an experiment needs lives behind three names:
 * :func:`run` — one-shot convenience wrapping the two above.
 
 The CLI (``python -m repro``), the pytest benchmarks, and the examples are
-all thin layers over this module.  The older per-scheme constructors
-(``split_gcm_config()`` and friends) and the raw ``PRESETS`` mapping remain
-available as back-compat shims, but new code should start here.
+all thin layers over this module.  The presets themselves are defined in
+:mod:`repro.core.config`: one constructor each (``split_gcm_config()`` and
+friends, which take field overrides too) and one row of the table the
+read-only ``PRESETS`` mapping is built from; :func:`get_config` looks them
+up by label and :func:`list_schemes` describes them.
 
 Example::
 
@@ -32,7 +34,16 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.core.config import PRESETS, SecureMemoryConfig, lookup_preset
+from repro.core.config import (
+    AuthMode,
+    CounterOrg,
+    EncryptionMode,
+    IntegrityMode,
+    PRESET_SUMMARIES,
+    PRESETS,
+    SecureMemoryConfig,
+    lookup_preset,
+)
 from repro.core.results import (
     RESULT_SCHEMA,
     ResultBase,
@@ -97,11 +108,13 @@ def get_config(name: str | None = None, *, preset: str | None = None,
     return config.with_updates(**overrides) if overrides else config
 
 
-# -- scheme registry views ----------------------------------------------------
+# -- preset descriptions ------------------------------------------------------
 
 @dataclass(frozen=True)
 class ComponentInfo:
-    """One mechanism of a scheme, as registered in the scheme registry."""
+    """One mechanism a preset is built from, with its capability contract:
+    what it ``provides`` and what the preset's other components must
+    provide for it to work (``requires``)."""
 
     kind: str
     name: str
@@ -116,14 +129,93 @@ class ComponentInfo:
         return payload
 
 
+def _component(kind: str, key: Any, name: str, summary: str,
+               provides: tuple[str, ...] = (),
+               requires: tuple[str, ...] = ()):
+    return (kind, key), ComponentInfo(kind, name, summary, provides, requires)
+
+
+#: every mechanism a preset is built from, keyed by kind and the config
+#: value that selects it (``None``: the preset keeps no counters, or has
+#: no MACs for an integrity tree to anchor)
+_COMPONENTS: dict[tuple[str, Any], ComponentInfo] = dict((
+    _component("codec", EncryptionMode.NONE, "plaintext",
+               "no data transformation; DRAM stores plaintext"),
+    _component("codec", EncryptionMode.DIRECT, "aes-direct",
+               "direct AES block encryption (decrypt on the critical path)",
+               provides=("confidentiality",)),
+    _component("codec", EncryptionMode.COUNTER, "aes-ctr",
+               "counter-mode AES pads overlapped with the memory fetch",
+               provides=("confidentiality",), requires=("counters",)),
+    _component("codec", EncryptionMode.SHARES, "secret-shares",
+               "k-of-n Shamir secret sharing over GF(256) per block",
+               provides=("confidentiality", "scattering"),
+               requires=("counters", "authentication")),
+    _component("counter", None, "none", "no per-block counters"),
+    _component("counter", CounterOrg.SPLIT, "split",
+               "split major/minor counters (the paper's contribution)",
+               provides=("counters",)),
+    _component("counter", CounterOrg.MONO8, "mono8",
+               "8-bit monolithic per-block counters", provides=("counters",)),
+    _component("counter", CounterOrg.MONO16, "mono16",
+               "16-bit monolithic per-block counters",
+               provides=("counters",)),
+    _component("counter", CounterOrg.MONO32, "mono32",
+               "32-bit monolithic per-block counters",
+               provides=("counters",)),
+    _component("counter", CounterOrg.MONO64, "mono64",
+               "64-bit monolithic per-block counters",
+               provides=("counters",)),
+    _component("counter", CounterOrg.PREDICTION, "prediction",
+               "counter prediction (speculate instead of caching)",
+               provides=("counters",)),
+    _component("mac", AuthMode.NONE, "none",
+               "no per-block authentication codes"),
+    _component("mac", AuthMode.GCM, "gcm",
+               "GCM MACs sharing the AES engine; pads overlap the fetch",
+               provides=("authentication",), requires=("counters",)),
+    _component("mac", AuthMode.SHA1, "sha1",
+               "HMAC-SHA1 MACs (prior-work baseline, serialized)",
+               provides=("authentication",)),
+    _component("integrity", None, "none",
+               "MACs (if any) are unanchored; replay is out of scope"),
+    _component("integrity", IntegrityMode.TREE, "tree",
+               "Bonsai-style Merkle tree over data+counter leaf MACs",
+               provides=("replay-protection",),
+               requires=("authentication",)),
+    _component("integrity", IntegrityMode.SECDDR, "secddr",
+               "SecDDR-style on-chip MAC-of-MACs; O(1) verify, no walk",
+               provides=("replay-protection", "constant-time-verify"),
+               requires=("authentication",)),
+))
+
+
+def _components(config: SecureMemoryConfig) -> tuple[ComponentInfo, ...]:
+    """The codec, counter, MAC and integrity components ``config`` builds.
+
+    Both layers build an integrity tree only over MACs, so a preset
+    without authentication has integrity ``none`` whatever its
+    ``integrity`` field says.
+    """
+    authenticated = config.auth is not AuthMode.NONE
+    return (
+        _COMPONENTS["codec", config.encryption],
+        _COMPONENTS["counter",
+                    config.counter_org if config.uses_counters else None],
+        _COMPONENTS["mac", config.auth],
+        _COMPONENTS["integrity",
+                    config.resolved_integrity if authenticated else None],
+    )
+
+
 @dataclass(frozen=True)
 class SchemeInfo:
-    """Structured description of one registered scheme.
+    """Structured description of one preset.
 
-    ``encryption``/``counters``/``auth``/``mac_bits``/``integrity`` echo
-    the resolved configuration (the stable CLI JSON contract);
-    ``components`` and ``capabilities`` expose the registry's view of how
-    the scheme is composed.
+    ``encryption``/``counters``/``auth``/``mac_bits`` echo the preset's
+    configuration and ``integrity`` names its integrity component (the
+    stable CLI JSON contract); ``components`` and ``capabilities`` say
+    which mechanisms the preset is built from and what they provide.
     """
 
     name: str
@@ -144,39 +236,32 @@ class SchemeInfo:
 
 
 def describe_scheme(name: str) -> SchemeInfo:
-    """Describe one registered scheme (preset) as structured data."""
-    from repro.schemes import REGISTRY
+    """Describe one preset as structured data.
 
-    composition = REGISTRY.scheme(name)
+    Unknown names raise :class:`KeyError` with close-match suggestions,
+    like :func:`get_config`.
+    """
     config = get_config(name)
-    specs = [REGISTRY.component(kind, comp_name)
-             for kind, comp_name in composition.component_names()]
+    components = _components(config)
     return SchemeInfo(
-        name=composition.name,
-        summary=composition.summary,
+        name=config.name,
+        summary=PRESET_SUMMARIES[config.name],
         encryption=config.encryption.value,
         counters=(config.counter_org.value if config.uses_counters
                   else None),
         auth=config.auth.value,
         mac_bits=config.mac_bits,
-        integrity=config.resolved_integrity.value,
+        integrity=components[-1].name,
         capabilities=tuple(sorted(
-            {cap for spec in specs for cap in spec.provides}
+            {cap for component in components for cap in component.provides}
         )),
-        components=tuple(
-            ComponentInfo(kind=spec.kind, name=spec.name,
-                          summary=spec.summary, provides=spec.provides,
-                          requires=spec.requires)
-            for spec in specs
-        ),
+        components=components,
     )
 
 
 def list_schemes() -> list[SchemeInfo]:
-    """Every registered scheme, in registration (display) order."""
-    from repro.schemes import REGISTRY
-
-    return [describe_scheme(name) for name in REGISTRY.scheme_names()]
+    """Every preset, in display order."""
+    return [describe_scheme(name) for name in PRESETS]
 
 
 @dataclass(frozen=True)
@@ -433,8 +518,8 @@ class Experiment:
 
             write_chrome_trace(self.tracer, self._trace_out)
         memory = result.memory
-        # nan, not 0.0, when the baseline is broken — matching
-        # NormalizedResult so a bad cell cannot pose as "infinitely slow".
+        # nan, not 0.0, when the baseline is broken, so a bad cell cannot
+        # pose as "infinitely slow" and drag a figure's average down.
         nipc = (result.ipc / baseline.ipc if baseline.ipc
                 else float("nan"))
         counter_cache = memory.counter_cache

@@ -34,12 +34,6 @@ _SUBMODULE_NAMES = {
         "split_sha_config",
         "xom_sha_config",
     ),
-    "response": (
-        "ResponseMode",
-        "SystemHalted",
-        "ViolationResponder",
-        "expected_forgery_stall_cycles",
-    ),
     "rsr": ("RSR", "RSRFile"),
     "secure_memory": ("SecureMemorySystem", "make_counter_scheme"),
     "stats": ("PadStats", "ReencryptionStats", "SecureMemoryStats"),

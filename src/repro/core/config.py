@@ -9,9 +9,11 @@ structures.  The same config object drives both the functional layer
 one config plus one workload.
 
 Presets mirror the labels used in Figures 4-10: ``split``, ``mono8b`` ..
-``mono64b``, ``direct``, ``prediction``, combined ``split_gcm`` /
-``mono_gcm`` / ``split_sha`` / ``mono_sha`` / ``xom_sha``, and
-authentication-only ``gcm_auth`` / ``sha_auth``.
+``mono64b``, ``direct``, ``pred``/``pred2eng``, combined ``split+gcm`` /
+``mono+gcm`` / ``split+sha`` / ``mono+sha`` / ``xom+sha``, and
+authentication-only ``gcm-auth`` / ``sha-auth-320``, plus the post-paper
+``secddr`` and ``scattered`` backends.  Each is one constructor below and
+one row of the table :data:`PRESETS` is built from at import.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import difflib
 import enum
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.auth.policies import AuthPolicy
@@ -382,26 +385,42 @@ def scattered_config(**kwargs) -> SecureMemoryConfig:
                 shares_n=kwargs.pop("shares_n", 3), **kwargs)
 
 
-#: every named preset, keyed by its benchmark label.  Read-only: presets are
-#: shared module state — derive variants with ``config.with_updates(...)`` or
-#: :func:`repro.api.get_config` overrides instead of mutating the mapping.
-#:
-#: The mapping is a thin view over the scheme registry
-#: (:data:`repro.schemes.REGISTRY`): it is built lazily on first attribute
-#: access (PEP 562) so this module never imports the registry at load time,
-#: and each entry is the registry's resolution of the like-named
-#: composition — field-identical to the constructor above for every legacy
-#: name.
-PRESETS: Mapping[str, SecureMemoryConfig]
+#: every named preset, keyed by its benchmark label, in display order,
+#: with its one-line summary.  This table is the only definition of the
+#: preset set: the CLI, the fuzz oracle, the attack matrix, the golden
+#: fixtures and the bench all iterate :data:`PRESETS`.
+_PRESET_TABLE = (
+    (baseline_config(), "no protection (IPC reference)"),
+    (split_config(), "split-counter encryption, no authentication"),
+    (mono_config(8), "8-bit monolithic counter encryption"),
+    (mono_config(16), "16-bit monolithic counter encryption"),
+    (mono_config(32), "32-bit monolithic counter encryption"),
+    (mono_config(64), "64-bit monolithic counter encryption"),
+    (direct_config(), "direct AES encryption (XOM-style latency)"),
+    (prediction_config(), "counter prediction, one AES engine"),
+    (prediction_config(aes_engines=2), "counter prediction, two AES engines"),
+    (gcm_auth_config(), "GCM authentication only (no encryption)"),
+    (sha_auth_config(), "SHA-1 authentication only"),
+    (split_gcm_config(), "the paper's default: split + GCM + tree"),
+    (mono_gcm_config(), "monolithic counters + GCM + tree"),
+    (split_sha_config(), "split counters + SHA-1 MACs + tree"),
+    (mono_sha_config(), "monolithic counters + SHA-1 MACs + tree"),
+    (xom_sha_config(), "direct AES + SHA-1 MACs (XOM-like)"),
+    (secddr_config(), "SecDDR-style: split + GCM, on-chip MAC-of-MACs replay "
+                      "protection instead of a Merkle walk"),
+    (scattered_config(), "Secure Scattered Memory: 2-of-3 secret-shared "
+                         "blocks with share-level MACs under the Merkle tree"),
+)
 
+#: Read-only: presets are shared module state — derive variants with
+#: ``config.with_updates(...)`` or :func:`repro.api.get_config` overrides
+#: instead of mutating the mapping.
+PRESETS: Mapping[str, SecureMemoryConfig] = MappingProxyType(
+    {config.name: config for config, _ in _PRESET_TABLE})
 
-def _presets() -> Mapping[str, SecureMemoryConfig]:
-    presets = globals().get("PRESETS")
-    if presets is None:
-        from repro.schemes import preset_configs
-
-        presets = globals()["PRESETS"] = preset_configs()
-    return presets
+#: each preset's one-line summary, as ``python -m repro schemes`` prints it
+PRESET_SUMMARIES: Mapping[str, str] = MappingProxyType(
+    {config.name: summary for config, summary in _PRESET_TABLE})
 
 
 def lookup_preset(label: str) -> SecureMemoryConfig:
@@ -410,23 +429,16 @@ def lookup_preset(label: str) -> SecureMemoryConfig:
     Unknown labels raise :class:`KeyError` with close-match suggestions
     (``lookup_preset("spilt")`` → *did you mean 'split'?*).
     """
-    presets = _presets()
     try:
-        return presets[label]
+        return PRESETS[label]
     except KeyError:
-        suggestions = difflib.get_close_matches(label, presets, n=3)
+        suggestions = difflib.get_close_matches(label, PRESETS, n=3)
         hint = (
             f"; did you mean {' or '.join(repr(s) for s in suggestions)}?"
             if suggestions else ""
         )
         raise KeyError(
             f"unknown config {label!r}{hint} "
-            f"(choose from: {', '.join(presets)})"
+            f"(choose from: {', '.join(PRESETS)})"
         ) from None
 
-
-def __getattr__(name: str):
-    if name == "PRESETS":
-        return _presets()
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

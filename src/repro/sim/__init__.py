@@ -1,23 +1,15 @@
 """Trace-driven timing simulation: processor, secure-memory timing, metrics."""
 
-from repro.sim.metrics import (
-    NormalizedResult,
-    arithmetic_mean,
-    geometric_mean,
-    run_normalized,
-)
+from repro.sim.metrics import geometric_mean
 from repro.sim.processor import LoopState, Processor, SimResult, simulate
 from repro.sim.timing_memory import MissTiming, TimingSecureMemory
 
 __all__ = [
     "LoopState",
     "MissTiming",
-    "NormalizedResult",
     "Processor",
     "SimResult",
     "TimingSecureMemory",
-    "arithmetic_mean",
     "geometric_mean",
-    "run_normalized",
     "simulate",
 ]

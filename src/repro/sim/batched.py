@@ -80,7 +80,7 @@ convert to; stalls re-anchor the base with the exact same expressions,
 and the closure engine evaluates the exact float expressions of the
 scalar methods in the exact order.  The golden-trace
 fixtures and the Hypothesis differential suite in ``tests/sim/`` enforce
-the contract for all registered schemes.
+the contract for every preset.
 """
 
 from __future__ import annotations

@@ -1,90 +1,19 @@
-"""IPC normalization and experiment-level aggregation helpers.
+"""Experiment-level aggregation of normalized IPC.
 
 All performance results in the paper are *normalized IPC* — a scheme's IPC
 divided by the IPC of the same application on a machine with no memory
-encryption or authentication.  These helpers run the baseline and scheme
-configurations over identical traces and compute the ratios and the
-averages the figures report (averages in the paper are over all 21
-benchmarks even when only a subset is plotted individually).
+encryption or authentication (:class:`repro.api.Experiment` computes it,
+``nan`` when the baseline IPC is zero).  The figures average it over all
+21 benchmarks even when only a subset is plotted individually.
 
-Aggregation semantics:
-
-* A zero-IPC baseline makes ``normalized_ipc`` *undefined*, not zero —
-  the cell reports ``nan`` so a broken baseline cannot masquerade as a
-  "scheme is infinitely slow" data point and silently drag averages down.
-* ``geometric_mean`` works in the log domain so a 21-benchmark product of
-  small ratios cannot underflow to 0.0 (the naive product of 21 values
-  around 1e-20 underflows ``float``).
+``geometric_mean`` works in the log domain so a 21-benchmark product of
+small ratios cannot underflow to 0.0 (the naive product of 21 values
+around 1e-20 underflows ``float``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from repro.core.config import SecureMemoryConfig, baseline_config
-from repro.sim.processor import SimResult, simulate
-from repro.workloads.trace import Trace
-
-
-@dataclass
-class NormalizedResult:
-    """One (application, scheme) cell of a figure."""
-
-    app: str
-    scheme: str
-    baseline: SimResult
-    result: SimResult
-
-    @property
-    def normalized_ipc(self) -> float:
-        # A zero baseline IPC means the ratio is undefined; report nan
-        # rather than 0.0 so the cell is visibly invalid instead of
-        # looking like a catastrophic slowdown.
-        if self.baseline.ipc == 0:
-            return float("nan")
-        return self.result.ipc / self.baseline.ipc
-
-    @property
-    def valid(self) -> bool:
-        """Whether this cell carries a defined normalized IPC."""
-        return not math.isnan(self.normalized_ipc)
-
-    @property
-    def overhead(self) -> float:
-        """IPC overhead as a fraction (paper: '5% overhead' = 0.95 nIPC).
-
-        Propagates ``nan`` from an undefined ``normalized_ipc``.
-        """
-        return 1.0 - self.normalized_ipc
-
-
-def run_normalized(config: SecureMemoryConfig, trace: Trace,
-                   baseline: SimResult | None = None,
-                   warmup_refs: int = 0, **kwargs) -> NormalizedResult:
-    """Simulate a scheme and its no-protection baseline on one trace."""
-    if baseline is None:
-        baseline = simulate(baseline_config(), trace,
-                            warmup_refs=warmup_refs, **kwargs)
-    result = simulate(config, trace, warmup_refs=warmup_refs, **kwargs)
-    return NormalizedResult(app=trace.name, scheme=config.name,
-                            baseline=baseline, result=result)
-
-
-def _clean(values: list[float], skip_invalid: bool,
-           allow_negative: bool) -> list[float]:
-    """Shared validation for the mean helpers."""
-    out = []
-    for v in values:
-        if math.isnan(v):
-            if skip_invalid:
-                continue
-            raise ValueError("nan in mean input (invalid cell); "
-                             "pass skip_invalid=True to drop such cells")
-        if not allow_negative and v < 0:
-            raise ValueError(f"negative value {v!r} has no geometric mean")
-        out.append(v)
-    return out
 
 
 def geometric_mean(values: list[float], skip_invalid: bool = False) -> float:
@@ -94,19 +23,20 @@ def geometric_mean(values: list[float], skip_invalid: bool = False) -> float:
     * any value == 0 -> 0.0 (a zero ratio annihilates the product)
     * any negative value -> ``ValueError`` (undefined for real outputs)
     * any nan -> ``ValueError`` unless ``skip_invalid=True``, which drops
-      nan cells (e.g. `NormalizedResult` cells with a broken baseline)
+      nan cells (e.g. a normalized IPC over a broken baseline)
     """
-    cleaned = _clean(values, skip_invalid, allow_negative=False)
+    cleaned = []
+    for v in values:
+        if math.isnan(v):
+            if skip_invalid:
+                continue
+            raise ValueError("nan in mean input (invalid cell); "
+                             "pass skip_invalid=True to drop such cells")
+        if v < 0:
+            raise ValueError(f"negative value {v!r} has no geometric mean")
+        cleaned.append(v)
     if not cleaned:
         return 0.0
     if any(v == 0 for v in cleaned):
         return 0.0
     return math.exp(sum(math.log(v) for v in cleaned) / len(cleaned))
-
-
-def arithmetic_mean(values: list[float], skip_invalid: bool = False) -> float:
-    """Arithmetic mean; nan handling matches :func:`geometric_mean`."""
-    cleaned = _clean(values, skip_invalid, allow_negative=True)
-    if not cleaned:
-        return 0.0
-    return sum(cleaned) / len(cleaned)

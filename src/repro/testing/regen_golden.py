@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python -m repro.testing.regen_golden
 
-One JSON file per registered preset pins the *scalar* engine's observable
+One JSON file per preset pins the *scalar* engine's observable
 behaviour on a fixed seeded trace: final cycles, normalized IPC against
 the no-protection baseline, the full metrics snapshot, the ``SimResult``
 stat counters, and the summed :class:`~repro.obs.attribution.MissRecord`

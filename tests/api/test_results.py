@@ -25,12 +25,6 @@ class TestConfigFingerprint:
         prints = {config_fingerprint(c) for c in PRESETS.values()}
         assert len(prints) == len(PRESETS)
 
-    def test_constructor_and_registry_agree(self):
-        from repro.core.config import secddr_config
-        from repro.schemes import REGISTRY
-        assert (config_fingerprint(secddr_config())
-                == config_fingerprint(REGISTRY.resolve("secddr")))
-
 
 class TestMetaAttached:
     def test_run_meta(self):

@@ -1,7 +1,7 @@
 """Golden attack-outcome matrix for relocation and cold-boot remanence.
 
-The table below is the *committed* security claim of every registered
-scheme against the two attack classes added with the recorded-trace
+The table below is the *committed* security claim of every preset
+against the two attack classes added with the recorded-trace
 scenario library — executed, not asserted from config flags alone, so a
 regression anywhere in the crypto kernels, counter schemes, shares
 reconstruction, or tree shows up as a flipped cell.
@@ -18,7 +18,7 @@ Columns:
 * ``cb_detect`` — does the post-reboot read raise a violation?  True
   exactly for authenticating schemes.
 
-A scheme registered without a row here fails loudly — new backends must
+A preset added without a row here fails loudly — new backends must
 declare their claim.
 """
 
@@ -56,7 +56,7 @@ EXPECTED = {
 
 def test_every_registered_scheme_has_a_row():
     assert set(EXPECTED) == set(PRESETS), (
-        "new scheme registered without a committed attack-outcome row")
+        "new preset added without a committed attack-outcome row")
 
 
 def test_table_consistent_with_config_claims():

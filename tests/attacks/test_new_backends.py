@@ -1,7 +1,7 @@
 """Attack rows specific to the SecDDR and scattered-memory backends.
 
 The generic matrix (test_matrix.py) already runs every staged attack
-against both presets purely because they are registered schemes; these
+against both purely because they are in ``PRESETS``; these
 tests pin the *mechanism-specific* claims: SecDDR's MAC-of-MACs catches
 ciphertext relocation without a tree walk, and the scattered scheme
 detects per-share tampering while shrugging off damage to redundant

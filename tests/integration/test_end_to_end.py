@@ -16,7 +16,8 @@ from repro.core import (
     split_config,
     split_gcm_config,
 )
-from repro.sim import run_normalized, simulate
+from repro.api import Experiment
+from repro.sim import simulate
 from repro.workloads import spec_trace
 
 REFS = 30_000
@@ -34,8 +35,8 @@ def swim_baseline(swim_trace):
 
 
 def nipc(config, trace, baseline):
-    return run_normalized(config, trace, baseline=baseline,
-                          warmup_refs=WARMUP).normalized_ipc
+    return Experiment(config, trace, refs=REFS, warmup_refs=WARMUP,
+                      baseline=baseline).run().normalized_ipc
 
 
 class TestFigure4Shape:

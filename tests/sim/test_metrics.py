@@ -1,17 +1,13 @@
-"""Normalization and aggregation helpers."""
+"""Normalized IPC and its aggregation across apps."""
 
 import math
 
 import pytest
 
+from repro.api import Experiment
 from repro.core.config import baseline_config, direct_config
-from repro.sim.metrics import (
-    NormalizedResult,
-    arithmetic_mean,
-    geometric_mean,
-    run_normalized,
-)
-from repro.sim.processor import SimResult
+from repro.sim.metrics import geometric_mean
+from repro.sim.processor import SimResult, simulate
 from repro.workloads.trace import Trace
 
 
@@ -27,23 +23,39 @@ def miss_trace(n=200):
                  addrs=[i * 64 * 33 for i in range(n)])
 
 
+def normalized(config, baseline=None):
+    """Run ``config`` on the miss trace, against ``baseline`` if given."""
+    trace = miss_trace()
+    return Experiment(config, trace, refs=len(trace), warmup_refs=0,
+                      baseline=baseline).run()
+
+
+def scaled_baseline(cycle_factor):
+    """The miss trace's baseline with its cycles scaled by ``cycle_factor``,
+    so a baseline-config run normalizes to exactly ``cycle_factor``."""
+    base = simulate(baseline_config(), miss_trace())
+    return sim_result(base.instructions, base.cycles * cycle_factor)
+
+
 class TestNormalization:
     def test_baseline_normalizes_to_one(self):
-        result = run_normalized(baseline_config(), miss_trace())
+        result = normalized(baseline_config())
         assert result.normalized_ipc == pytest.approx(1.0)
         assert result.overhead == pytest.approx(0.0)
 
     def test_direct_shows_overhead(self):
-        result = run_normalized(direct_config(), miss_trace())
+        result = normalized(direct_config())
         assert 0 < result.normalized_ipc < 1
         assert result.overhead == pytest.approx(1 - result.normalized_ipc)
 
     def test_shared_baseline_reused(self):
-        from repro.sim.processor import simulate
         trace = miss_trace()
         base = simulate(baseline_config(), trace)
-        result = run_normalized(direct_config(), trace, baseline=base)
-        assert result.baseline is base
+        experiment = Experiment(direct_config(), trace, refs=len(trace),
+                                warmup_refs=0, baseline=base)
+        result = experiment.run()
+        assert experiment.baseline_result is base
+        assert result.baseline_ipc == base.ipc
 
 
 class TestNormalizedResultEdgeCases:
@@ -56,64 +68,35 @@ class TestNormalizedResultEdgeCases:
         It must surface as nan — not 0.0, which would read as "the scheme
         is infinitely slow" and silently drag figure averages down.
         """
-        cell = NormalizedResult(app="a", scheme="s",
-                                baseline=sim_result(100, 0),
-                                result=sim_result(100, 200))
-        assert math.isnan(cell.normalized_ipc)
-        assert math.isnan(cell.overhead)
-        assert not cell.valid
-
-    def test_valid_cell_reports_valid(self):
-        cell = NormalizedResult(app="a", scheme="s",
-                                baseline=sim_result(100, 100),
-                                result=sim_result(100, 200))
-        assert cell.valid
+        result = normalized(direct_config(), baseline=sim_result(100, 0))
+        assert result.baseline_ipc == 0.0
+        assert math.isnan(result.normalized_ipc)
+        assert math.isnan(result.overhead)
+        assert math.isnan(result.to_dict()["normalized_ipc"])
 
     def test_aggregation_skips_invalid_cells(self):
-        """Means either reject nan loudly or skip it on request."""
-        cells = [
-            NormalizedResult(app="ok", scheme="s",
-                             baseline=sim_result(1000, 1000),
-                             result=sim_result(1000, 1250)),
-            NormalizedResult(app="dead", scheme="s",
-                             baseline=sim_result(100, 0),
-                             result=sim_result(100, 200)),
-        ]
-        nipcs = [cell.normalized_ipc for cell in cells]
+        """The mean either rejects a nan cell loudly or skips it on request."""
+        ok = normalized(baseline_config())
+        dead = normalized(baseline_config(), baseline=sim_result(100, 0))
+        nipcs = [ok.normalized_ipc, dead.normalized_ipc]
         with pytest.raises(ValueError):
             geometric_mean(nipcs)
-        with pytest.raises(ValueError):
-            arithmetic_mean(nipcs)
-        assert geometric_mean(nipcs, skip_invalid=True) == pytest.approx(0.8)
-        assert arithmetic_mean(nipcs, skip_invalid=True) == pytest.approx(0.8)
+        assert geometric_mean(nipcs, skip_invalid=True) == pytest.approx(1.0)
 
     def test_overhead_positive_when_scheme_slower(self):
-        cell = NormalizedResult(app="a", scheme="s",
-                                baseline=sim_result(1000, 1000),   # IPC 1.0
-                                result=sim_result(1000, 1250))     # IPC 0.8
-        assert cell.normalized_ipc == pytest.approx(0.8)
-        assert cell.overhead == pytest.approx(0.2)
+        result = normalized(baseline_config(), baseline=scaled_baseline(0.8))
+        assert result.normalized_ipc == pytest.approx(0.8)
+        assert result.overhead == pytest.approx(0.2)
 
     def test_overhead_negative_when_scheme_faster(self):
-        cell = NormalizedResult(app="a", scheme="s",
-                                baseline=sim_result(1000, 1250),   # IPC 0.8
-                                result=sim_result(1000, 1000))     # IPC 1.0
-        assert cell.normalized_ipc == pytest.approx(1.25)
-        assert cell.overhead == pytest.approx(-0.25)
+        result = normalized(baseline_config(), baseline=scaled_baseline(1.25))
+        assert result.normalized_ipc == pytest.approx(1.25)
+        assert result.overhead == pytest.approx(-0.25)
 
     def test_multi_app_average_hand_computed(self):
         """The figure-level average over apps, checked against paper math:
-        nIPCs 0.9, 0.8, 0.6 → arithmetic 0.766…, geometric (0.432)^(1/3)."""
-        cells = [
-            NormalizedResult(app=a, scheme="s",
-                             baseline=sim_result(1000, 1000),
-                             result=sim_result(1000, cycles))
-            for a, cycles in (("x", 1000 / 0.9), ("y", 1250),
-                              ("z", 1000 / 0.6))
-        ]
-        nipcs = [cell.normalized_ipc for cell in cells]
-        assert arithmetic_mean(nipcs) == pytest.approx((0.9 + 0.8 + 0.6) / 3)
-        assert geometric_mean(nipcs) == pytest.approx(
+        nIPCs 0.9, 0.8, 0.6 → geometric (0.432)^(1/3)."""
+        assert geometric_mean([0.9, 0.8, 0.6]) == pytest.approx(
             (0.9 * 0.8 * 0.6) ** (1 / 3))
 
 
@@ -122,13 +105,9 @@ class TestMeans:
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
         assert geometric_mean([]) == 0.0
 
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 3.0]) == 2.0
-        assert arithmetic_mean([]) == 0.0
-
     def test_geometric_leq_arithmetic(self):
         values = [0.5, 0.9, 0.99, 0.7]
-        assert geometric_mean(values) <= arithmetic_mean(values)
+        assert geometric_mean(values) <= sum(values) / len(values)
 
     def test_geomean_21_small_values_does_not_underflow(self):
         """The paper averages over 21 benchmarks; 21 values near 1e-20

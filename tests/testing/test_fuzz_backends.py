@@ -1,7 +1,7 @@
-"""Differential fuzz oracle over the new registry backends.
+"""Differential fuzz oracle over the two post-paper backend presets.
 
 No oracle or harness code special-cases these presets: they are exercised
-here exactly as any registered scheme would be, which is the registry's
+here exactly as any other preset would be, which is the preset table's
 drop-in guarantee.
 """
 
