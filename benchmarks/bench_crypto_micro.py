@@ -9,11 +9,11 @@ multi-round statistics, unlike the single-shot figure benches.
 from __future__ import annotations
 
 from repro.crypto.aes import AES128
-from repro.crypto.ctr import bulk_ctr_transform, ctr_transform
+from repro.crypto.ctr import bulk_ctr_transform_table, ctr_transform
 from repro.crypto.gcm import AESGCM
 from repro.crypto.gf128 import GF128Table
 from repro.crypto.ghash import GHASH, ghash, ghash_chunks
-from repro.crypto.mac import gcm_block_mac, gcm_block_macs
+from repro.crypto.mac import gcm_block_mac, gcm_block_macs_table
 from repro.crypto.sha1 import sha1
 from repro.crypto.vector import (
     bulk_ctr_transform_vector,
@@ -70,7 +70,7 @@ def test_aes_bulk_encrypt_32_blocks(benchmark):
 def test_bulk_ctr_transform_8_blocks(benchmark):
     aes = AES128(KEY)
     items = [(0x1000 + i * 64, 42 + i, DATA64) for i in range(8)]
-    out = benchmark(bulk_ctr_transform, aes, items)
+    out = benchmark(bulk_ctr_transform_table, aes, items)
     assert len(out) == 8 and all(len(p) == 64 for p in out)
 
 
@@ -150,7 +150,7 @@ def test_vector_pad_generation_1024_blocks(benchmark):
 
 def test_table_pad_generation_1024_blocks(benchmark):
     aes = AES128(KEY)
-    out = benchmark(bulk_ctr_transform, aes, VEC_ITEMS)
+    out = benchmark(bulk_ctr_transform_table, aes, VEC_ITEMS)
     assert len(out) == VEC_N
 
 
@@ -184,5 +184,5 @@ def test_vector_leaf_macs_1024_blocks(benchmark):
 def test_table_leaf_macs_1024_blocks(benchmark):
     aes = AES128(KEY)
     h = GHASH(aes.encrypt_block(b"\x00" * 16))
-    out = benchmark(gcm_block_macs, aes, h, VEC_ITEMS, 64, kernel="table")
+    out = benchmark(gcm_block_macs_table, aes, h, VEC_ITEMS, 64)
     assert len(out) == VEC_N and len(out[0]) == 8

@@ -57,20 +57,17 @@ class GCMMACScheme(MACScheme):
     never rebuild that state however many other keys are in use.
     """
 
-    def __init__(self, key: bytes, mac_bits: int = 64,
-                 kernel: str = "table"):
+    def __init__(self, key: bytes, mac_bits: int = 64):
         super().__init__(mac_bits)
         self._aes = AES128(key)
         self._ghash = GHASH(self._aes.encrypt_block(b"\x00" * 16))
-        self.kernel = kernel
 
     def compute(self, address: int, counter: int, content: bytes) -> bytes:
         return gcm_block_mac(self._aes, self._ghash, address, counter,
                              content, self.mac_bits)
 
     def compute_many(self, items: list[tuple[int, int, bytes]]) -> list[bytes]:
-        return gcm_block_macs(self._aes, self._ghash, items,
-                              self.mac_bits, kernel=self.kernel)
+        return gcm_block_macs(self._aes, self._ghash, items, self.mac_bits)
 
     @property
     def name(self) -> str:

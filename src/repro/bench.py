@@ -45,15 +45,17 @@ import time
 from typing import Any, Callable
 
 from repro.crypto.aes import AES128
-from repro.crypto.ctr import bulk_ctr_transform
-from repro.crypto.ghash import GHASH
-from repro.crypto.mac import gcm_block_macs
+from repro.crypto.ctr import (
+    bulk_ctr_transform_scalar,
+    bulk_ctr_transform_table,
+)
+from repro.crypto.ghash import GHASH, ghash_chunks_scalar
+from repro.crypto.mac import gcm_block_macs_scalar, gcm_block_macs_table
 from repro.crypto.vector import (
     VECTOR_MIN_CTR_BLOCKS,
     VECTOR_MIN_MAC_BLOCKS,
     bulk_ctr_transform_vector,
     gcm_block_macs_vector,
-    ghash_chunks_kernel,
     ghash_chunks_many,
 )
 from repro.sim.metrics import geometric_mean
@@ -157,33 +159,36 @@ def _micro_benchmarks(seed: int, blocks: int,
         for index, message in enumerate(messages)
     ]
 
-    def ctr_runner(kernel: str) -> Callable[[], Any]:
-        return lambda: bulk_ctr_transform(aes, ctr_items, kernel=kernel)
-
-    def ghash_runner(kernel: str) -> Callable[[], Any]:
-        if kernel == "vector":
-            # The vector kernel's unit of work is the whole batch — one
-            # chain per message length — which is exactly how the leaf-MAC
-            # path drives it; timing it per-message would bench the array
-            # setup overhead instead of the kernel.
-            return lambda: ghash_chunks_many(ghash_key, messages)
-        return lambda: [ghash_chunks_kernel(ghash_key, chunks, kernel)
-                        for chunks in chunk_lists]
-
-    def mac_runner(kernel: str) -> Callable[[], Any]:
-        return lambda: gcm_block_macs(aes, ghash_key, mac_items,
-                                      kernel=kernel)
-
+    # Each kernel is called by name, whatever the batch size: the
+    # size-picking dispatchers would run the vector kernel for "table" too.
+    # The vector GHASH's unit of work is the whole batch — one chain per
+    # message length — which is exactly how the leaf-MAC path drives it;
+    # timing it per-message would bench the array setup overhead instead
+    # of the kernel.
     return {
         "pad_generation": _micro_entry(
-            "pad_generation", blocks, "blocks",
-            {k: ctr_runner(k) for k in _MICRO_KERNELS}, repeats),
+            "pad_generation", blocks, "blocks", {
+                "scalar": lambda: bulk_ctr_transform_scalar(aes, ctr_items),
+                "table": lambda: bulk_ctr_transform_table(aes, ctr_items),
+                "vector": lambda: bulk_ctr_transform_vector(aes, ctr_items),
+            }, repeats),
         "ghash": _micro_entry(
-            "ghash", blocks, "messages",
-            {k: ghash_runner(k) for k in _MICRO_KERNELS}, repeats),
+            "ghash", blocks, "messages", {
+                "scalar": lambda: [ghash_chunks_scalar(ghash_key, chunks)
+                                   for chunks in chunk_lists],
+                "table": lambda: [ghash_key.hash_chunks(chunks)
+                                  for chunks in chunk_lists],
+                "vector": lambda: ghash_chunks_many(ghash_key, messages),
+            }, repeats),
         "leaf_macs": _micro_entry(
-            "leaf_macs", blocks, "macs",
-            {k: mac_runner(k) for k in _MICRO_KERNELS}, repeats),
+            "leaf_macs", blocks, "macs", {
+                "scalar": lambda: gcm_block_macs_scalar(aes, ghash_key,
+                                                        mac_items),
+                "table": lambda: gcm_block_macs_table(aes, ghash_key,
+                                                      mac_items),
+                "vector": lambda: gcm_block_macs_vector(aes, ghash_key,
+                                                        mac_items),
+            }, repeats),
     }
 
 
@@ -211,13 +216,12 @@ def _crossover(seed: int, repeats: int,
     ghash_key = GHASH(aes.encrypt_block(b"\x00" * 16))
     kernels = {
         "ctr": {
-            "table": lambda items: bulk_ctr_transform(aes, items,
-                                                      kernel="table"),
+            "table": lambda items: bulk_ctr_transform_table(aes, items),
             "vector": lambda items: bulk_ctr_transform_vector(aes, items),
         },
         "macs": {
-            "table": lambda items: gcm_block_macs(aes, ghash_key, items,
-                                                  kernel="table"),
+            "table": lambda items: gcm_block_macs_table(aes, ghash_key,
+                                                        items),
             "vector": lambda items: gcm_block_macs_vector(aes, ghash_key,
                                                           items),
         },
@@ -307,7 +311,8 @@ def _engine_benchmarks(refs: int, app: str, repeats: int) -> dict[str, Any]:
     """Time the trace-driven simulator under both engines, per sweep cell.
 
     Each fig4/fig9 cell runs the same seeded trace under
-    ``sim_engine="scalar"`` and ``sim_engine="batched"``; the recorded
+    ``sim_engine="scalar"`` and under ``"auto"``, which runs the batched
+    engine on every one of these presets; the recorded
     ``refs_per_sec`` figures are absolute (context only) while the gated
     quantity is the per-cell batched/scalar *speedup*, which is
     host-relative.  ``_best_of``'s untimed warmup call also absorbs the
@@ -325,15 +330,16 @@ def _engine_benchmarks(refs: int, app: str, repeats: int) -> dict[str, Any]:
     trace = spec_trace(app, refs)
     warmup_refs = refs // 3
 
-    def runner(preset: str, engine: str) -> Callable[[], Any]:
-        config = get_config(preset, sim_engine=engine)
+    def runner(preset: str, sim_engine: str) -> Callable[[], Any]:
+        config = get_config(preset, sim_engine=sim_engine)
         return lambda: Processor(config).run(trace, warmup_refs=warmup_refs)
 
     cells: dict[str, Any] = {}
     total = {"scalar": 0.0, "batched": 0.0}
     for preset in _ENGINE_PRESETS:
-        seconds = {engine: _best_of(runner(preset, engine), repeats)
-                   for engine in ("scalar", "batched")}
+        seconds = {engine: _best_of(runner(preset, sim_engine), repeats)
+                   for engine, sim_engine in (("scalar", "scalar"),
+                                              ("batched", "auto"))}
         for engine, secs in seconds.items():
             total[engine] += secs
         cells[preset] = {

@@ -25,10 +25,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from repro.auth.policies import AuthPolicy
-from repro.crypto import KERNELS, VALID_MAC_BITS
+from repro.crypto import VALID_MAC_BITS
 
 #: accepted values of :attr:`SecureMemoryConfig.sim_engine`
-SIM_ENGINES = ("auto", "scalar", "batched")
+SIM_ENGINES = ("auto", "scalar")
 
 
 class EncryptionMode(enum.Enum):
@@ -172,22 +172,14 @@ class SecureMemoryConfig:
     memory_size: int = DEFAULT_MEMORY_SIZE
     memory_latency: int = DEFAULT_MEMORY_LATENCY
 
-    #: software crypto backend for the functional layer: ``"auto"`` picks
-    #: the NumPy vector kernel, which calls the table kernel below a
-    #: measured batch size per path; explicit
-    #: ``"vector"``/``"table"``/``"scalar"`` pin a backend.  All backends
-    #: are byte-identical — this knob trades host-side speed only and has
-    #: no effect on simulated timing or statistics.
-    kernel: str = "auto"
-
-    #: timing-loop implementation: ``"auto"`` and ``"batched"`` run the
-    #: NumPy event-batch engine on every configuration it supports and
-    #: the per-reference scalar oracle on the rest (an enabled tracer,
-    #: counter prediction, secret shares, several AES/SHA copies);
-    #: ``"scalar"`` pins the oracle.  Both engines are bit-identical on
-    #: every cycle count and statistic (enforced by the golden-trace and
-    #: differential suites) — this knob trades host-side speed only,
-    #: exactly like ``kernel``.
+    #: timing-loop implementation: ``"auto"`` runs the NumPy event-batch
+    #: engine on every configuration it supports and the per-reference
+    #: scalar oracle on the rest (an enabled tracer, counter prediction,
+    #: secret shares, several AES/SHA copies); ``"scalar"`` pins the
+    #: oracle.  Both engines are bit-identical on every cycle count and
+    #: statistic (enforced by the golden-trace and differential suites) —
+    #: this knob trades host-side speed only.  No field picks a crypto
+    #: kernel: the batch size does (:mod:`repro.crypto.vector`).
     sim_engine: str = "auto"
 
     aes_latency: float = 80.0
@@ -223,11 +215,6 @@ class SecureMemoryConfig:
         if self.aes_engines < 1:
             raise ValueError(
                 f"aes_engines must be at least 1, got {self.aes_engines}"
-            )
-        if self.kernel != "auto" and self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be 'auto' or one of {KERNELS}, "
-                f"got {self.kernel!r}"
             )
         if self.sim_engine not in SIM_ENGINES:
             raise ValueError(

@@ -44,7 +44,7 @@ def _normalize(value: Any) -> Any:
 #: configuration fields that select a host-side implementation (all
 #: implementations are bit-identical) and therefore do not define a design
 #: point: two runs differing only here produce the same simulated numbers.
-HOST_ONLY_CONFIG_FIELDS = frozenset({"kernel", "sim_engine"})
+HOST_ONLY_CONFIG_FIELDS = frozenset({"sim_engine"})
 
 
 def config_fingerprint(config: Any) -> str:
@@ -53,8 +53,8 @@ def config_fingerprint(config: Any) -> str:
     Enum fields hash by value and nested dataclasses recurse, so two
     configs are fingerprint-equal exactly when they are field-equal —
     including configs built by different paths (constructor vs registry).
-    Host-only backend selectors (:data:`HOST_ONLY_CONFIG_FIELDS`) are
-    excluded: they change how fast the host computes, never what the
+    The host-only engine selector (:data:`HOST_ONLY_CONFIG_FIELDS`) is
+    excluded: it changes how fast the host computes, never what the
     simulated machine does.
     """
     normalized = _normalize(config)

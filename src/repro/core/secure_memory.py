@@ -56,11 +56,7 @@ from repro.crypto.shamir import (
     reconstruct_block,
     split_block,
 )
-from repro.crypto.vector import (
-    decrypt_blocks_kernel,
-    encrypt_blocks_kernel,
-    resolve_kernel,
-)
+from repro.crypto.vector import decrypt_blocks_kernel, encrypt_blocks_kernel
 from repro.memory.cache import Cache
 from repro.memory.dram import MainMemory
 from repro.obs.metrics import MetricsRegistry
@@ -88,9 +84,6 @@ class SecureMemorySystem:
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.block_size = config.block_size
-        #: resolved crypto backend ("scalar"/"table"/"vector") for the
-        #: batch paths; all backends produce identical bytes
-        self.kernel = resolve_kernel(config.kernel)
         if protected_bytes % self.block_size:
             raise ValueError("protected_bytes must be block-aligned")
         self.protected_bytes = protected_bytes
@@ -142,8 +135,7 @@ class SecureMemorySystem:
         if config.auth is not AuthMode.NONE:
             if config.auth is AuthMode.GCM:
                 self.mac_scheme = GCMMACScheme(
-                    _derive_key(self._base_key, b"mac"), config.mac_bits,
-                    kernel=self.kernel,
+                    _derive_key(self._base_key, b"mac"), config.mac_bits
                 )
             else:
                 self.mac_scheme = SHAMACScheme(
@@ -508,15 +500,13 @@ class SecureMemorySystem:
             return
         mode = self.config.encryption
         if mode is EncryptionMode.COUNTER:
-            ciphertexts = bulk_ctr_transform(self._data_aes, items,
-                                             kernel=self.kernel)
+            ciphertexts = bulk_ctr_transform(self._data_aes, items)
         elif mode is EncryptionMode.DIRECT:
             chunks = encrypt_blocks_kernel(
                 self._data_aes,
                 [plaintext[i:i + CHUNK_SIZE]
                  for _, _, plaintext in items
-                 for i in range(0, self.block_size, CHUNK_SIZE)],
-                self.kernel)
+                 for i in range(0, self.block_size, CHUNK_SIZE)])
             per_block = self.block_size // CHUNK_SIZE
             ciphertexts = [b"".join(chunks[n:n + per_block])
                            for n in range(0, len(chunks), per_block)]
@@ -555,8 +545,7 @@ class SecureMemorySystem:
         out, fetched = self._verify_blocks_bulk(addresses)
         mode = self.config.encryption
         if mode is EncryptionMode.COUNTER:
-            plaintexts = bulk_ctr_transform(self._data_aes, fetched,
-                                            kernel=self.kernel)
+            plaintexts = bulk_ctr_transform(self._data_aes, fetched)
             for (address, _, _), plaintext in zip(fetched, plaintexts):
                 out[address] = bytearray(plaintext)
         elif mode is EncryptionMode.DIRECT:
@@ -565,8 +554,7 @@ class SecureMemorySystem:
                 for _, _, ciphertext in fetched
                 for i in range(0, self.block_size, CHUNK_SIZE)
             ]
-            plain_chunks = decrypt_blocks_kernel(self._data_aes, chunks,
-                                                 self.kernel)
+            plain_chunks = decrypt_blocks_kernel(self._data_aes, chunks)
             per_block = self.block_size // CHUNK_SIZE
             for n, (address, _, _) in enumerate(fetched):
                 out[address] = bytearray(

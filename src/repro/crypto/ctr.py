@@ -18,6 +18,13 @@ Seed layout (16 bytes, big-endian fields):
 
 The IV tag domain-separates encryption pads from authentication pads so the
 same (address, counter) never produces the same AES input for both purposes.
+
+:func:`bulk_ctr_transform` is the batch entry point the memory system calls,
+and the batch size picks its kernel: the NumPy vector kernel from
+``VECTOR_MIN_CTR_BLOCKS`` chunks up, the table kernel below.
+:func:`bulk_ctr_transform_table` and :func:`bulk_ctr_transform_scalar` run
+the table kernel and the scalar FIPS-197 reference at any size, for the
+differential checks and ``repro bench``.  All three are byte-identical.
 """
 
 from __future__ import annotations
@@ -85,24 +92,29 @@ def ctr_transform(aes: AES128, block_address: int, counter: int,
 
 
 def bulk_ctr_transform(aes: AES128, items: list[tuple[int, int, bytes]],
-                       iv_tag: int = ENCRYPTION_IV,
-                       kernel: str = "table") -> list[bytes]:
+                       iv_tag: int = ENCRYPTION_IV) -> list[bytes]:
     """Counter-mode transform many cache blocks with one AES dispatch.
 
     ``items`` is a list of ``(block_address, counter, data)``; the result
     preserves order.  All chunk seeds across the whole batch are generated
     first and encrypted in a single batch call — the software analogue of
-    the paper's multi-engine pad pipeline.  ``kernel`` selects the AES
-    backend (``"scalar"``, ``"table"``, or ``"vector"``); all three are
-    byte-identical, differing only in throughput.  ``"vector"`` runs the
-    table kernel below ``VECTOR_MIN_CTR_BLOCKS`` chunks per call.
+    the paper's multi-engine pad pipeline.  The batch size picks the
+    kernel: from ``VECTOR_MIN_CTR_BLOCKS`` chunks per call the NumPy
+    vector kernel runs, below it :func:`bulk_ctr_transform_table`.  Both
+    are byte-identical.
     """
-    if kernel == "vector":
-        from repro.crypto import vector as _vector
+    from repro.crypto import vector as _vector
 
-        total_chunks = sum(len(data) // CHUNK_SIZE for _, _, data in items)
-        if total_chunks >= _vector.VECTOR_MIN_CTR_BLOCKS:
-            return _vector.bulk_ctr_transform_vector(aes, items, iv_tag)
+    total_chunks = sum(len(data) // CHUNK_SIZE for _, _, data in items)
+    if total_chunks >= _vector.VECTOR_MIN_CTR_BLOCKS:
+        return _vector.bulk_ctr_transform_vector(aes, items, iv_tag)
+    return bulk_ctr_transform_table(aes, items, iv_tag)
+
+
+def _transform_with(encrypt_seeds, items: list[tuple[int, int, bytes]],
+                    iv_tag: int) -> list[bytes]:
+    """XOR each item's data with the pads ``encrypt_seeds`` makes from
+    the whole batch's chunk seeds, generated in one list."""
     seeds: list[bytes] = []
     spans: list[tuple[int, int]] = []
     for block_address, counter, data in items:
@@ -111,11 +123,23 @@ def bulk_ctr_transform(aes: AES128, items: list[tuple[int, int, bytes]],
         num_chunks = len(data) // CHUNK_SIZE
         spans.append((len(seeds), num_chunks))
         seeds.extend(make_seeds(block_address, counter, num_chunks, iv_tag))
-    if kernel == "scalar":
-        pads = [aes.encrypt_block_scalar(seed) for seed in seeds]
-    else:
-        pads = aes.encrypt_blocks(seeds)
-    out = []
-    for (start, count), (_, _, data) in zip(spans, items):
-        out.append(xor_bytes(data, b"".join(pads[start:start + count])))
-    return out
+    pads = encrypt_seeds(seeds)
+    return [xor_bytes(data, b"".join(pads[start:start + count]))
+            for (start, count), (_, _, data) in zip(spans, items)]
+
+
+def bulk_ctr_transform_table(aes: AES128,
+                             items: list[tuple[int, int, bytes]],
+                             iv_tag: int = ENCRYPTION_IV) -> list[bytes]:
+    """:func:`bulk_ctr_transform` on the table AES kernel at any size."""
+    return _transform_with(aes.encrypt_blocks, items, iv_tag)
+
+
+def bulk_ctr_transform_scalar(aes: AES128,
+                              items: list[tuple[int, int, bytes]],
+                              iv_tag: int = ENCRYPTION_IV) -> list[bytes]:
+    """:func:`bulk_ctr_transform` on the FIPS-197 reference cipher
+    (:meth:`~repro.crypto.aes.AES128.encrypt_block_scalar`)."""
+    return _transform_with(
+        lambda seeds: [aes.encrypt_block_scalar(seed) for seed in seeds],
+        items, iv_tag)

@@ -18,11 +18,19 @@ once :meth:`GHASH.vector` is first called; whoever owns the subkey (a MAC
 scheme, an AES-GCM instance) keeps the object, so the tables live exactly
 as long as the key.  The module functions take a subkey or such an object;
 given raw bytes they build a table for that call only.
+:func:`ghash_chunks_scalar` is the bitwise SP 800-38D reference chain with
+no tables, which the differential checks and ``repro bench`` measure the
+table and vector chains against.
 """
 
 from __future__ import annotations
 
-from repro.crypto.gf128 import GF128Table, block_to_int, int_to_block
+from repro.crypto.gf128 import (
+    GF128Table,
+    block_to_int,
+    gf128_mul,
+    int_to_block,
+)
 
 
 def _pad16(data: bytes) -> bytes:
@@ -100,3 +108,15 @@ def ghash_chunks(h: bytes | GHASH, chunks: list[bytes]) -> bytes:
     data.  Each step is ``y = (y XOR chunk) * H``.
     """
     return ghash_of(h).hash_chunks(chunks)
+
+
+def ghash_chunks_scalar(h: bytes | GHASH, chunks: list[bytes]) -> bytes:
+    """:func:`ghash_chunks` as the bitwise reference: each step is one
+    shift-and-add :func:`~repro.crypto.gf128.gf128_mul`, no tables."""
+    hval = block_to_int(h.h if isinstance(h, GHASH) else h)
+    y = 0
+    for chunk in chunks:
+        if len(chunk) != 16:
+            raise ValueError("GHASH chunks must be 16 bytes")
+        y = gf128_mul(y ^ block_to_int(chunk), hval)
+    return int_to_block(y)

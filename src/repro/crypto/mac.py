@@ -15,6 +15,13 @@ The paper's Merkle tree stores authentication codes of configurable size
 
 Both are truncated to the configured MAC size, which sets the Merkle-tree
 arity: a 64-byte code block holds 64/mac_bytes child codes.
+
+:func:`gcm_block_macs` computes many GCM codes at once, and the batch size
+picks its kernel: the NumPy vector kernel from ``VECTOR_MIN_MAC_BLOCKS``
+blocks up, the table kernel below.  :func:`gcm_block_macs_table` and
+:func:`gcm_block_macs_scalar` run the table kernel and the scalar
+FIPS-197 / SP 800-38D reference at any size, for the differential checks
+and ``repro bench``.  All three are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from repro.crypto import VALID_MAC_BITS
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AUTHENTICATION_IV, CHUNK_SIZE, make_seed, xor_bytes
-from repro.crypto.ghash import GHASH, ghash_of
+from repro.crypto.ghash import GHASH, ghash_chunks_scalar, ghash_of
 from repro.crypto.sha1 import hmac_sha1
 
 
@@ -50,44 +57,53 @@ def gcm_block_mac(aes: AES128, ghash_key: bytes | GHASH, block_address: int,
 
 def gcm_block_macs(aes: AES128, ghash_key: bytes | GHASH,
                    items: list[tuple[int, int, bytes]],
-                   mac_bits: int = 64, kernel: str = "table") -> list[bytes]:
+                   mac_bits: int = 64) -> list[bytes]:
     """Compute GCM codes for many blocks, batched through one kernel.
 
     ``items`` is ``(block_address, counter, ciphertext)`` triples; results
-    preserve order and are byte-identical to :func:`gcm_block_mac` per item
-    under every kernel.  The vector kernel hashes all same-length
-    ciphertexts in one GHASH chain and generates all authentication pads in
-    one AES batch — the bulk path behind Merkle ``verify_leaves`` — from
-    ``VECTOR_MIN_MAC_BLOCKS`` blocks on; smaller batches take the table
-    kernel.
+    preserve order and are byte-identical to :func:`gcm_block_mac` per
+    item.  The batch size picks the kernel: from ``VECTOR_MIN_MAC_BLOCKS``
+    blocks on, the vector kernel hashes all same-length ciphertexts in one
+    GHASH chain and generates all authentication pads in one AES batch —
+    the bulk path behind Merkle ``verify_leaves``; smaller batches run
+    :func:`gcm_block_macs_table`.
     """
     if mac_bits not in VALID_MAC_BITS:
         raise ValueError(f"mac_bits must be one of {VALID_MAC_BITS}")
-    if kernel == "vector":
-        from repro.crypto import vector as _vector
+    from repro.crypto import vector as _vector
 
-        if len(items) >= _vector.VECTOR_MIN_MAC_BLOCKS:
-            return _vector.gcm_block_macs_vector(
-                aes, ghash_key, items, mac_bits
-            )
-    if kernel == "scalar":
-        from repro.crypto.vector import _ghash_chunks_scalar
+    if len(items) >= _vector.VECTOR_MIN_MAC_BLOCKS:
+        return _vector.gcm_block_macs_vector(aes, ghash_key, items, mac_bits)
+    return gcm_block_macs_table(aes, ghash_key, items, mac_bits)
 
-        out = []
-        for block_address, counter, ciphertext in items:
-            digest = _ghash_chunks_scalar(ghash_key,
-                                          _split_chunks(ciphertext))
-            auth_pad = aes.encrypt_block_scalar(
-                make_seed(block_address, counter, AUTHENTICATION_IV)
-            )
-            out.append(xor_bytes(digest, auth_pad)[: mac_bits // 8])
-        return out
+
+def gcm_block_macs_table(aes: AES128, ghash_key: bytes | GHASH,
+                         items: list[tuple[int, int, bytes]],
+                         mac_bits: int = 64) -> list[bytes]:
+    """:func:`gcm_block_macs` on the table AES and GHASH kernels."""
     ghash = ghash_of(ghash_key)
     return [
         gcm_block_mac(aes, ghash, block_address, counter, ciphertext,
                       mac_bits)
         for block_address, counter, ciphertext in items
     ]
+
+
+def gcm_block_macs_scalar(aes: AES128, ghash_key: bytes | GHASH,
+                          items: list[tuple[int, int, bytes]],
+                          mac_bits: int = 64) -> list[bytes]:
+    """:func:`gcm_block_macs` on the FIPS-197 / SP 800-38D references:
+    the bitwise GHASH chain and the per-byte AES rounds."""
+    if mac_bits not in VALID_MAC_BITS:
+        raise ValueError(f"mac_bits must be one of {VALID_MAC_BITS}")
+    out = []
+    for block_address, counter, ciphertext in items:
+        digest = ghash_chunks_scalar(ghash_key, _split_chunks(ciphertext))
+        auth_pad = aes.encrypt_block_scalar(
+            make_seed(block_address, counter, AUTHENTICATION_IV)
+        )
+        out.append(xor_bytes(digest, auth_pad)[: mac_bits // 8])
+    return out
 
 
 def sha_block_mac(key: bytes, block_address: int, counter: int,

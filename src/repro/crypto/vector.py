@@ -35,19 +35,21 @@ bytes for one-off calls (which then build the state for that call only).
 
 Everything here is *bit-identical* to the table and scalar kernels — the
 Hypothesis suite in ``tests/crypto/test_vector_equivalence.py`` and the
-fuzz harness's differential oracle prove it on every run.  Callers select a
-kernel through the ``kernel=`` arguments (or ``Config.kernel``); the
-dispatchers fall back to the table kernel below a measured batch size
-(``VECTOR_MIN_*``), where the fixed cost of a vector call would lose.
+fuzz harness's differential oracle prove it on every run.  No caller names
+a kernel: the batch size picks it.  The dispatchers
+(:func:`encrypt_blocks_kernel`, :func:`decrypt_blocks_kernel`,
+:func:`repro.crypto.ctr.bulk_ctr_transform`,
+:func:`repro.crypto.mac.gcm_block_macs`) run the vector kernel from a
+measured batch size (``VECTOR_MIN_*``) up and the table kernel below it,
+where the fixed cost of a vector call would lose.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as _np
 
-from repro.crypto import KERNELS
 from repro.crypto.aes import (
     AES128,
     INV_SBOX,
@@ -60,7 +62,7 @@ from repro.crypto.aes import (
     expand_key,
 )
 from repro.crypto.ctr import AUTHENTICATION_IV, CHUNK_SIZE, ENCRYPTION_IV
-from repro.crypto.gf128 import _mulx, _RED8, block_to_int, gf128_mul
+from repro.crypto.gf128 import _mulx, _RED8, block_to_int
 from repro.crypto.ghash import GHASH, ghash_of
 
 # Dispatch thresholds: the smallest batch, in the unit each dispatcher
@@ -83,21 +85,6 @@ VECTOR_MIN_MAC_BLOCKS = 8
 
 _MASK48 = (1 << 48) - 1
 _MASK64 = (1 << 64) - 1
-
-
-def resolve_kernel(name: str) -> str:
-    """Map a requested kernel (or ``"auto"``) to the one that will run.
-
-    ``"auto"`` picks ``"vector"``.  Unknown names raise
-    :class:`ValueError`.
-    """
-    if name == "auto":
-        return "vector"
-    if name not in KERNELS:
-        raise ValueError(
-            f"kernel must be 'auto' or one of {KERNELS}, got {name!r}"
-        )
-    return name
 
 
 def _blocks_to_array(blocks) -> "_np.ndarray":
@@ -459,55 +446,20 @@ def gcm_block_macs_vector(aes: AES128 | bytes, ghash_key: bytes | GHASH,
     return [flat[i * width:(i + 1) * width] for i in range(len(triples))]
 
 
-# -- kernel dispatch helpers --------------------------------------------------
-#
-# These are the names the rest of the system calls: they accept a kernel
-# label (already passed through resolve_kernel by the config layer) and
-# route to the scalar reference, the table kernel, or the vector path —
-# falling back to the table kernel for sub-threshold batches, where the
-# array overhead would make "vector" a de-facto slowdown.
+# -- block dispatch by batch size ---------------------------------------------
 
 
-def encrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
-                          kernel: str = "table") -> list[bytes]:
-    """Encrypt many 16-byte blocks with the named kernel."""
-    if kernel == "vector" and len(blocks) >= VECTOR_MIN_BLOCKS:
+def encrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes]) -> list[bytes]:
+    """Encrypt many 16-byte blocks: the vector kernel from
+    ``VECTOR_MIN_BLOCKS`` blocks up, the table kernel below."""
+    if len(blocks) >= VECTOR_MIN_BLOCKS:
         return aes.vector().encrypt_blocks(blocks)
-    if kernel == "scalar":
-        return [aes.encrypt_block_scalar(block) for block in blocks]
     return aes.encrypt_blocks(blocks)
 
 
-def decrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes],
-                          kernel: str = "table") -> list[bytes]:
-    """Decrypt many 16-byte blocks with the named kernel."""
-    if kernel == "vector" and len(blocks) >= VECTOR_MIN_BLOCKS:
+def decrypt_blocks_kernel(aes: AES128, blocks: Sequence[bytes]) -> list[bytes]:
+    """Decrypt many 16-byte blocks: the vector kernel from
+    ``VECTOR_MIN_BLOCKS`` blocks up, the table kernel below."""
+    if len(blocks) >= VECTOR_MIN_BLOCKS:
         return aes.vector().decrypt_blocks(blocks)
-    if kernel == "scalar":
-        return [aes.decrypt_block_scalar(block) for block in blocks]
     return aes.decrypt_blocks(blocks)
-
-
-def _ghash_chunks_scalar(h: bytes | GHASH, chunks: Iterable[bytes]) -> bytes:
-    """Bit-serial GHASH chain (the scalar reference, no tables)."""
-    hval = block_to_int(h.h if isinstance(h, GHASH) else h)
-    y = 0
-    for chunk in chunks:
-        if len(chunk) != 16:
-            raise ValueError("GHASH chunks must be 16 bytes")
-        y = gf128_mul(y ^ block_to_int(chunk), hval)
-    return y.to_bytes(16, "big")
-
-
-def ghash_chunks_kernel(h: bytes | GHASH, chunks: list[bytes],
-                        kernel: str = "table") -> bytes:
-    """GHASH one chunk list with the named kernel.
-
-    ``h`` is the subkey, or the :class:`GHASH` object that keeps its
-    tables (pass that when hashing repeatedly under one subkey).
-    """
-    if kernel == "scalar":
-        return _ghash_chunks_scalar(h, chunks)
-    if kernel == "vector":
-        return ghash_chunks_many(h, [b"".join(chunks)])[0]
-    return ghash_of(h).hash_chunks(chunks)

@@ -23,21 +23,3 @@ class AESEngine(PipelinedEngine):
                  stages: int = AES_PIPELINE_STAGES, copies: int = 1):
         super().__init__(latency=latency, stages=stages, copies=copies,
                          name="aes")
-
-    def generate_block_pads(self, now: float, num_chunks: int = 4) -> float:
-        """Generate all keystream pads for one cache block.
-
-        A 64-byte block needs four 16-byte pads; they stream through the
-        pipeline so the last pad completes ``latency + 3 * interval`` cycles
-        after an uncontended start.
-        """
-        return self.request_many(now, num_chunks)
-
-    def direct_crypt_block(self, now: float, num_chunks: int = 4) -> float:
-        """Directly encrypt/decrypt a cache block (the XOM-style baseline).
-
-        Unlike pad generation this cannot start until the data is available,
-        which is exactly why direct encryption adds the full AES latency to
-        every L2 miss (Figure 1a).
-        """
-        return self.request_many(now, num_chunks)

@@ -25,7 +25,3 @@ class SHA1Engine(PipelinedEngine):
                  stages: int = SHA1_PIPELINE_STAGES, copies: int = 1):
         super().__init__(latency=latency, stages=stages, copies=copies,
                          name="sha1")
-
-    def mac_block(self, now: float) -> float:
-        """Compute one block MAC; returns the completion cycle."""
-        return self.request(now)

@@ -257,12 +257,15 @@ def config_state(config: SecureMemoryConfig) -> dict:
 
 
 def semantic_config_state(config_or_state) -> dict:
-    """:func:`config_state` minus host-only backend selectors.
+    """:func:`config_state` minus the host-only engine selector.
 
-    ``kernel`` and ``sim_engine`` pick bit-identical host implementations,
-    so a checkpoint taken under one engine may be resumed under another —
-    resume-compatibility checks compare this view, not the raw state.
-    Accepts either a config object or an already-built state dict.
+    ``sim_engine`` picks bit-identical host implementations, so a
+    checkpoint taken under one engine may be resumed under another —
+    resume-compatibility checks compare this view, not the raw state.  A
+    state that names a field no config has (a checkpoint from a build
+    with other config fields) therefore differs from every config, and
+    the checks refuse it.  Accepts either a config object or an
+    already-built state dict.
     """
     from repro.core.results import HOST_ONLY_CONFIG_FIELDS
 

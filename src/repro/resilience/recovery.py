@@ -20,9 +20,9 @@ forever.  The :class:`RecoveryController` encodes that distinction:
    image and counts the exposure.
 
 Functional time does not advance, so the backoff here contributes cycle
-*accounting* (``stats.backoff_cycles``) rather than wall-clock delay; the
-timing twin charges the same schedule for real via
-``TimingSecureMemory.charge_recovery``.
+*accounting* (``stats.backoff_cycles``) rather than wall-clock delay.  The
+timing model charges no recovery: a simulated run never retries, and its
+cycles do not include this schedule.
 
 ``RecoveryHalted`` and ``QuarantinedPageError`` subclass
 :class:`IntegrityViolation` so every existing ``except IntegrityViolation``

@@ -26,11 +26,13 @@ another tenant's state, and rotating a tenant's key epoch rebuilds only
 that tenant's systems.
 
 Batches funnel into the existing ``read_blocks``/``write_blocks`` batch
-path (and therefore the ``Config.kernel`` vector crypto): consecutive
-same-kind ops of one tenant merge into a single bulk call, so a burst of
-concurrent single-block requests is serviced with one AES dispatch and
-one Merkle walk per shared parent, exactly like the simulator's batch
-path.
+path: consecutive same-kind ops of one tenant merge into a single bulk
+call, so a burst of concurrent single-block requests is serviced with one
+AES dispatch and one Merkle walk per shared parent, exactly like the
+simulator's batch path.  The merged batch's size picks its crypto kernel:
+the NumPy vector kernel from ``VECTOR_MIN_*`` blocks up
+(:mod:`repro.crypto.vector`), the table kernel below, so coalescing is
+what moves a burst onto the vector kernel.
 """
 
 from __future__ import annotations

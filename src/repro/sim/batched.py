@@ -1441,7 +1441,7 @@ def run_batched(processor, trace, warmup_refs: int = 0, *,
     """Event-batch execution of :meth:`Processor.run` (same contract).
 
     See the module docstring for the phase structure.  Called by
-    ``Processor.run`` when ``config.sim_engine`` resolves to
+    ``Processor.run`` when ``Processor.resolved_sim_engine`` names
     ``"batched"``; produces bit-identical results, statistics, and
     checkpoints to the scalar oracle.
     """

@@ -140,8 +140,7 @@ class Processor:
                  l1_assoc: int = DEFAULT_L1_ASSOC,
                  l2_size: int = DEFAULT_L2_SIZE,
                  l2_assoc: int = DEFAULT_L2_ASSOC,
-                 tracer: Tracer | None = None,
-                 rng=None):
+                 tracer: Tracer | None = None):
         self.config = config
         self.issue_width = issue_width
         self.rob_insns = rob_insns
@@ -149,8 +148,7 @@ class Processor:
         block = config.block_size
         self.l1 = Cache(l1_size, l1_assoc, block, name="l1d")
         self.l2 = Cache(l2_size, l2_assoc, block, name="l2")
-        self.memory = TimingSecureMemory(config, l2=self.l2, tracer=tracer,
-                                         rng=rng)
+        self.memory = TimingSecureMemory(config, l2=self.l2, tracer=tracer)
         # Single registry spanning the whole hierarchy: the memory system
         # already registered everything it owns; add the core-side caches.
         self.metrics = self.memory.metrics
@@ -161,10 +159,10 @@ class Processor:
         """The timing-loop implementation this processor will run.
 
         ``config.sim_engine="scalar"`` pins the per-reference oracle.
-        ``"auto"`` and ``"batched"`` pick the NumPy event-batch engine
-        for every configuration it supports, and the oracle for the
-        rest: an enabled tracer, counter prediction, secret shares, or
-        more than one AES/SHA copy (:func:`repro.sim.batched.supports`).
+        ``"auto"`` picks the NumPy event-batch engine (``"batched"``) for
+        every configuration it supports, and the oracle for the rest: an
+        enabled tracer, counter prediction, secret shares, or more than
+        one AES/SHA copy (:func:`repro.sim.batched.supports`).
         """
         if self.config.sim_engine == "scalar":
             return "scalar"

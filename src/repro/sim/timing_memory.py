@@ -29,9 +29,7 @@ engine latencies.  Timing paths implemented:
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.auth.codes import TreeGeometry, build_flat_geometry, build_geometry
 from repro.core.config import (
@@ -61,9 +59,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-if TYPE_CHECKING:
-    from repro.resilience.recovery import RecoveryStats
-
 #: attribution labels for a Merkle-node transfer: queue, wire, and DRAM
 #: time of a tree fetch all accrue to the tree-walk bucket
 _TREE_LABELS = ("tree", "tree", "tree")
@@ -81,8 +76,7 @@ class TimingSecureMemory:
     """Latency/occupancy model of the secure memory path below the L2."""
 
     def __init__(self, config: SecureMemoryConfig, l2: Cache | None = None,
-                 bus: MemoryBus | None = None, tracer: Tracer | None = None,
-                 rng: random.Random | None = None):
+                 bus: MemoryBus | None = None, tracer: Tracer | None = None):
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.block_size = config.block_size
@@ -161,26 +155,9 @@ class TimingSecureMemory:
         self._counter_inflight: dict[int, float] = {}
         self._num_data_blocks = config.memory_size // self.block_size
 
-        # Recovery timing: the functional layer decides *whether* retries
-        # happen; this layer charges *when* they finish (backoff + bus).
-        # The RNG is threaded explicitly: callers may inject a seeded
-        # ``random.Random`` (the simulation never consults the module-level
-        # global RNG, so ``random.seed(...)`` elsewhere cannot perturb
-        # timing results — the pinning test in ``tests/sim`` enforces it).
-        self.recovery_stats: RecoveryStats | None = None
-        self._recovery_rng: random.Random | None = None
-        if config.recovery.enabled:
-            # imported here, like the batched engine, so that a run
-            # without recovery never loads the recovery policies
-            from repro.resilience.recovery import RecoveryStats
-
-            self.recovery_stats = RecoveryStats()
-            self._recovery_rng = (rng if rng is not None
-                                  else random.Random(config.recovery.seed))
-
         # Unified metrics: every stats dataclass below the L2 registers
         # here, so ``metrics.snapshot()`` sees them all under dotted names
-        # and ``reset_stats()`` can never miss a newly added counter.
+        # and ``metrics.reset()`` can never miss a newly added counter.
         self.metrics = MetricsRegistry()
         self.metrics.register("mem", self.stats)
         self.metrics.register("bus", self.bus.stats)
@@ -195,8 +172,6 @@ class TimingSecureMemory:
         scheme_stats = getattr(self.scheme, "stats", None)
         if dataclasses.is_dataclass(scheme_stats):
             self.metrics.register("scheme", scheme_stats)
-        if self.recovery_stats is not None:
-            self.metrics.register("recovery", self.recovery_stats)
         self._lat_hist = self.metrics.histogram("miss.auth_latency")
 
         # Fan the tracer out to the shared resources so bus transfers and
@@ -208,10 +183,6 @@ class TimingSecureMemory:
             if self.counter_cache is not None:
                 self.counter_cache.tracer = self.tracer
             self.rsr_file.tracer = self.tracer
-
-    def reset_stats(self) -> None:
-        """Zero every registered statistic (warmup/measurement boundary)."""
-        self.metrics.reset()
 
     # -- low-level transfers -------------------------------------------------
     #
@@ -820,36 +791,6 @@ class TimingSecureMemory:
             return max(stall_until, t)
         return stall_until
 
-    # -- recovery timing -------------------------------------------------------
-
-    def charge_recovery(self, now: float, attempts: int,
-                        path: PathTime | None = None) -> float:
-        """Charge ``attempts`` integrity-retry re-fetches starting at ``now``.
-
-        Each retry waits out its exponential-backoff delay (same schedule
-        as the functional :class:`~repro.resilience.RecoveryController`,
-        seeded independently) and then re-reads the block over the bus.
-        Returns when the last re-read's data arrives.
-        """
-        if self._recovery_rng is None:
-            raise RuntimeError("recovery is not enabled in this config")
-        from repro.resilience.recovery import backoff_delay
-
-        cfg = self.config.recovery
-        t = now
-        backoff = 0.0
-        for attempt in range(1, attempts + 1):
-            delay = backoff_delay(cfg, attempt, self._recovery_rng)
-            backoff += delay
-            t = self._bus_read(t + delay, self.block_size, path=path)
-        self.recovery_stats.violations += 1
-        self.recovery_stats.retries += attempts
-        self.recovery_stats.backoff_cycles += backoff
-        if self.tracer.enabled:
-            self.tracer.span("recovery", "retries", now, t,
-                             attempts=attempts, backoff_cycles=backoff)
-        return t
-
     # -- checkpoint support ----------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -872,11 +813,6 @@ class TimingSecureMemory:
             # With an injected L2 the node cache *is* the L2, which the
             # processor checkpoint owns; saving it here would restore twice.
             state["node_cache"] = self.node_cache.state_dict()
-        if self._recovery_rng is not None:
-            state["recovery"] = {
-                "rng": self._recovery_rng.getstate(),
-                "stats": fields_state(self.recovery_stats),
-            }
         return state
 
     def load_state(self, state: dict) -> None:
@@ -894,10 +830,3 @@ class TimingSecureMemory:
             self.scheme.load_state(state["scheme"])
         if "node_cache" in state and self.node_cache is not None:
             self.node_cache.load_state(state["node_cache"])
-        if self._recovery_rng is not None and "recovery" in state:
-            rng_state = state["recovery"]["rng"]
-            self._recovery_rng.setstate(
-                (rng_state[0], tuple(rng_state[1]), rng_state[2])
-            )
-            load_fields_state(self.recovery_stats,
-                              state["recovery"]["stats"])

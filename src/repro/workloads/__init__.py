@@ -35,9 +35,7 @@ _SUBMODULE_NAMES = {
     "tracefile": (
         "TraceFileError",
         "TraceWriter",
-        "iter_records",
         "load_trace",
-        "mmap_records",
         "read_header",
         "trace_fingerprint",
         "write_trace",

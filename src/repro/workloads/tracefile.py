@@ -6,11 +6,11 @@ fixed-offset binary file that is simultaneously
 * **streamable** — :class:`TraceWriter` appends records one at a time (or
   in chunks) with O(1) memory, so a trace far larger than RAM can be
   recorded from a live run;
-* **mmap-able** — the payload begins at a page-aligned offset
+* **array-shaped** — the payload begins at a page-aligned offset
   (:data:`DATA_OFFSET`) and each record is the packed little-endian
   equivalent of :data:`~repro.workloads.trace.TRACE_DTYPE`, so
-  :func:`mmap_records` hands the batched sim engine a zero-copy
-  ``numpy.memmap`` view of the whole file;
+  :func:`load_trace` adopts the payload bytes as the trace's records
+  array without decoding a record;
 * **integrity-checksummed** — the header carries a CRC32 over itself plus
   CRC32 *and* SHA-256 over the payload, so truncation, bit flips, and
   version skew are rejected loudly (:class:`TraceFileError`) instead of
@@ -39,7 +39,7 @@ import json
 import os
 import struct
 import zlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -52,9 +52,7 @@ __all__ = [
     "TRACE_VERSION",
     "TraceFileError",
     "TraceWriter",
-    "iter_records",
     "load_trace",
-    "mmap_records",
     "read_header",
     "trace_fingerprint",
     "write_trace",
@@ -78,7 +76,7 @@ RECORD_STRUCT = struct.Struct("<qi?")
 #: hex digits of the payload SHA-256 used as the short fingerprint
 _FINGERPRINT_HEX = 12
 
-#: records packed or decoded per chunk when streaming (extend / iter_records)
+#: records packed per chunk when streaming (:meth:`TraceWriter.extend`)
 _CHUNK_RECORDS = 65536
 
 
@@ -214,7 +212,7 @@ def read_header(path: str | os.PathLike) -> dict:
     Checks magic, header CRC, version, and that the file size matches the
     declared record count exactly — so truncation is caught without
     touching the payload.  Payload checksums are verified by
-    :func:`load_trace` / :func:`iter_records`, which actually read it.
+    :func:`load_trace`, which actually reads it.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -253,42 +251,6 @@ def read_header(path: str | os.PathLike) -> dict:
     return header
 
 
-def iter_records(path: str | os.PathLike
-                 ) -> Iterator[tuple[int, bool, int]]:
-    """Stream ``(gap, write, addr)`` tuples, verifying checksums.
-
-    Reads the payload in bounded chunks (traces ≫ RAM are fine) and
-    raises :class:`TraceFileError` *after the final record* if the
-    payload CRC32/SHA-256 do not match the header — callers that must not
-    act on unverified data should materialize via :func:`load_trace`,
-    which validates before returning anything.
-    """
-    path = os.fspath(path)
-    header = read_header(path)
-    remaining = header["records"]
-    crc = 0
-    sha = hashlib.sha256()
-    unpack_from = RECORD_STRUCT.unpack_from
-    record_size = RECORD_STRUCT.size
-    with open(path, "rb") as handle:
-        handle.seek(DATA_OFFSET)
-        while remaining > 0:
-            count = min(remaining, _CHUNK_RECORDS)
-            data = handle.read(count * record_size)
-            if len(data) != count * record_size:  # pragma: no cover
-                raise TraceFileError(f"{path}: payload shrank mid-read")
-            crc = zlib.crc32(data, crc)
-            sha.update(data)
-            for offset in range(0, len(data), record_size):
-                addr, gap, write = unpack_from(data, offset)
-                yield gap, write, addr
-            remaining -= count
-    if crc != header["payload_crc32"] or \
-            sha.hexdigest() != header["payload_sha256"]:
-        raise TraceFileError(
-            f"{path}: payload checksum mismatch — trace data is corrupt")
-
-
 def load_trace(path: str | os.PathLike) -> Trace:
     """Read a trace file into a :class:`Trace`.
 
@@ -310,20 +272,6 @@ def load_trace(path: str | os.PathLike) -> Trace:
             f"{path}: payload checksum mismatch — trace data is corrupt")
     return Trace.from_arrays(header["name"],
                              np.frombuffer(payload, dtype=TRACE_DTYPE))
-
-
-def mmap_records(path: str | os.PathLike):
-    """Zero-copy ``numpy.memmap`` view of the payload (``TRACE_DTYPE``).
-
-    Validates the header (magic/CRC/version/size) but *not* the payload
-    checksum — a full-payload hash would defeat the point of mapping a
-    trace ≫ RAM.  Use :func:`load_trace` when the stronger guarantee
-    matters more than the copy.
-    """
-    path = os.fspath(path)
-    header = read_header(path)
-    return np.memmap(path, dtype=TRACE_DTYPE, mode="r",
-                      offset=DATA_OFFSET, shape=(header["records"],))
 
 
 def trace_fingerprint(path: str | os.PathLike) -> str:

@@ -28,7 +28,7 @@ import json, sys
 from repro import api
 from repro.sim import Processor
 for scheme in ("split+gcm", "split"):
-    config = api.get_config(scheme, sim_engine="batched")
+    config = api.get_config(scheme, sim_engine="auto")
     assert Processor(config).resolved_sim_engine() == "batched", scheme
     api.run(config, "swim", refs=3000)
 loaded = sorted(name for name in sys.modules if name in {unwanted}

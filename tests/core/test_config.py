@@ -1,5 +1,7 @@
 """Configuration presets and derived properties."""
 
+import re
+
 import pytest
 
 from repro.auth.policies import AuthPolicy
@@ -8,6 +10,8 @@ from repro.core.config import (
     CounterOrg,
     EncryptionMode,
     PRESETS,
+    SIM_ENGINES,
+    SecureMemoryConfig,
     baseline_config,
     direct_config,
     gcm_auth_config,
@@ -19,6 +23,7 @@ from repro.core.config import (
     split_gcm_config,
     xom_sha_config,
 )
+from repro.core.results import HOST_ONLY_CONFIG_FIELDS
 
 
 class TestPresets:
@@ -130,6 +135,29 @@ class TestValidation:
         assert split_gcm_config(mac_bits=32).mac_bits == 32
         assert split_config(minor_bits=1).minor_bits == 1
         assert split_config(minor_bits=16).minor_bits == 16
+
+
+class TestHostOnlyKnobs:
+    """No config field picks a crypto kernel (the batch size does), and
+    ``sim_engine`` takes two values."""
+
+    @pytest.mark.parametrize("kernel", ["auto", "scalar", "table", "vector"])
+    def test_no_kernel_field(self, kernel):
+        with pytest.raises(TypeError, match="kernel"):
+            SecureMemoryConfig(kernel=kernel)
+        with pytest.raises(TypeError, match="kernel"):
+            split_gcm_config().with_updates(kernel=kernel)
+
+    def test_sim_engine_takes_auto_or_scalar(self):
+        assert SIM_ENGINES == ("auto", "scalar")
+        assert HOST_ONLY_CONFIG_FIELDS == {"sim_engine"}
+        for engine in SIM_ENGINES:
+            assert split_config(sim_engine=engine).sim_engine == engine
+
+    def test_batched_is_not_a_sim_engine(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("one of ('auto', 'scalar')")):
+            split_config(sim_engine="batched")
 
 
 class TestPresetsReadOnly:

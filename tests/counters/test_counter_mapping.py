@@ -79,7 +79,7 @@ def test_engine_column_equals_scalar_on_l2_misses(monkeypatch, org):
     column."""
     trace = spec_trace("mcf", 8000)
     processor = Processor(get_config("split", counter_org=org,
-                                     sim_engine="batched"))
+                                     sim_engine="auto"))
     assert processor.resolved_sim_engine() == "batched"
     rows = []
     make_engine = batched._make_fast_engine

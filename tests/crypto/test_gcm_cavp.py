@@ -10,8 +10,8 @@ import pytest
 
 from repro.crypto.aes import AES128
 from repro.crypto.gcm import AESGCM, AuthenticationError
-from repro.crypto.ghash import GHASH, ghash, ghash_chunks
-from repro.crypto.vector import _ghash_chunks_scalar, ghash_chunks_many
+from repro.crypto.ghash import GHASH, ghash, ghash_chunks, ghash_chunks_scalar
+from repro.crypto.vector import ghash_chunks_many
 
 # (key, iv, plaintext, aad, ciphertext, tag) — all hex
 CAVP_ENCRYPT_VECTORS = [
@@ -144,7 +144,7 @@ def _encrypt_one(key: bytes, block: bytes, kernel: str) -> bytes:
 
 def _ghash_kernel(h: bytes, chunks: list[bytes], kernel: str) -> bytes:
     if kernel == "scalar":
-        return _ghash_chunks_scalar(h, chunks)
+        return ghash_chunks_scalar(h, chunks)
     if kernel == "vector":
         return ghash_chunks_many(h, [b"".join(chunks)])[0]
     return ghash_chunks(h, chunks)

@@ -1,11 +1,13 @@
 """Kernel dispatch: thresholds, large batches, and per-key vector state.
 
 The Hypothesis suites in ``test_vector_equivalence.py`` stop at 16 items
-and never look at which kernel a dispatcher ran.  This module pins the
-three properties around the dispatchers themselves:
+and never look at which kernel a dispatcher ran.  The batch size is the
+only thing that picks a kernel, and this module pins the three properties
+around the dispatchers themselves:
 
 * at each threshold's N-1, N and N+1 the dispatcher picks the table kernel
-  below N and the vector kernel from N on, and scalar == table == vector;
+  below N and the vector kernel from N on, and its bytes equal the named
+  scalar and table paths;
 * at 1024 blocks every bulk path still agrees with the scalar oracle;
 * a key's vector state lives on the object that owns the key, so cycling
   through more keys than any bounded cache would hold rebuilds nothing.
@@ -26,10 +28,16 @@ from repro.crypto.ctr import (
     AUTHENTICATION_IV,
     ENCRYPTION_IV,
     bulk_ctr_transform,
+    bulk_ctr_transform_scalar,
+    bulk_ctr_transform_table,
 )
 from repro.crypto.gf128 import GF128Table
-from repro.crypto.ghash import GHASH
-from repro.crypto.mac import gcm_block_macs
+from repro.crypto.ghash import GHASH, ghash_chunks_scalar
+from repro.crypto.mac import (
+    gcm_block_macs,
+    gcm_block_macs_scalar,
+    gcm_block_macs_table,
+)
 from repro.crypto.vector import (
     VECTOR_MIN_BLOCKS,
     VECTOR_MIN_CTR_BLOCKS,
@@ -38,11 +46,8 @@ from repro.crypto.vector import (
     VectorGHASH,
     decrypt_blocks_kernel,
     encrypt_blocks_kernel,
-    ghash_chunks_kernel,
     ghash_chunks_many,
 )
-
-KERNELS = ("scalar", "table", "vector")
 
 
 def _items(rng, count, chunks=4):
@@ -79,9 +84,10 @@ class TestThresholdBoundaries:
         blocks = [rng.randbytes(16) for _ in range(count)]
         expected_enc = [aes.encrypt_block_scalar(b) for b in blocks]
         expected_dec = [aes.decrypt_block_scalar(b) for b in blocks]
-        for kernel in KERNELS:
-            assert encrypt_blocks_kernel(aes, blocks, kernel) == expected_enc
-            assert decrypt_blocks_kernel(aes, blocks, kernel) == expected_dec
+        assert aes.encrypt_blocks(blocks) == expected_enc
+        assert aes.decrypt_blocks(blocks) == expected_dec
+        assert encrypt_blocks_kernel(aes, blocks) == expected_enc
+        assert decrypt_blocks_kernel(aes, blocks) == expected_dec
         used = count >= VECTOR_MIN_BLOCKS
         assert vector_calls == {"encrypt": used, "decrypt": used}
 
@@ -93,11 +99,10 @@ class TestThresholdBoundaries:
         # one-chunk items plus one wider item: the unit is 16-byte chunks,
         # whatever the item sizes
         items = _items(rng, chunks - 2, chunks=1) + _items(rng, 1, chunks=2)
-        results = {kernel: bulk_ctr_transform(aes, items, iv_tag,
-                                              kernel=kernel)
-                   for kernel in KERNELS}
-        assert results["table"] == results["scalar"]
-        assert results["vector"] == results["scalar"]
+        scalar = bulk_ctr_transform_scalar(aes, items, iv_tag)
+        assert bulk_ctr_transform_table(aes, items, iv_tag) == scalar
+        assert vector_calls["encrypt"] == 0
+        assert bulk_ctr_transform(aes, items, iv_tag) == scalar
         assert vector_calls["encrypt"] == (chunks >= VECTOR_MIN_CTR_BLOCKS)
 
     @pytest.mark.parametrize("mac_bits", [32, 64, 128])
@@ -107,11 +112,10 @@ class TestThresholdBoundaries:
         aes = AES128(rng.randbytes(16))
         ghash = GHASH(aes.encrypt_block(bytes(16)))
         items = _items(rng, count)
-        results = {kernel: gcm_block_macs(aes, ghash, items, mac_bits,
-                                          kernel=kernel)
-                   for kernel in KERNELS}
-        assert results["table"] == results["scalar"]
-        assert results["vector"] == results["scalar"]
+        scalar = gcm_block_macs_scalar(aes, ghash, items, mac_bits)
+        assert gcm_block_macs_table(aes, ghash, items, mac_bits) == scalar
+        assert vector_calls["encrypt"] == 0
+        assert gcm_block_macs(aes, ghash, items, mac_bits) == scalar
         assert vector_calls["encrypt"] == (count >= VECTOR_MIN_MAC_BLOCKS)
 
 
@@ -125,18 +129,19 @@ class TestLargeBatches:
         aes = AES128(rng.randbytes(16))
         blocks = [rng.randbytes(16) for _ in range(self.N)]
         expected = [aes.encrypt_block_scalar(b) for b in blocks]
-        for kernel in ("table", "vector"):
-            assert encrypt_blocks_kernel(aes, blocks, kernel) == expected
-            assert decrypt_blocks_kernel(aes, expected, kernel) == blocks
+        assert aes.encrypt_blocks(blocks) == expected
+        assert aes.decrypt_blocks(expected) == blocks
+        assert encrypt_blocks_kernel(aes, blocks) == expected
+        assert decrypt_blocks_kernel(aes, expected) == blocks
         assert [aes.decrypt_block_scalar(b) for b in expected] == blocks
 
     def test_ctr(self):
         rng = random.Random(2)
         aes = AES128(rng.randbytes(16))
         items = _items(rng, self.N)
-        scalar = bulk_ctr_transform(aes, items, kernel="scalar")
-        assert bulk_ctr_transform(aes, items, kernel="table") == scalar
-        assert bulk_ctr_transform(aes, items, kernel="vector") == scalar
+        scalar = bulk_ctr_transform_scalar(aes, items)
+        assert bulk_ctr_transform_table(aes, items) == scalar
+        assert bulk_ctr_transform(aes, items) == scalar
 
     def test_ghash(self):
         rng = random.Random(3)
@@ -144,9 +149,9 @@ class TestLargeBatches:
         messages = [rng.randbytes(64) for _ in range(self.N)]
         chunk_lists = [[m[i:i + 16] for i in range(0, 64, 16)]
                        for m in messages]
-        scalar = [ghash_chunks_kernel(ghash, chunks, "scalar")
+        scalar = [ghash_chunks_scalar(ghash, chunks)
                   for chunks in chunk_lists]
-        assert [ghash_chunks_kernel(ghash, chunks, "table")
+        assert [ghash.hash_chunks(chunks)
                 for chunks in chunk_lists] == scalar
         assert ghash_chunks_many(ghash, messages) == scalar
 
@@ -155,9 +160,9 @@ class TestLargeBatches:
         aes = AES128(rng.randbytes(16))
         ghash = GHASH(aes.encrypt_block(bytes(16)))
         items = _items(rng, self.N)
-        scalar = gcm_block_macs(aes, ghash, items, kernel="scalar")
-        assert gcm_block_macs(aes, ghash, items, kernel="table") == scalar
-        assert gcm_block_macs(aes, ghash, items, kernel="vector") == scalar
+        scalar = gcm_block_macs_scalar(aes, ghash, items)
+        assert gcm_block_macs_table(aes, ghash, items) == scalar
+        assert gcm_block_macs(aes, ghash, items) == scalar
 
 
 class TestPerKeyState:
@@ -171,7 +176,7 @@ class TestPerKeyState:
         rng = random.Random(5)
         blocks = max(VECTOR_MIN_MAC_BLOCKS, VECTOR_MIN_CTR_BLOCKS)
         owners = [(AES128(rng.randbytes(16)),
-                   GCMMACScheme(rng.randbytes(16), 64, kernel="vector"))
+                   GCMMACScheme(rng.randbytes(16), 64))
                   for _ in range(self.KEYS)]
         items = _items(rng, blocks)
         built = {"VectorAES128": 0, "VectorGHASH": 0, "GF128Table": 0}
@@ -185,7 +190,7 @@ class TestPerKeyState:
             monkeypatch.setattr(cls, "__init__", counted)
 
         def one_pass():
-            return [(bulk_ctr_transform(data_aes, items, kernel="vector"),
+            return [(bulk_ctr_transform(data_aes, items),
                      scheme.compute_many(items))
                     for data_aes, scheme in owners]
 

@@ -20,19 +20,25 @@ from repro.crypto.ctr import (
     AUTHENTICATION_IV,
     ENCRYPTION_IV,
     bulk_ctr_transform,
+    bulk_ctr_transform_scalar,
+    bulk_ctr_transform_table,
     ctr_transform,
     make_seed,
     make_seeds,
 )
-from repro.crypto.ghash import ghash_chunks
-from repro.crypto.mac import VALID_MAC_BITS, gcm_block_mac, gcm_block_macs
+from repro.crypto.ghash import ghash_chunks, ghash_chunks_scalar
+from repro.crypto.mac import (
+    VALID_MAC_BITS,
+    gcm_block_mac,
+    gcm_block_macs,
+    gcm_block_macs_scalar,
+    gcm_block_macs_table,
+)
 from repro.crypto.vector import (
-    _ghash_chunks_scalar,
     bulk_ctr_transform_vector,
     decrypt_blocks_kernel,
     encrypt_blocks_kernel,
     gcm_block_macs_vector,
-    ghash_chunks_kernel,
     ghash_chunks_many,
     make_seeds_array,
 )
@@ -66,17 +72,19 @@ class TestAESBlockKernels:
         aes = AES128(key)
         expected_enc = [aes.encrypt_block_scalar(b) for b in blocks]
         expected_dec = [aes.decrypt_block_scalar(b) for b in blocks]
-        for kernel in ("scalar", "table", "vector"):
-            assert encrypt_blocks_kernel(aes, blocks, kernel) == expected_enc
-            assert decrypt_blocks_kernel(aes, blocks, kernel) == expected_dec
+        for cipher in (aes, aes.vector()):
+            assert cipher.encrypt_blocks(blocks) == expected_enc
+            assert cipher.decrypt_blocks(blocks) == expected_dec
+        assert encrypt_blocks_kernel(aes, blocks) == expected_enc
+        assert decrypt_blocks_kernel(aes, blocks) == expected_dec
 
     @settings(max_examples=25, deadline=None)
     @given(key=keys, blocks=st.lists(st.binary(min_size=16, max_size=16),
                                      min_size=1, max_size=16))
     def test_vector_round_trip(self, key, blocks):
         aes = AES128(key)
-        encrypted = encrypt_blocks_kernel(aes, blocks, "vector")
-        assert decrypt_blocks_kernel(aes, encrypted, "vector") == blocks
+        encrypted = aes.vector().encrypt_blocks(blocks)
+        assert aes.vector().decrypt_blocks(encrypted) == blocks
 
 
 class TestCTRPadEquivalence:
@@ -85,10 +93,11 @@ class TestCTRPadEquivalence:
            iv_tag=st.sampled_from((ENCRYPTION_IV, AUTHENTICATION_IV)))
     def test_bulk_transform_all_kernels_agree(self, key, items, iv_tag):
         aes = AES128(key)
-        scalar = bulk_ctr_transform(aes, items, iv_tag, kernel="scalar")
-        table = bulk_ctr_transform(aes, items, iv_tag, kernel="table")
+        scalar = bulk_ctr_transform_scalar(aes, items, iv_tag)
+        table = bulk_ctr_transform_table(aes, items, iv_tag)
         vector = bulk_ctr_transform_vector(key, items, iv_tag)
-        assert scalar == table == vector
+        assert scalar == table == vector == bulk_ctr_transform(aes, items,
+                                                               iv_tag)
 
     @settings(max_examples=25, deadline=None)
     @given(key=keys, address=addresses, counter=counters, data=block_data)
@@ -131,14 +140,14 @@ class TestGHASHEquivalence:
         for message, digest in zip(messages, batched):
             chunks = _split_chunks(message)
             assert digest == ghash_chunks(h, chunks)
-            assert digest == _ghash_chunks_scalar(h, chunks)
+            assert digest == ghash_chunks_scalar(h, chunks)
 
     @settings(max_examples=25, deadline=None)
     @given(h=keys, message=block_data)
     def test_kernel_dispatch_agrees(self, h, message):
         chunks = _split_chunks(message)
-        digests = {ghash_chunks_kernel(h, chunks, kernel)
-                   for kernel in ("scalar", "table", "vector")}
+        digests = {ghash_chunks_scalar(h, chunks), ghash_chunks(h, chunks),
+                   ghash_chunks_many(h, [message])[0]}
         assert len(digests) == 1
 
 
@@ -151,9 +160,9 @@ class TestGCMTagEquivalence:
         aes = AES128(key)
         expected = [gcm_block_mac(aes, hkey, a, c, ct, mac_bits)
                     for a, c, ct in items]
-        for kernel in ("scalar", "table"):
-            assert gcm_block_macs(aes, hkey, items, mac_bits,
-                                  kernel=kernel) == expected
+        for macs in (gcm_block_macs_scalar, gcm_block_macs_table,
+                     gcm_block_macs):
+            assert macs(aes, hkey, items, mac_bits) == expected
         assert gcm_block_macs_vector(key, hkey, items, mac_bits) == expected
 
     @settings(max_examples=10, deadline=None)
@@ -189,9 +198,9 @@ class TestSplitVsMonolithicCounters:
         concatenated = scheme._concat(major, minor)
         aes = AES128(key)
         mono = ctr_transform(aes, address, concatenated, data)
-        for kernel in ("scalar", "table"):
-            assert bulk_ctr_transform(aes, [(address, concatenated, data)],
-                                      kernel=kernel) == [mono]
+        for transform in (bulk_ctr_transform_scalar,
+                          bulk_ctr_transform_table):
+            assert transform(aes, [(address, concatenated, data)]) == [mono]
         assert bulk_ctr_transform_vector(
             key, [(address, concatenated, data)]) == [mono]
 

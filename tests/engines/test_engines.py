@@ -72,11 +72,11 @@ class TestPaperEngines:
         assert engine.stages == 32
 
     def test_sha_latency_sweep_configurable(self):
-        assert SHA1Engine(latency=640).mac_block(0.0) == 640.0
+        assert SHA1Engine(latency=640).request(0.0) == 640.0
 
     def test_block_pads_stream_through_pipeline(self):
         engine = AESEngine()
-        assert engine.generate_block_pads(0.0, 4) == 95.0
+        assert engine.request_many(0.0, 4) == 95.0
 
 
 class TestGHASHUnit:

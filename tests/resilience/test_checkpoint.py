@@ -262,6 +262,57 @@ class TestContainerVersion:
         assert_chaos_equivalent(reference_report(cells), report)
 
 
+class TestCheckpointsThatNameAKernel:
+    """A checkpoint written while the config still had a ``kernel`` field
+    names a field no current config has: every resume path refuses it
+    with :class:`CheckpointError`, never a ``TypeError``."""
+
+    def test_system_checkpoint_is_refused(self):
+        state = loads(checkpoint_system(_exercised_system("split+gcm")),
+                      kind="system")
+        state["config"]["kernel"] = "auto"
+        target = SecureMemorySystem(PRESETS["split+gcm"],
+                                    protected_bytes=PROTECTED,
+                                    l2_size=2 * 1024, l2_assoc=2)
+        untouched = checkpoint_system(target)
+        with pytest.raises(CheckpointError, match="configuration"):
+            restore_system(target, dumps(state, kind="system"))
+        assert checkpoint_system(target) == untouched
+
+    def test_simulation_checkpoint_is_refused(self, tmp_path):
+        path = str(tmp_path / "roll.ckpt")
+        api.run("split+gcm", "swim", refs=3_000, checkpoint_every=1_000,
+                checkpoint_path=path)
+        payload = load_checkpoint(path, kind="simulation")
+        payload["config"]["kernel"] = "vector"
+        save_checkpoint(path, dumps(payload, kind="simulation"))
+        with pytest.raises(CheckpointError, match="configuration"):
+            api.run("split+gcm", "swim", refs=3_000, resume_from=path)
+
+    def test_simulation_checkpoint_in_queue_is_quarantined(self, tmp_path):
+        cells = [SweepCell("split+gcm", "swim", refs=3_000)]
+        queue = str(tmp_path / "queue")
+        cid = cell_id(0, cells[0])
+        QueuePaths(queue).ensure()
+        path = QueuePaths(queue).checkpoint(cid)
+        api.run("split+gcm", "swim", refs=3_000, checkpoint_every=1_000,
+                checkpoint_path=path)
+        payload = load_checkpoint(path, kind="simulation")
+        payload["config"]["kernel"] = "auto"
+        save_checkpoint(path, dumps(payload, kind="simulation"))
+
+        report = run_many(cells, queue_dir=queue, parallelism=1,
+                          heartbeat_interval=0.2, lease_ttl=2.0,
+                          checkpoint_refs=1_000)
+        assert report.ok, report.to_dict()
+        quarantined = [event for event in read_events(queue)
+                       if event["event"] == "checkpoint_quarantined"]
+        assert [event["cell"] for event in quarantined] == [cid]
+        assert "configuration" in quarantined[0]["error"]
+        assert not report.cells[0].resumed_from_checkpoint
+        assert_chaos_equivalent(reference_report(cells), report)
+
+
 class TestTraceDigest:
     def test_stable_and_distinguishing(self):
         one = spec_trace("swim", 2000)

@@ -47,7 +47,7 @@ def reference(trace):
     for name in SUBSET:
         runs = []
         for engine in (("scalar",) if name in ORACLE_PRESETS
-                       else ("scalar", "batched")):
+                       else ("scalar", "auto")):
             p = Processor(get_config(name, sim_engine=engine))
             r = p.run(trace, warmup_refs=WARMUP)
             runs.append((r.cycles, p.metrics.snapshot(), p.state_dict()))
@@ -57,12 +57,12 @@ def reference(trace):
 
 
 @pytest.mark.parametrize("name", SUBSET)
-@pytest.mark.parametrize("engines", [("scalar", "batched"),
-                                     ("batched", "scalar")],
+@pytest.mark.parametrize("engines", [("scalar", "auto"),
+                                     ("auto", "scalar")],
                          ids=["scalar-to-batched", "batched-to-scalar"])
 def test_resume_across_engines(name, engines, trace, reference):
     save_engine, resume_engine = engines
-    if name in ORACLE_PRESETS and save_engine == "batched":
+    if name in ORACLE_PRESETS and save_engine == "auto":
         # the oracle saves and resumes it under either engine, so the
         # scalar-to-batched id already runs this resume
         processor = Processor(get_config(name, sim_engine=save_engine))
@@ -86,6 +86,6 @@ def test_resume_across_engines(name, engines, trace, reference):
         reference[name]
 
     # The persisted config differs from the resuming engine's only in
-    # host-only fields (sim_engine, kernel).
+    # the host-only field, sim_engine.
     assert semantic_config_state(payload["config"]) == \
         semantic_config_state(get_config(name, sim_engine=resume_engine))

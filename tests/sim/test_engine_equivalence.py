@@ -17,10 +17,9 @@ per-miss PathTime records.  Three layers enforce it:
   shares, two AES copies) and every traced run go to the scalar oracle,
   so per-miss ``MissRecord``/event streams always come from the oracle.
 
-A fourth group pins the RNG contract from the recovery subsystem: the
-simulator never consults the module-level ``random`` state, so a global
-``random.seed(...)`` from embedding code cannot perturb timing results,
-and an explicitly injected generator is honoured and checkpointed.
+A fourth check pins that the simulator never consults the module-level
+``random`` state, so a global ``random.seed(...)`` from embedding code
+cannot perturb timing results.
 """
 
 import random
@@ -29,11 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import get_config
-from repro.core.config import PRESETS, SIM_ENGINES, RecoveryConfig
+from repro.core.config import PRESETS, SIM_ENGINES
 from repro.obs.tracer import RecordingTracer
 from repro.sim.batched import run_batched
 from repro.sim.processor import Processor
-from repro.sim.timing_memory import TimingSecureMemory
 from repro.workloads import PROFILES, generate_trace
 
 PRESET_NAMES = sorted(PRESETS)
@@ -67,12 +65,12 @@ def assert_batched_equals_scalar(preset, trace, warmup=0):
     so timing it twice would compare the oracle with itself: for those
     the check is that routing."""
     if preset in ORACLE_PRESETS:
-        for engine in ("auto", "batched"):
+        for engine in SIM_ENGINES:
             processor = Processor(get_config(preset, sim_engine=engine))
             assert processor.resolved_sim_engine() == "scalar", engine
         return
     assert run_engine(preset, trace, "scalar", warmup=warmup) == \
-        run_engine(preset, trace, "batched", warmup=warmup)
+        run_engine(preset, trace, "auto", warmup=warmup)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +105,7 @@ def test_batched_equals_scalar_random(preset, app, refs, seed, warmup_frac):
     trace = generate_trace(PROFILES[app], refs, seed=seed)
     warmup = int(refs * warmup_frac)
     assert run_engine(preset, trace, "scalar", warmup=warmup) == \
-        run_engine(preset, trace, "batched", warmup=warmup)
+        run_engine(preset, trace, "auto", warmup=warmup)
 
 
 # -- engine routing ------------------------------------------------------
@@ -115,13 +113,12 @@ def test_batched_equals_scalar_random(preset, app, refs, seed, warmup_frac):
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_resolved_sim_engine(preset):
-    """The batched engine runs every preset it models under ``auto`` and
-    ``batched``; a new condition in ``supports`` that drops a fig. 4/9
-    preset to the oracle fails here, not just as a slower sweep."""
+    """The batched engine runs every preset it models under ``auto``; a
+    new condition in ``supports`` that drops a fig. 4/9 preset to the
+    oracle fails here, not just as a slower sweep."""
     expected = "scalar" if preset in ORACLE_PRESETS else "batched"
-    for engine in ("auto", "batched"):
-        processor = Processor(get_config(preset, sim_engine=engine))
-        assert processor.resolved_sim_engine() == expected
+    processor = Processor(get_config(preset, sim_engine="auto"))
+    assert processor.resolved_sim_engine() == expected
     processor = Processor(get_config(preset, sim_engine="scalar"))
     assert processor.resolved_sim_engine() == "scalar"
 
@@ -148,7 +145,7 @@ def test_batched_engine_refuses_what_it_does_not_model(cold_trace):
             run_batched(processor, cold_trace)
 
 
-# -- RNG threading (recovery subsystem) ---------------------------------
+# -- global random state -------------------------------------------------
 
 
 def test_global_random_seed_does_not_perturb_timing(cold_trace):
@@ -159,26 +156,3 @@ def test_global_random_seed_does_not_perturb_timing(cold_trace):
         random.seed()  # leave the global state unseeded again
     assert runs[0] == runs[1]
 
-
-def recovery_config(seed=0):
-    return get_config("split",
-                      recovery=RecoveryConfig(enabled=True, seed=seed))
-
-
-def test_injected_rng_is_honoured_and_checkpointed():
-    rng = random.Random(5)
-    mem = TimingSecureMemory(recovery_config(), rng=rng)
-    assert mem._recovery_rng is rng
-    state = mem.state_dict()
-    rng.random()  # advance the live generator past the saved state
-    mem2 = TimingSecureMemory(recovery_config())
-    mem2.load_state(state)
-    assert mem2._recovery_rng.getstate() == random.Random(5).getstate()
-
-
-def test_default_rng_derives_from_recovery_seed():
-    a = TimingSecureMemory(recovery_config(seed=42))
-    b = TimingSecureMemory(recovery_config(seed=42))
-    assert a._recovery_rng.getstate() == b._recovery_rng.getstate()
-    assert a._recovery_rng is not b._recovery_rng
-    assert a._recovery_rng.getstate() == random.Random(42).getstate()

@@ -30,7 +30,7 @@ def trace():
 
 
 def batched_processor(preset):
-    processor = Processor(get_config(preset, sim_engine="batched"))
+    processor = Processor(get_config(preset, sim_engine="auto"))
     assert processor.resolved_sim_engine() == "batched"
     return processor
 

@@ -59,7 +59,7 @@ def drained_columns(monkeypatch, processor, trace, **run_kwargs):
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_columns_equal_per_reference_values(monkeypatch, trace, preset,
                                             mode):
-    processor = Processor(get_config(preset, sim_engine="batched"))
+    processor = Processor(get_config(preset, sim_engine="auto"))
     assert processor.resolved_sim_engine() == "batched"
     run_kwargs = {"warmup_refs": WARMUP}
     if mode == "checkpointed":

@@ -37,7 +37,9 @@ from repro.workloads import (
 )
 
 PRESET_NAMES = sorted(PRESETS)
-ENGINES = ("scalar", "batched")
+#: ``sim_engine`` values, with the engine each runs as its test id
+ENGINES = ("scalar", "auto")
+ENGINE_IDS = ("scalar", "batched")
 REFS = 1500
 
 TRACED_PRESETS = [s for s in ("split+gcm", "mono+sha", "secddr", "scattered")
@@ -90,10 +92,10 @@ def test_roundtrip_streams_identical(recorded):
     assert replayed.name == live.name
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_replay_equals_live(preset, engine, recorded):
-    if engine == "batched" and preset in ORACLE_PRESETS:
+    if engine == "auto" and preset in ORACLE_PRESETS:
         # the oracle runs it, so the scalar id already times this run
         processor = Processor(get_config(preset, sim_engine=engine))
         assert processor.resolved_sim_engine() == "scalar"
@@ -103,7 +105,7 @@ def test_replay_equals_live(preset, engine, recorded):
         run_engine(preset, live, engine)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
 @pytest.mark.parametrize("preset", ["baseline", "split+gcm"])
 def test_scenario_replay_equals_live(preset, engine, recorded_scenario):
     live, replayed = recorded_scenario

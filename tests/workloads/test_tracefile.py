@@ -5,8 +5,8 @@ Two halves:
 * **Hypothesis round-trip** — encode→decode is the identity on random
   traces (including empty ones, negative gaps are impossible by
   construction but addresses span the full int64 range the format
-  stores), chunked streaming ingest equals one-shot writing, and the
-  mmap view agrees element-for-element with the list view.
+  stores), the payload is the packed records from the page-aligned
+  offset on, and chunked streaming ingest equals one-shot writing.
 * **Corruption suite** — truncated files, bit flips in the payload, bit
   flips in the header, wrong magic, and unknown versions are rejected
   with :class:`TraceFileError` (never a silent mis-replay).
@@ -23,9 +23,7 @@ from repro.workloads import (
     Trace,
     TraceFileError,
     TraceWriter,
-    iter_records,
     load_trace,
-    mmap_records,
     read_header,
     trace_fingerprint,
     write_trace,
@@ -62,6 +60,13 @@ def test_roundtrip_identity(tmp_path_factory, trace):
     assert back.gaps == trace.gaps
     assert back.writes == trace.writes
     assert back.addrs == trace.addrs
+    # the on-disk layout: one packed record per reference from the
+    # page-aligned offset on, adopted by load_trace byte for byte
+    payload = path.read_bytes()[DATA_OFFSET:]
+    assert payload == b"".join(
+        RECORD_STRUCT.pack(addr, gap, write)
+        for gap, write, addr in zip(trace.gaps, trace.writes, trace.addrs))
+    assert back.arrays().tobytes() == payload
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,20 +84,6 @@ def test_streaming_ingest_equals_oneshot(tmp_path_factory, trace, chunk):
                           trace.addrs[start:stop])
     assert one.read_bytes() == many.read_bytes()
     assert trace_fingerprint(one) == trace_fingerprint(many)
-
-
-@settings(max_examples=25, deadline=None)
-@given(trace=traces)
-def test_mmap_agrees_with_lists(tmp_path_factory, trace):
-    numpy = pytest.importorskip("numpy")
-    path = tmp_path_factory.mktemp("mm") / "t.rtrc"
-    write_trace(path, trace)
-    view = mmap_records(path)
-    assert len(view) == len(trace.addrs)
-    assert list(view["addr"]) == trace.addrs
-    assert list(view["gap"]) == trace.gaps
-    assert [bool(w) for w in view["write"]] == trace.writes
-    del view
 
 
 @pytest.fixture
@@ -113,12 +104,6 @@ def test_header_contents(good_file):
     assert header["name"] == "probe"
     assert header["records"] == len(trace.addrs)
     assert header["payload_sha256"].startswith(trace_fingerprint(path))
-
-
-def test_iter_records_streams(good_file):
-    path, trace = good_file
-    rows = list(iter_records(path))
-    assert rows == list(zip(trace.gaps, trace.writes, trace.addrs))
 
 
 def test_truncated_payload_rejected(good_file):
